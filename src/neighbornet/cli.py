@@ -1,7 +1,7 @@
 """Command-line surface: nnet, nj, tsp, check, estimate, length, enumerate.
 
 Exit codes: 0 success, 1 input error (bad files or flags), 2 internal
-invariant failure.
+invariant failure, 3 the NNLS solver did not converge.
 """
 from __future__ import annotations
 
@@ -35,14 +35,13 @@ from .kalmanson import (
 )
 from .length import DEFAULT_CAP, balanced_length
 from .tsp import greedy_tsp, read_tsplib_euc2d
-from .weights import clamp_nonnegative, lambda_formula, nnls_fit
+from .weights import NonConvergence, clamp_nonnegative, lambda_formula, nnls_fit
 
 
 @dataclass
 class RunConfig:
     """Validated run options shared by the subcommands."""
 
-    input_path: Optional[str] = None
     input_format: str = "phylip"
     weighting: str = "balanced-tsp"
     alpha: float = 0.5
@@ -50,7 +49,6 @@ class RunConfig:
     ols_weights: str = "uniform"
     rounding: str = "none"
     tolerance: Optional[float] = None
-    trace_path: Optional[str] = None
     cap: int = DEFAULT_CAP
     arithmetic: str = "float"
 
@@ -152,7 +150,6 @@ def cmd_nnet(args) -> int:
     config = RunConfig(
         weighting=args.weighting,
         alpha=args.alpha,
-        trace_path=args.trace,
         arithmetic="rational" if args.rational else "float",
     )
     d, labels = _read_distances(args.input, config)
@@ -352,6 +349,9 @@ def main(argv=None) -> int:
     except (nio.InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NonConvergence as exc:
+        print(f"error: solver did not converge: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # invariant failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Num = Union[int, float, Fraction]
@@ -21,14 +21,12 @@ def is_exact_number(x) -> bool:
     return isinstance(x, _EXACT_TYPES) and not isinstance(x, bool)
 
 
-def half(exact: bool) -> Num:
-    return Fraction(1, 2) if exact else 0.5
-
-
 class DissimilarityMap:
-    """Symmetric nonnegative matrix with zero diagonal over taxa 0..n-1."""
+    """Symmetric nonnegative matrix of finite entries with zero diagonal over
+    taxa 0..n-1. Immutable; whether every entry is exact (int or Fraction) is
+    decided once, at construction."""
 
-    __slots__ = ("_rows", "n")
+    __slots__ = ("_rows", "n", "_exact")
 
     def __init__(self, rows: Sequence[Sequence[Num]], *, exact: bool = False):
         n = len(rows)
@@ -36,6 +34,14 @@ class DissimilarityMap:
             raise ValueError("dissimilarity map needs at least one taxon")
         if any(len(r) != n for r in rows):
             raise ValueError("square matrix required")
+        all_exact = all(map(is_exact_number, chain.from_iterable(rows)))
+        if not all_exact:
+            # a row holding nan or inf has a non-finite sum
+            for i, row in enumerate(rows):
+                if not math.isfinite(sum(row)):
+                    for j, x in enumerate(row):
+                        if not math.isfinite(x):
+                            raise ValueError(f"non-finite entry at ({i},{j})")
         if exact:
             rows = [[Fraction(x) for x in r] for r in rows]
         for i in range(n):
@@ -48,6 +54,7 @@ class DissimilarityMap:
                     raise ValueError(f"negative entry at ({i},{j})")
         self._rows = tuple(tuple(r) for r in rows)
         self.n = n
+        self._exact = exact or all_exact
 
     def __getitem__(self, ij) -> Num:
         i, j = ij
@@ -59,7 +66,7 @@ class DissimilarityMap:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact_number(x) for r in self._rows for x in r)
+        return self._exact
 
     def to_exact(self) -> "DissimilarityMap":
         return DissimilarityMap(self._rows, exact=True)

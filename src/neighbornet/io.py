@@ -83,7 +83,7 @@ def read_phylip_distances(text: str):
             if raw[i][j] < 0:
                 raise InputError(f"negative distance at ({labels[i]}, {labels[j]})")
     for i in range(n):
-        if abs(raw[i][i]) > ASYM_REL_TOL:
+        if not abs(raw[i][i]) <= ASYM_REL_TOL:  # a nan fails this test too
             raise InputError(f"nonzero diagonal for {labels[i]}")
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):

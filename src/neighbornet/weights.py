@@ -17,7 +17,6 @@ from .core import (
     Split,
     WeightedSplitSystem,
     all_circular_splits,
-    half,
     split_metric,
 )
 from .length import DEFAULT_CAP, eta_for_splits, split_system_length
@@ -79,7 +78,7 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
     if ordering.n != n:
         raise ValueError("taxon count mismatch")
     x = ordering.order
-    h = half(d.is_exact)
+    h = Fraction(1, 2)  # an exact half of exact values; 0.5 times a float
     out = {}
     for a in range(n):
         for length in range(1, n):

@@ -1,0 +1,64 @@
+"""The array engine against the scalar engine it replaced (tests/scalar_engine.py):
+the same orderings, tree splits and per-step decisions on seeded maps, and in
+exact arithmetic the same criterion values and weights too."""
+import math
+import random
+
+import pytest
+
+import neighbornet.agglomerate as engine
+import scalar_engine as reference
+from conftest import random_dissimilarity
+
+SCHEMES = {
+    "balanced-tsp": (engine.BalancedTSP(), reference.BalancedTSP()),
+    "tree": (engine.TreeWeighting("balanced"), reference.TreeWeighting("balanced")),
+    "original": (engine.OriginalBM(), reference.OriginalBM()),
+}
+
+
+def decisions(result):
+    return [(st.m, st.pair, st.endpoints, st.split, st.merged_block) for st in result.trace.steps]
+
+
+def run_both(d, name):
+    new_scheme, old_scheme = SCHEMES[name]
+    new = engine.run_neighbor_net(d, new_scheme)
+    old = reference.run_neighbor_net(d, old_scheme)
+    assert new.ordering == old.ordering
+    assert new.tree_splits == old.tree_splits
+    assert decisions(new) == decisions(old)
+    return new, old
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_exact_runs_match_reference(name):
+    # 104 seeds per scheme, 312 in all; n cycles through 4..16. Entries are
+    # multiples of 1/100, so exact ties in Q and Q-hat do occur.
+    for k in range(104):
+        seed = 1000 * (1 + sorted(SCHEMES).index(name)) + k
+        d = random_dissimilarity(random.Random(seed), 4 + k % 13, exact=True)
+        new, old = run_both(d, name)
+        values = [(st.q_value, st.q_hat_value, st.mu) for st in new.trace.steps]
+        assert values == [(st.q_value, st.q_hat_value, st.mu) for st in old.trace.steps], f"seed {seed}"
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_float_runs_match_reference(name):
+    for k in range(8):
+        seed = 5000 + 100 * sorted(SCHEMES).index(name) + k
+        rng = random.Random(seed)
+        d = random_dissimilarity(rng, 40 if k == 0 else rng.randint(4, 39))
+        new, old = run_both(d, name)
+        for a, b in zip(new.trace.steps, old.trace.steps):
+            assert math.isclose(a.q_value, b.q_value, rel_tol=1e-9, abs_tol=1e-9), f"seed {seed}"
+            assert math.isclose(a.q_hat_value, b.q_hat_value, rel_tol=1e-9, abs_tol=1e-9), f"seed {seed}"
+
+
+def test_neighbor_joining_matches_reference():
+    for k in range(24):
+        rng = random.Random(8000 + k)
+        n = rng.randint(4, 16)
+        d = random_dissimilarity(rng, n, exact=k % 2 == 0)
+        alpha = rng.choice(["balanced", 0.3, 0.8])
+        assert engine.neighbor_joining(d, alpha) == reference.neighbor_joining(d, alpha), f"k {k}"
