@@ -32,8 +32,11 @@ from .core import (
     CircularOrdering,
     DissimilarityMap,
     Num,
+    PartialCircularOrdering,
     Split,
     join_paths,
+    merged_at,
+    path_ends,
 )
 
 REL_TIE_TOL = 1e-12
@@ -190,8 +193,7 @@ class BlockState:
         return self._unit * self.m
 
     def endpoints(self, r: int) -> tuple:
-        b = self.blocks[r]
-        return (b[0],) if len(b) == 1 else (b[0], b[-1])
+        return path_ends(self.blocks[r])
 
     def _row_sums(self) -> np.ndarray:
         if self._rowsum is None:
@@ -224,8 +226,6 @@ class BlockState:
         )
 
     def to_pco(self):
-        from .core import PartialCircularOrdering
-
         return PartialCircularOrdering(self.blocks)
 
 
@@ -274,17 +274,9 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     The merged path sits at index min(r, s); node weights are carried over
     unchanged (adjust_weights produces the new ones).
     """
-    if r == s:
-        raise ValueError("r and s must differ")
-    merged = join_paths(state.blocks[r], state.blocks[s], i, j)
+    blocks = merged_at(state.blocks, r, s, join_paths(state.blocks[r], state.blocks[s], i, j))
+    parts = merged_at(state.parts, r, s, (frozenset(state.blocks[r]), frozenset(state.blocks[s])))
     lo, hi = min(r, s), max(r, s)
-    blocks = list(state.blocks)
-    parts = list(state.parts)
-    blocks[lo] = merged
-    del blocks[hi]
-    new_parts = (frozenset(state.blocks[r]), frozenset(state.blocks[s]))
-    parts[lo] = new_parts
-    del parts[hi]
     info = MergeInfo(
         merged_index=lo,
         block_r=frozenset(state.blocks[r]),

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import io as nio
 from .agglomerate import (
@@ -27,49 +25,43 @@ from .core import (
     count_associahedron_vertices,
     count_distinct_orderings,
     count_nnet_outputs,
+    sorted_splits,
 )
 from .kalmanson import (
     find_kalmanson_ordering,
     first_four_point_violation,
     first_kalmanson_violation,
 )
-from .length import DEFAULT_CAP, balanced_length
+from .length import DEFAULT_CAP, adjacency_counts, balanced_length
 from .tsp import greedy_tsp, read_tsplib_euc2d
 from .weights import NonConvergence, clamp_nonnegative, lambda_formula, nnls_fit
 
 
-@dataclass
-class RunConfig:
-    """Validated run options shared by the subcommands."""
+def _checked(convert, ok, message):
+    """An argparse type: convert the flag's text, then reject a value that
+    fails ok with message (exit code 1, like every parse error)."""
 
-    input_format: str = "phylip"
-    weighting: str = "balanced-tsp"
-    alpha: float = 0.5
-    method: str = "formula"
-    ols_weights: str = "uniform"
-    rounding: str = "none"
-    tolerance: Optional[float] = None
-    cap: int = DEFAULT_CAP
-    arithmetic: str = "float"
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
 
-    def __post_init__(self):
-        if not 0 <= self.alpha <= 1:
-            raise nio.InputError("alpha must be in [0, 1]")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise nio.InputError("tolerance must be >= 0")
-        if self.cap < 1:
-            raise nio.InputError("cap must be >= 1")
-        if self.arithmetic not in ("float", "rational"):
-            raise nio.InputError("arithmetic must be 'float' or 'rational'")
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
 
-    def scheme(self) -> WeightingScheme:
-        if self.weighting == "balanced-tsp":
-            return BalancedTSP()
-        if self.weighting == "tree":
-            return TreeWeighting(self.alpha)
-        if self.weighting == "original":
-            return OriginalBM()
-        raise nio.InputError(f"unknown weighting {self.weighting!r}")
+
+_alpha = _checked(float, lambda a: 0 <= a <= 1, "alpha must be in [0, 1]")
+_tolerance = _checked(float, lambda t: t >= 0, "tolerance must be >= 0")
+_cap = _checked(int, lambda c: c >= 1, "cap must be >= 1")
+
+
+def _scheme(args) -> WeightingScheme:
+    if args.weighting == "tree":
+        return TreeWeighting(args.alpha)
+    if args.weighting == "original":
+        return OriginalBM()
+    return BalancedTSP()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,17 +71,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_distances(path: str, config: RunConfig):
+def _read_distances(path: str, rational: bool = False, tsplib_rounding=None):
+    """A PHYLIP file; when tsplib_rounding is given, a TSPLIB EUC_2D file too."""
     with open(path) as fh:
         text = fh.read()
-    if config.input_format == "tsplib" or (
-        config.input_format == "auto" and "NODE_COORD_SECTION" in text
-    ):
-        d = read_tsplib_euc2d(text, rounding=config.rounding)
+    if tsplib_rounding is not None and "NODE_COORD_SECTION" in text:
+        d = read_tsplib_euc2d(text, rounding=tsplib_rounding)
         labels = [str(k + 1) for k in range(d.n)]
     else:
         d, labels = nio.read_phylip_distances(text)
-    if config.arithmetic == "rational":
+    if rational:
         d = d.to_exact()
     return d, labels
 
@@ -112,8 +103,7 @@ def _parse_taxa(text: str, labels) -> list:
 
 
 def _print_splits(system: WeightedSplitSystem, labels, show_weights=True):
-    splits = sorted(system.splits, key=lambda s: (len(s.block), tuple(sorted(s.block))))
-    for s in splits:
+    for s in sorted_splits(system.splits):
         side = "{" + ",".join(labels[t] for t in sorted(s.other)) + "}"
         if show_weights:
             print(f"  {nio.fmt_num(system.weight(s))} \t {side}")
@@ -121,8 +111,14 @@ def _print_splits(system: WeightedSplitSystem, labels, show_weights=True):
             print(f"  {side}")
 
 
-def _estimated_system(d, ordering, config: RunConfig) -> WeightedSplitSystem:
-    if config.method == "formula":
+def _write_nexus(path, system, labels, ordering):
+    with open(path, "w") as fh:
+        fh.write(nio.write_nexus(system, labels, cycle=ordering))
+    print(f"nexus written to {path}")
+
+
+def _estimated_system(d, ordering, method: str, ols_weights: str) -> WeightedSplitSystem:
+    if method == "formula":
         lam = lambda_formula(d, ordering)
         negatives = sum(1 for v in lam.values() if v < 0)
         if negatives:
@@ -131,41 +127,24 @@ def _estimated_system(d, ordering, config: RunConfig) -> WeightedSplitSystem:
                 "use --method formula-clamped or nnls"
             )
         return WeightedSplitSystem(d.n, lam)
-    if config.method == "formula-clamped":
+    if method == "formula-clamped":
         return WeightedSplitSystem(d.n, clamp_nonnegative(lambda_formula(d, ordering)))
-    if config.method == "nnls":
-        pair_weights = None
-        if config.ols_weights == "eta":
-            seq = ordering.canonical().order
-            n = len(seq)
-            pair_weights = {}
-            for k in range(n):
-                a, b = seq[k], seq[(k + 1) % n]
-                pair_weights[(min(a, b), max(a, b))] = 1.0
-        return nnls_fit(d, ordering, pair_weights=pair_weights)
-    raise nio.InputError(f"unknown estimation method {config.method!r}")
+    # nnls; eta weights each pair by how often the ordering makes it adjacent
+    pair_weights = adjacency_counts([ordering]) if ols_weights == "eta" else None
+    return nnls_fit(d, ordering, pair_weights=pair_weights)
 
 
 def cmd_nnet(args) -> int:
-    config = RunConfig(
-        weighting=args.weighting,
-        alpha=args.alpha,
-        arithmetic="rational" if args.rational else "float",
-    )
-    d, labels = _read_distances(args.input, config)
-    result = run_neighbor_net(d, config.scheme())
+    d, labels = _read_distances(args.input, args.rational)
+    result = run_neighbor_net(d, _scheme(args))
     print("ordering:", " ".join(labels[t] for t in result.ordering.order))
     system = WeightedSplitSystem(d.n, {s: 1.0 for s in result.tree_splits})
     if args.estimate != "none":
-        config.method = args.estimate
-        config.ols_weights = args.ols_weights
-        system = _estimated_system(d, result.ordering, config)
+        system = _estimated_system(d, result.ordering, args.estimate, args.ols_weights)
     print(f"splits ({len(system)}):")
     _print_splits(system, labels, show_weights=args.estimate != "none")
     if args.nexus:
-        with open(args.nexus, "w") as fh:
-            fh.write(nio.write_nexus(system, labels, cycle=result.ordering))
-        print(f"nexus written to {args.nexus}")
+        _write_nexus(args.nexus, system, labels, result.ordering)
     if args.trace:
         nio.write_trace_jsonl(result.trace, args.trace)
         print(f"trace written to {args.trace}")
@@ -173,30 +152,21 @@ def cmd_nnet(args) -> int:
 
 
 def cmd_nj(args) -> int:
-    config = RunConfig(alpha=args.alpha)
-    d, labels = _read_distances(args.input, config)
-    splits = neighbor_joining(d, args.alpha)
-    print(nio.splits_to_newick(sorted(splits, key=lambda s: sorted(s.block)), labels))
+    d, labels = _read_distances(args.input)
+    print(nio.splits_to_newick(neighbor_joining(d, args.alpha), labels))
     return 0
 
 
 def cmd_tsp(args) -> int:
-    config = RunConfig(
-        weighting=args.weighting,
-        alpha=args.alpha,
-        rounding=args.round,
-        input_format="auto",
-    )
-    d, labels = _read_distances(args.input, config)
-    tour = greedy_tsp(d, config.scheme())
+    d, labels = _read_distances(args.input, tsplib_rounding=args.round)
+    tour = greedy_tsp(d, _scheme(args))
     print("tour:", " ".join(labels[t] for t in tour.ordering.order))
     print("length:", nio.fmt_num(tour.length))
     return 0
 
 
 def cmd_check(args) -> int:
-    config = RunConfig(tolerance=args.tol)
-    d, labels = _read_distances(args.input, config)
+    d, labels = _read_distances(args.input)
     tol = args.tol
     fp = first_four_point_violation(d, tol)
     if fp is None:
@@ -232,22 +202,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = RunConfig(
-        method=args.method,
-        arithmetic="rational" if args.rational else "float",
-    )
-    config.ols_weights = args.ols_weights
-    d, labels = _read_distances(args.input, config)
+    d, labels = _read_distances(args.input, args.rational)
     if args.ordering:
         ordering = CircularOrdering(_parse_taxa(args.ordering, labels))
     else:
         ordering = run_neighbor_net(d, BalancedTSP()).ordering
         print("ordering (from agglomeration):", " ".join(labels[t] for t in ordering.order))
-    system = _estimated_system(d, ordering, config)
+    system = _estimated_system(d, ordering, args.method, args.ols_weights)
     if args.nexus:
-        with open(args.nexus, "w") as fh:
-            fh.write(nio.write_nexus(system, labels, cycle=ordering))
-        print(f"nexus written to {args.nexus}")
+        _write_nexus(args.nexus, system, labels, ordering)
     else:
         print(f"splits ({len(system)}):")
         _print_splits(system, labels)
@@ -255,13 +218,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_length(args) -> int:
-    config = RunConfig(cap=args.cap, arithmetic="rational" if args.rational else "float")
-    d, labels = _read_distances(args.input, config)
+    d, labels = _read_distances(args.input, args.rational)
     blocks = [
         _parse_taxa(block, labels) for block in args.blocks.split("|") if block.strip()
     ]
     pco = PartialCircularOrdering(blocks)
-    value = balanced_length(d, pco, cap=config.cap)
+    value = balanced_length(d, pco, cap=args.cap)
     if isinstance(value, Fraction):
         print(f"balanced length: {value} ({float(value):.6g})")
     else:
@@ -289,7 +251,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("nnet", help="agglomerate a circular ordering and tree splits")
     p.add_argument("input")
     p.add_argument("--weighting", choices=["balanced-tsp", "tree", "original"], default="balanced-tsp")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=0.5)
     p.add_argument("--estimate", choices=["none", "formula", "formula-clamped", "nnls"], default="none")
     p.add_argument("--ols-weights", choices=["uniform", "eta"], default="uniform")
     p.add_argument("--nexus", metavar="PATH")
@@ -299,20 +261,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nj", help="neighbor-joining splits as Newick")
     p.add_argument("input")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=0.5)
     p.set_defaults(func=cmd_nj)
 
     p = sub.add_parser("tsp", help="greedy tour from the agglomeration")
     p.add_argument("input", help="TSPLIB EUC_2D or PHYLIP distance file")
     p.add_argument("--weighting", choices=["balanced-tsp", "tree", "original"], default="balanced-tsp")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=0.5)
     p.add_argument("--round", choices=["none", "tsplib"], default="none")
     p.set_defaults(func=cmd_tsp)
 
     p = sub.add_parser("check", help="four-point and Kalmanson condition report")
     p.add_argument("input")
     p.add_argument("--ordering", help="comma-separated labels or indices")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("estimate", help="split weights for an ordering")
@@ -327,7 +289,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("length", help="balanced length of a partial circular ordering")
     p.add_argument("input")
     p.add_argument("--blocks", required=True, help="e.g. 'A,B|C|D,E' (paths separated by |)")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--rational", action="store_true")
     p.set_defaults(func=cmd_length)
 

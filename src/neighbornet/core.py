@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 Num = Union[int, float, Fraction]
 
 _EXACT_TYPES = (int, Fraction)
@@ -115,9 +117,6 @@ class Split:
     def separates(self, i: int, j: int) -> bool:
         return (i in self.block) != (j in self.block)
 
-    def sides(self) -> tuple:
-        return self.block, self.other
-
     def __repr__(self):
         a = ",".join(map(str, sorted(self.block)))
         b = ",".join(map(str, sorted(self.other)))
@@ -131,8 +130,37 @@ def split_metric(s: Split, i: int, j: int) -> int:
     return 1 if s.separates(i, j) else 0
 
 
+def sorted_splits(splits) -> list:
+    """The one split order: by block size, then block contents."""
+    return sorted(splits, key=lambda s: (len(s.block), tuple(sorted(s.block))))
+
+
+def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
+    """For each split, in input order, the bool mask of the taxon pairs it
+    separates: the pair x split incidence delta_S(i, j), one column at a time.
+    Pairs i < j follow np.triu_indices(n, 1) order, (0,1), (0,2), ...,
+    (0,n-1), (1,2), ..., which is the order of DesignMatrix.pairs."""
+    rows, cols = np.triu_indices(n, 1)
+    for s in splits:
+        side = np.zeros(n, dtype=bool)
+        side[list(s.block)] = True
+        yield side[rows] != side[cols]
+
+
+def pair_sums(weights: Mapping[Split, Num], n: int, scalar: type = float) -> np.ndarray:
+    """sum_S w_S delta_S(i, j) for every pair, in split_masks order. Each
+    weight, converted to scalar (float or Fraction), is added over its mask in
+    the mapping's order, so a float sum is the one a loop over the pairs
+    would give, bit for bit. Weights may be negative."""
+    out = np.full(n * (n - 1) // 2, scalar(0), dtype=float if scalar is float else object)
+    for mask, w in zip(split_masks(weights, n), weights.values()):
+        out[mask] += scalar(w)
+    return out
+
+
 class WeightedSplitSystem:
-    """A set of splits with nonnegative weights; duplicates collapse by canonical form."""
+    """A set of splits with finite nonnegative weights; duplicates collapse by
+    canonical form."""
 
     __slots__ = ("n", "_weights")
 
@@ -140,6 +168,8 @@ class WeightedSplitSystem:
         for s, w in weights.items():
             if s.n != n:
                 raise ValueError("split taxon count mismatch")
+            if not (is_exact_number(w) or math.isfinite(w)):
+                raise ValueError(f"non-finite weight for {s}")
             if w < 0:
                 raise ValueError(f"negative weight for {s}")
         self.n = n
@@ -173,18 +203,16 @@ class WeightedSplitSystem:
 
 
 def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
-    """d[i][j] = sum of weights of the splits separating i from j."""
+    """d[i][j] = sum of weights of the splits separating i from j; Fractions
+    when every weight is exact, floats otherwise."""
     n = sys.n
-    zero: Num = Fraction(0) if sys.is_exact else 0.0
-    rows = [[zero] * n for _ in range(n)]
-    for s, w in sys.items():
-        for i in range(n):
-            ini = i in s.block
-            for j in range(i + 1, n):
-                if ini != (j in s.block):
-                    rows[i][j] += w
-                    rows[j][i] += w
-    return DissimilarityMap(rows)
+    scalar = Fraction if sys.is_exact else float
+    upper = pair_sums(dict(sys.items()), n, scalar)
+    full = np.full((n, n), scalar(0), dtype=upper.dtype)
+    rows, cols = np.triu_indices(n, 1)
+    full[rows, cols] = upper
+    full[cols, rows] = upper
+    return DissimilarityMap(full.tolist())
 
 
 def is_pairwise_compatible(splits: Iterable[Split]) -> bool:
@@ -234,10 +262,6 @@ class CircularOrdering:
 
     def canonical(self) -> "CircularOrdering":
         return CircularOrdering(canonical_cycle(self.order))
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.order == canonical_cycle(self.order)
 
     def positions(self) -> dict:
         return {t: k for k, t in enumerate(self.order)}
@@ -314,22 +338,32 @@ class PartialCircularOrdering:
         return len(self.blocks)
 
     def endpoints(self, r: int) -> tuple:
-        b = self.blocks[r]
-        return (b[0],) if len(b) == 1 else (b[0], b[-1])
+        return path_ends(self.blocks[r])
 
     def adjacent_pairs(self) -> Iterator[tuple]:
         for b in self.blocks:
             for k in range(len(b) - 1):
                 yield b[k], b[k + 1]
 
-    def block_of(self, taxon: int) -> int:
-        for r, b in enumerate(self.blocks):
-            if taxon in b:
-                return r
-        raise KeyError(taxon)
-
     def __repr__(self):
         return "PCO(" + " | ".join(",".join(map(str, b)) for b in self.blocks) + ")"
+
+
+def path_ends(path: Sequence[int]) -> tuple:
+    """The one or two endpoints of a path."""
+    return (path[0],) if len(path) == 1 else (path[0], path[-1])
+
+
+def merged_at(items: Sequence, r: int, s: int, value) -> list:
+    """items after blocks r and s merge: value replaces item min(r, s) and
+    item max(r, s) is deleted."""
+    if r == s:
+        raise ValueError("r and s must differ")
+    lo, hi = min(r, s), max(r, s)
+    out = list(items)
+    out[lo] = value
+    del out[hi]
+    return out
 
 
 def join_paths(path_r: Sequence[int], path_s: Sequence[int], i: int, j: int) -> tuple:

@@ -26,6 +26,7 @@ from .core import (
     DissimilarityMap,
     Split,
     WeightedSplitSystem,
+    sorted_splits,
 )
 
 ASYM_REL_TOL = 1e-6
@@ -133,7 +134,7 @@ def write_nexus(
     n = system.n
     if len(labels) != n:
         raise ValueError("label count mismatch")
-    splits = sorted(system.splits, key=lambda s: (len(s.block), tuple(sorted(s.block))))
+    splits = sorted_splits(system.splits)
     out = ["#nexus", ""]
     out.append("BEGIN Taxa;")
     out.append(f"DIMENSIONS ntax={n};")
@@ -211,7 +212,11 @@ def read_nexus_splits(text: str):
         raise InputError("missing DIMENSIONS ntax")
     if labels and len(labels) != n:
         raise InputError("label count mismatch")
-    return labels, cycle, WeightedSplitSystem(n, weights)
+    try:
+        system = WeightedSplitSystem(n, weights)
+    except ValueError as exc:  # a negative or non-finite weight
+        raise InputError(str(exc)) from None
+    return labels, cycle, system
 
 
 # -- Newick ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .core import (
     WeightedSplitSystem,
     canonical_orderings,
     is_circular_split,
+    metric_from_splits,
 )
 
 FLOAT_TOL = 1e-9
@@ -174,8 +175,6 @@ def find_kalmanson_ordering(
 
 def perturbed_map(system: WeightedSplitSystem, noise: Sequence[Sequence[Num]]) -> DissimilarityMap:
     """metric_from_splits(system) + noise, validated symmetric with zero diagonal."""
-    from .core import metric_from_splits
-
     base = metric_from_splits(system)
     n = base.n
     if len(noise) != n or any(len(row) != n for row in noise):

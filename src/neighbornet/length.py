@@ -14,6 +14,10 @@ half the tour length over every circular ordering consistent with C:
 where eta_C(i, j) counts the consistent orderings in which i and j are
 adjacent. The split-system length uses the same normalization with
 "consistent" meaning every split is a contiguous arc of the ordering.
+
+Every division here is num / Fraction(den), with den an int: a Fraction
+when num is an int or a Fraction, and for a float num the float num / den
+bit for bit. So exact inputs give exact results with no exactness flag.
 """
 from __future__ import annotations
 
@@ -21,8 +25,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from typing import Iterable, Sequence
+from itertools import combinations, permutations, product
+from typing import Iterable
 
 from .agglomerate import BlockState, q_criterion
 from .core import (
@@ -36,7 +40,9 @@ from .core import (
     count_distinct_orderings,
     is_circular_split,
     join_paths,
+    merged_at,
 )
+from .tsp import tour_length
 
 DEFAULT_CAP = 10**6
 
@@ -63,9 +69,23 @@ class EtaTable:
         return sum(self.eta(i, j) for j in range(self.n) if j != i)
 
     def pairs(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                yield i, j
+        return combinations(range(self.n), 2)
+
+
+def adjacency_counts(orderings: Iterable[CircularOrdering]) -> dict:
+    """(i, j) with i < j -> the number of the orderings in which i and j are
+    adjacent."""
+    counts: dict = defaultdict(int)
+    for o in orderings:
+        seq = o.order
+        for a, b in zip(seq, seq[1:] + seq[:1]):
+            counts[(min(a, b), max(a, b))] += 1
+    return dict(counts)
+
+
+def _mean_half_tour(d: DissimilarityMap, orderings: list) -> Num:
+    """Average half tour length over the orderings (sequences or orderings)."""
+    return sum(tour_length(d, o) for o in orderings) / Fraction(2 * len(orderings))
 
 
 def count_consistent_orderings(pco: PartialCircularOrdering) -> int:
@@ -104,14 +124,8 @@ def pco_join(
     pco: PartialCircularOrdering, r: int, s: int, i: int, j: int
 ) -> PartialCircularOrdering:
     """The single-edge extension joining block r at endpoint i to block s at j."""
-    if r == s:
-        raise ValueError("r and s must differ")
     merged = join_paths(pco.blocks[r], pco.blocks[s], i, j)
-    lo, hi = min(r, s), max(r, s)
-    blocks = list(pco.blocks)
-    blocks[lo] = merged
-    del blocks[hi]
-    return PartialCircularOrdering(blocks)
+    return PartialCircularOrdering(merged_at(pco.blocks, r, s, merged))
 
 
 def join_extensions(pco: PartialCircularOrdering, r: int, s: int):
@@ -121,26 +135,10 @@ def join_extensions(pco: PartialCircularOrdering, r: int, s: int):
             yield (i, j), pco_join(pco, r, s, i, j)
 
 
-def _tour_length(d: DissimilarityMap, seq: Sequence[int]) -> Num:
-    n = len(seq)
-    return sum(d[seq[k], seq[(k + 1) % n]] for k in range(n))
-
-
-def _ratio(num: Num, den: int, exact: bool) -> Num:
-    return Fraction(num, den) if exact else num / den
-
-
 def eta_table(pco: PartialCircularOrdering, cap: int = DEFAULT_CAP) -> EtaTable:
     """Brute-force adjacency counts over the consistent orderings."""
     orderings = enumerate_consistent_orderings(pco, cap)
-    counts: dict = defaultdict(int)
-    for o in orderings:
-        seq = o.order
-        n = len(seq)
-        for k in range(n):
-            a, b = seq[k], seq[(k + 1) % n]
-            counts[(min(a, b), max(a, b))] += 1
-    return EtaTable(pco.n, dict(counts), len(orderings))
+    return EtaTable(pco.n, adjacency_counts(orderings), len(orderings))
 
 
 def eta_table_for_join(
@@ -161,31 +159,27 @@ def eta_table_for_join(
         for t in block:
             if t not in ends and mu[t] != 0:
                 raise ValueError("closed form requires a TSP weighting (interior weights zero)")
-    exact = all(not isinstance(v, float) for v in mu.values())
     n_total = count_consistent_orderings(pco)
     block_of = {t: b for b, blk in enumerate(pco.blocks) for t in blk}
-    adjacent = set()
-    for a, b in pco.adjacent_pairs():
-        adjacent.add((min(a, b), max(a, b)))
+    adjacent = {(min(a, b), max(a, b)) for a, b in pco.adjacent_pairs()}
 
     counts = {}
     n = pco.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = block_of[i], block_of[j]
-            if bi == bj:
-                val = _ratio(2 * n_total, m - 1, exact) if (i, j) in adjacent else 0
+    for i, j in combinations(range(n), 2):
+        bi, bj = block_of[i], block_of[j]
+        if bi == bj:
+            val = 2 * n_total / Fraction(m - 1) if (i, j) in adjacent else 0
+        else:
+            mm = mu[i] * mu[j]
+            if {bi, bj} == {r, s}:
+                val = 2 * n_total * mm / Fraction(m - 1)
+            elif bi in (r, s) or bj in (r, s):
+                val = 2 * n_total * mm / Fraction((m - 1) * (m - 2))
             else:
-                mm = mu[i] * mu[j]
-                if {bi, bj} == {r, s}:
-                    val = _ratio(2 * n_total * mm, m - 1, exact)
-                elif bi in (r, s) or bj in (r, s):
-                    val = _ratio(2 * n_total * mm, (m - 1) * (m - 2), exact)
-                else:
-                    val = _ratio(4 * n_total * mm, (m - 1) * (m - 2), exact)
-            if val:
-                counts[(i, j)] = val
-    return EtaTable(n, counts, _ratio(2 * n_total, m - 1, exact))
+                val = 4 * n_total * mm / Fraction((m - 1) * (m - 2))
+        if val:
+            counts[(i, j)] = val
+    return EtaTable(n, counts, 2 * n_total / Fraction(m - 1))
 
 
 def balanced_length(
@@ -194,17 +188,13 @@ def balanced_length(
     """Average half tour length over the orderings consistent with pco."""
     if d.n != pco.n:
         raise ValueError("taxon count mismatch")
-    orderings = enumerate_consistent_orderings(pco, cap)
-    total = sum(_tour_length(d, o.order) for o in orderings)
-    return _ratio(total, 2 * len(orderings), d.is_exact)
+    return _mean_half_tour(d, enumerate_consistent_orderings(pco, cap))
 
 
 def balanced_length_from_eta(d: DissimilarityMap, table: EtaTable) -> Num:
     """The eta-weighted form of the balanced length; agrees with the average."""
     total = sum(table.eta(i, j) * d[i, j] for i, j in table.pairs())
-    if d.is_exact:
-        return Fraction(total) / (2 * Fraction(table.total_orderings))
-    return total / (2 * table.total_orderings)
+    return total / (2 * Fraction(table.total_orderings))
 
 
 def balanced_length_of_join_family(
@@ -219,8 +209,7 @@ def balanced_length_of_join_family(
     for _, joined in join_extensions(pco, r, s):
         for o in enumerate_consistent_orderings(joined, cap):
             seen.add(o.order)
-    total = sum(_tour_length(d, seq) for seq in seen)
-    return _ratio(total, 2 * len(seen), d.is_exact)
+    return _mean_half_tour(d, list(seen))
 
 
 def w_neighborliness(state: BlockState, r: int, s: int, t: int, u: int) -> Num:
@@ -229,7 +218,7 @@ def w_neighborliness(state: BlockState, r: int, s: int, t: int, u: int) -> Num:
     val = (
         bd(r, t) + bd(r, u) + bd(s, t) + bd(s, u) - 2 * bd(r, s) - 2 * bd(t, u)
     )
-    return _ratio(val, 2, state.is_exact)
+    return val / Fraction(2)
 
 
 def z_criterion(state: BlockState, r: int, s: int) -> Num:
@@ -249,9 +238,7 @@ def z_criterion(state: BlockState, r: int, s: int) -> Num:
         raise ValueError("Z-criterion requires at least 3 blocks")
     p_total = state.total_pair_sum()
     q = q_criterion(state, r, s)
-    if state.is_exact:
-        return -Fraction(p_total) / ((m - 1) * (m - 2)) - Fraction(q) / (2 * (m - 2))
-    return -p_total / ((m - 1) * (m - 2)) - q / (2 * (m - 2))
+    return -p_total / Fraction((m - 1) * (m - 2)) - q / Fraction(2 * (m - 2))
 
 
 def z_from_w_sum(state: BlockState, r: int, s: int) -> Num:
@@ -260,11 +247,11 @@ def z_from_w_sum(state: BlockState, r: int, s: int) -> Num:
     if m < 3:
         raise ValueError("requires at least 3 blocks")
     others = [t for t in range(m) if t not in (r, s)]
-    total = 0
+    total = state.scalar(0)
     for a in range(len(others)):
         for b in range(a + 1, len(others)):
             total += w_neighborliness(state, r, s, others[a], others[b])
-    return _ratio(total, (m - 1) * (m - 2), state.is_exact)
+    return total / Fraction((m - 1) * (m - 2))
 
 
 def split_system_orderings(
@@ -290,13 +277,7 @@ def eta_for_splits(splits: Iterable[Split], n: int, cap: int = DEFAULT_CAP) -> E
     orderings = split_system_orderings(splits, n, cap)
     if not orderings:
         raise ValueError("no circular ordering is consistent with the split system")
-    counts: dict = defaultdict(int)
-    for o in orderings:
-        seq = o.order
-        for k in range(n):
-            a, b = seq[k], seq[(k + 1) % n]
-            counts[(min(a, b), max(a, b))] += 1
-    return EtaTable(n, dict(counts), len(orderings))
+    return EtaTable(n, adjacency_counts(orderings), len(orderings))
 
 
 def split_system_length(
@@ -304,6 +285,4 @@ def split_system_length(
 ) -> Num:
     """Length of d with respect to a circular split system, normalized the same
     way as the balanced length over partial orderings."""
-    table = eta_for_splits(splits, d.n, cap)
-    total = sum(table.eta(i, j) * d[i, j] for i, j in table.pairs())
-    return _ratio(total, 2 * table.total_orderings, d.is_exact)
+    return balanced_length_from_eta(d, eta_for_splits(splits, d.n, cap))

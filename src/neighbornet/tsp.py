@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Sequence, Union
+
 import numpy as np
 
 from .agglomerate import BalancedTSP, WeightingScheme, run_neighbor_net
@@ -18,12 +21,13 @@ BRUTE_FORCE_MAX_N = 11
 _BATCH = 100_000
 
 
-def tour_length(d: DissimilarityMap, ordering: CircularOrdering) -> Num:
-    """Sum of the n cycle edges."""
-    if d.n != ordering.n:
-        raise ValueError("taxon count mismatch")
-    seq = ordering.order
+def tour_length(d: DissimilarityMap, ordering: Union[CircularOrdering, Sequence[int]]) -> Num:
+    """Sum of the n cycle edges of an ordering, or of a sequence of the n taxa
+    read as a cycle; exact on exact maps."""
+    seq = ordering.order if isinstance(ordering, CircularOrdering) else ordering
     n = len(seq)
+    if d.n != n:
+        raise ValueError("taxon count mismatch")
     return sum(d[seq[k], seq[(k + 1) % n]] for k in range(n))
 
 
@@ -44,39 +48,22 @@ def greedy_tsp(d: DissimilarityMap, scheme: WeightingScheme = BalancedTSP()) -> 
 
 
 def _brute_force_exact(d: DissimilarityMap) -> Tour:
-    best_seq = None
-    best_len = None
-    for seq in canonical_orderings(d.n):
-        n = len(seq)
-        length = sum(d[seq[k], seq[(k + 1) % n]] for k in range(n))
-        if best_len is None or length < best_len:
-            best_seq, best_len = seq, length
-    return Tour(CircularOrdering(best_seq), best_len)
+    # min keeps the first of equal lengths, the lexicographically least cycle
+    best = min(canonical_orderings(d.n), key=lambda seq: tour_length(d, seq))
+    return Tour.of(d, CircularOrdering(best))
 
 
 def _brute_force_float(d: DissimilarityMap) -> Tour:
     arr = np.array([[float(v) for v in row] for row in d.rows])
-    best_seq = None
-    best_len = math.inf
-
-    def flush(batch):
-        nonlocal best_seq, best_len
+    best_seq, best_len = None, math.inf
+    orderings = canonical_orderings(d.n)
+    while batch := list(islice(orderings, _BATCH)):
         perms = np.array(batch)
-        closed = np.column_stack([perms, perms[:, :1]])
-        lengths = arr[closed[:, :-1], closed[:, 1:]].sum(axis=1)
+        lengths = arr[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
         k = int(np.argmin(lengths))
         if lengths[k] < best_len:
             best_len = float(lengths[k])
             best_seq = tuple(int(t) for t in perms[k])
-
-    batch = []
-    for seq in canonical_orderings(d.n):
-        batch.append(seq)
-        if len(batch) >= _BATCH:
-            flush(batch)
-            batch = []
-    if batch:
-        flush(batch)
     return Tour(CircularOrdering(best_seq), best_len)
 
 

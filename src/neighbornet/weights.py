@@ -17,7 +17,10 @@ from .core import (
     Split,
     WeightedSplitSystem,
     all_circular_splits,
-    split_metric,
+    is_circular_split,
+    pair_sums,
+    sorted_splits,
+    split_masks,
 )
 from .length import DEFAULT_CAP, eta_for_splits, split_system_length
 
@@ -28,14 +31,10 @@ class NonConvergence(RuntimeError):
     pass
 
 
-def sorted_splits(splits) -> list:
-    """Deterministic column order: by block size, then block contents."""
-    return sorted(splits, key=lambda s: (len(s.block), tuple(sorted(s.block))))
-
-
 @dataclass(frozen=True)
 class DesignMatrix:
-    """0/1 incidence of taxon pairs (rows) against splits (columns)."""
+    """0/1 incidence of taxon pairs (rows, in split_masks order) against
+    splits (columns, in sorted_splits order)."""
 
     n: int
     pairs: tuple
@@ -52,13 +51,29 @@ class DesignMatrix:
 
     def as_array(self) -> np.ndarray:
         a = np.zeros((len(self.pairs), len(self.splits)))
-        for col, s in enumerate(self.splits):
-            for row, (i, j) in enumerate(self.pairs):
-                a[row, col] = split_metric(s, i, j)
+        for col, mask in enumerate(split_masks(self.splits, self.n)):
+            a[mask, col] = 1.0  # a bool-to-float copy would need a cast buffer
         return a
 
     def rhs(self, d: DissimilarityMap) -> np.ndarray:
         return np.array([float(d[i, j]) for i, j in self.pairs])
+
+    def weighted_system(self, d: DissimilarityMap, pair_weights=None) -> tuple:
+        """(A, b) with each row scaled by the square root of its pair's weight;
+        pairs absent from pair_weights get weight zero."""
+        a = self.as_array()
+        b = self.rhs(d)
+        if pair_weights is not None:
+            root = np.sqrt(self.pair_weight_vector(pair_weights))
+            a = a * root[:, None]
+            b = b * root
+        return a, b
+
+    def pair_weight_vector(self, pair_weights: Mapping[tuple, Num]) -> np.ndarray:
+        w = np.array([float(pair_weights.get(p, 0.0)) for p in self.pairs])
+        if (w < 0).any():
+            raise ValueError("pair weights must be nonnegative")
+        return w
 
 
 def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
@@ -142,13 +157,7 @@ def kkt_violation(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     nonnegative least-squares problem: gradient >= 0 on active bounds,
     gradient == 0 on free coordinates."""
     grad = a.T @ (a @ x - b)
-    viol = 0.0
-    for k in range(len(x)):
-        if x[k] > 0:
-            viol = max(viol, abs(grad[k]))
-        else:
-            viol = max(viol, max(0.0, -grad[k]))
-    return viol
+    return float(np.where(x > 0, np.abs(grad), -grad).max(initial=0.0))
 
 
 def nnls_fit(
@@ -171,20 +180,10 @@ def nnls_fit(
         design = DesignMatrix.for_ordering(ordering)
     else:
         splits = list(splits)
-        from .core import is_circular_split
-
         if any(not is_circular_split(s, ordering) for s in splits):
             raise ValueError("splits must be circular with respect to the ordering")
         design = DesignMatrix.for_splits(splits, d.n)
-    a = design.as_array()
-    b = design.rhs(d)
-    if pair_weights is not None:
-        w = np.array([float(pair_weights.get(p, 0.0)) for p in design.pairs])
-        if (w < 0).any():
-            raise ValueError("pair weights must be nonnegative")
-        root = np.sqrt(w)
-        a = a * root[:, None]
-        b = b * root
+    a, b = design.weighted_system(d, pair_weights)
     x = nnls(a, b, tol=tol)
     viol = kkt_violation(a, b, x)
     scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
@@ -198,15 +197,12 @@ def reconstruction_residual(
     lam: Mapping[Split, Num],
     pair_weights: Optional[Mapping[tuple, Num]] = None,
 ) -> float:
-    """Sum of (weighted) squared errors between d and the metric of lam."""
-    n = d.n
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            fitted = sum(float(v) for s, v in lam.items() if s.separates(i, j))
-            w = 1.0 if pair_weights is None else float(pair_weights.get((i, j), 0.0))
-            total += w * (float(d[i, j]) - fitted) ** 2
-    return total
+    """Sum of (weighted) squared errors between d and the metric of lam,
+    whose weights may be negative."""
+    design = DesignMatrix.for_splits(lam, d.n)
+    errors = design.rhs(d) - pair_sums(lam, d.n)
+    w = 1.0 if pair_weights is None else design.pair_weight_vector(pair_weights)
+    return float(np.sum(w * errors**2))
 
 
 def _solve_normal_equations_exact(a_rows, weights, y):
@@ -266,21 +262,14 @@ def wls_split_weights(
     values is invariant across solutions of a rank-deficient system because
     every split crosses exactly two edges of any consistent ordering.
     """
-    n = d.n
-    cols = sorted_splits(splits)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    a_rows = [[split_metric(s, i, j) for s in cols] for (i, j) in pairs]
-    w = [pair_weights.get(p, 0) for p in pairs]
-    y = [d[i, j] for i, j in pairs]
-    exact = d.is_exact and all(not isinstance(v, float) for v in w)
-    if exact:
-        x = _solve_normal_equations_exact(a_rows, w, y)
-        return dict(zip(cols, x))
-    a = np.array(a_rows, dtype=float)
-    root = np.sqrt(np.array([float(v) for v in w]))
-    b = np.array([float(v) for v in y])
-    sol, *_ = np.linalg.lstsq(a * root[:, None], b * root, rcond=None)
-    return dict(zip(cols, (float(v) for v in sol)))
+    design = DesignMatrix.for_splits(splits, d.n)
+    w = [pair_weights.get(p, 0) for p in design.pairs]
+    if d.is_exact and all(not isinstance(v, float) for v in w):
+        a_rows = design.as_array().astype(int).tolist()
+        y = [d[i, j] for i, j in design.pairs]
+        return dict(zip(design.splits, _solve_normal_equations_exact(a_rows, w, y)))
+    sol, *_ = np.linalg.lstsq(*design.weighted_system(d, pair_weights), rcond=None)
+    return dict(zip(design.splits, (float(v) for v in sol)))
 
 
 def wls_length_identity_check(
@@ -293,8 +282,7 @@ def wls_length_identity_check(
     splits = list(splits)
     n = d.n
     table = eta_for_splits(splits, n, cap)
-    pair_weights = {p: table.eta(*p) for p in table.pairs() if table.eta(*p) != 0}
-    lam = wls_split_weights(d, splits, pair_weights)
+    lam = wls_split_weights(d, splits, table.counts)  # the nonzero counts
     lhs = split_system_length(d, splits, cap)
     rhs = sum(lam.values())
     return lhs, rhs

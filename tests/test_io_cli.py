@@ -23,6 +23,7 @@ from neighbornet.io import (
     write_nexus,
     write_trace_jsonl,
 )
+from neighbornet.weights import nnls_fit
 from conftest import permute_map, random_dissimilarity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -276,3 +277,51 @@ class TestCli:
         path = tmp_path / "bad.phy"
         path.write_text("3\na\nb 1\nc 2 3\n")
         assert main(["nnet", str(path)]) == 1
+
+
+def adjacency_pair_weights(ordering):
+    seq = ordering.order
+    return {(min(a, b), max(a, b)): 1.0 for a, b in zip(seq, seq[1:] + seq[:1])}
+
+
+class TestCliFlags:
+    def test_check_negative_tolerance_exits_1(self, phy_file, capsys):
+        path, _, _ = phy_file
+        assert main(["check", str(path), "--tol", "-1"]) == 1
+        assert "tolerance must be >= 0" in capsys.readouterr().err
+
+    def test_length_zero_cap_exits_1(self, phy_file, capsys):
+        path, _, _ = phy_file
+        assert main(["length", str(path), "--blocks", "t0,t1|t2|t3|t4|t5", "--cap", "0"]) == 1
+        assert "cap must be >= 1" in capsys.readouterr().err
+
+    def test_alpha_is_checked_under_every_weighting(self, phy_file, capsys):
+        path, _, _ = phy_file
+        assert main(["nnet", str(path), "--alpha", "1.5"]) == 1
+        assert main(["tsp", str(path), "--alpha", "-0.5"]) == 1
+        assert main(["nj", str(path), "--alpha", "2"]) == 1
+        assert capsys.readouterr().err.count("alpha must be in [0, 1]") == 3
+
+    def test_estimate_eta_weights_pin_nnls_fit(self, phy_file, tmp_path, capsys):
+        path, d, labels = phy_file
+        ordering = CircularOrdering([0, 3, 1, 5, 2, 4])
+        nexus = tmp_path / "eta.nex"
+        argv = ["estimate", str(path), "--method", "nnls", "--ols-weights", "eta",
+                "--ordering", ",".join(labels[t] for t in ordering.order), "--nexus", str(nexus)]
+        assert main(argv) == 0
+        _, cycle, system = read_nexus_splits(nexus.read_text())
+        expected = nnls_fit(d, ordering, pair_weights=adjacency_pair_weights(ordering))
+        assert cycle == ordering
+        assert dict(system.items()) == dict(expected.items())
+        assert dict(expected.items()) != dict(nnls_fit(d, ordering).items())
+
+    def test_nnet_eta_weights_pin_nnls_fit(self, phy_file, tmp_path, capsys):
+        path, d, _ = phy_file
+        nexus = tmp_path / "eta.nex"
+        assert main(["nnet", str(path), "--estimate", "nnls", "--ols-weights", "eta",
+                     "--nexus", str(nexus)]) == 0
+        ordering = run_neighbor_net(d).ordering
+        _, cycle, system = read_nexus_splits(nexus.read_text())
+        expected = nnls_fit(d, ordering, pair_weights=adjacency_pair_weights(ordering))
+        assert cycle == ordering
+        assert dict(system.items()) == dict(expected.items())

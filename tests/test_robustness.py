@@ -2,12 +2,16 @@
 message and exit code 1, and a solver that does not converge exits with 3."""
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from neighbornet import core, weights
 from neighbornet.cli import main
 from neighbornet.core import DissimilarityMap
+from neighbornet.io import InputError, read_nexus_splits
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -86,3 +90,19 @@ def test_cli_reports_solver_non_convergence(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: solver did not converge: NNLS did not converge within 3 iterations" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_split_system_rejects_non_finite_weights(bad):
+    s = core.Split.of({2, 3}, 4)
+    with pytest.raises(ValueError, match=r"non-finite weight for Split\(0,1\|2,3\)"):
+        core.WeightedSplitSystem(4, {core.Split.of({1}, 4): 1.0, s: bad})
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_nexus_reader_rejects_non_finite_weights(token):
+    text = (GOLDEN / "single_split.nex").read_text()
+    assert "\t 1.0 \t" in text
+    with pytest.raises(InputError, match=r"non-finite weight for Split\(0,1\|2,3\)"):
+        read_nexus_splits(text.replace("\t 1.0 \t", f"\t {token} \t"))
+

@@ -188,3 +188,16 @@ class TestWlsLengthIdentity:
             assert metric_from_splits(
                 WeightedSplitSystem(n, clamp_nonnegative(table_weights))
             ).rows == d.rows
+
+
+def test_kkt_violation_matches_the_loop():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        a = rng.normal(size=(12, 6))
+        b = rng.normal(size=12)
+        x = np.maximum(rng.normal(size=6), 0.0)
+        grad = a.T @ (a @ x - b)
+        viol = 0.0
+        for k in range(len(x)):
+            viol = max(viol, abs(grad[k]) if x[k] > 0 else max(0.0, -grad[k]))
+        assert kkt_violation(a, b, x) == viol
