@@ -298,16 +298,21 @@ def is_circular_split(s: Split, ordering: CircularOrdering) -> bool:
     return starts == 1
 
 
-def all_circular_splits(ordering: CircularOrdering) -> frozenset:
-    """The n(n-1)/2 splits whose blocks are contiguous arcs of the ordering."""
+def circular_arcs(ordering: CircularOrdering) -> Iterator[tuple]:
+    """Each of the n(n-1)/2 circular splits of the ordering once, as
+    (split, a, b): positions a..b (mod n) are the split's arc that contains
+    position n-1. Splits come in the order of their other arc,
+    order[s:s+length], by s and then length."""
     n = ordering.n
     order = ordering.order
-    out = set()
-    for start in range(n):
-        for length in range(1, n):
-            arc = [order[(start + k) % n] for k in range(length)]
-            out.add(Split.of(arc, n))
-    return frozenset(out)
+    for s in range(n - 1):
+        for length in range(1, n - s):
+            yield Split.of(order[s:s + length], n), s + length, (s - 1) % n
+
+
+def all_circular_splits(ordering: CircularOrdering) -> frozenset:
+    """The n(n-1)/2 splits whose blocks are contiguous arcs of the ordering."""
+    return frozenset(split for split, _, _ in circular_arcs(ordering))
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,28 @@ def write_nexus(
     return "\n".join(out) + "\n"
 
 
+def _nexus_taxa(tokens, n: int, what: str) -> list:
+    """0-based taxa from 1-based tokens, each in 1..n and none repeated."""
+    try:
+        taxa = [int(t) - 1 for t in tokens]
+    except ValueError:
+        raise InputError(f"non-integer taxon in {what}") from None
+    bad = next((t + 1 for t in taxa if not 0 <= t < n), None)
+    if bad is not None:
+        raise InputError(f"taxon {bad} in {what} is outside 1..{n}")
+    if len(set(taxa)) != len(taxa):
+        raise InputError(f"repeated taxon in {what}")
+    return taxa
+
+
 def read_nexus_splits(text: str):
-    """Parse a Nexus document written by write_nexus (labels, cycle, system)."""
+    """Parse a Nexus document written by write_nexus (labels, cycle, system).
+
+    Every MATRIX member and CYCLE entry must be a taxon in 1..ntax, named
+    once; a split block must be nonempty and not the whole taxon set; a CYCLE
+    must list all ntax taxa; weights must be finite nonnegative numbers.
+    Anything else raises InputError.
+    """
     labels = []
     cycle = None
     n = None
@@ -177,14 +197,16 @@ def read_nexus_splits(text: str):
         if upper.startswith("DIMENSIONS"):
             for piece in line.rstrip(";").split():
                 if piece.lower().startswith("ntax="):
-                    n = int(piece.split("=")[1])
+                    try:
+                        n = int(piece.split("=")[1])
+                    except ValueError:
+                        raise InputError(f"bad taxon count {piece!r}") from None
             continue
         if upper.startswith("TAXLABELS"):
             mode = "taxa"
             continue
         if upper.startswith("CYCLE"):
-            body = line.rstrip(";")[len("CYCLE"):].strip()
-            cycle = CircularOrdering([int(t) - 1 for t in body.split()])
+            cycle = line.rstrip(";")[len("CYCLE"):].split()
             continue
         if upper.startswith("MATRIX"):
             mode = "matrix"
@@ -203,18 +225,34 @@ def read_nexus_splits(text: str):
             if "]" in body:
                 body = body.split("]", 1)[1]
             parts = body.split()
-            weight = float(parts[0])
-            members = [int(t) - 1 for t in parts[1:]]
             if n is None:
                 raise InputError("SPLITS matrix before DIMENSIONS")
-            weights[Split.of(members, n)] = weight
+            if not parts:
+                raise InputError("empty MATRIX line")
+            try:
+                weight = float(parts[0])
+            except ValueError:
+                raise InputError(f"non-numeric split weight {parts[0]!r}") from None
+            members = _nexus_taxa(parts[1:], n, "a MATRIX line")
+            try:
+                weights[Split.of(members, n)] = weight
+            except ValueError as exc:  # an empty or full block, or n < 3
+                raise InputError(str(exc)) from None
     if n is None:
         raise InputError("missing DIMENSIONS ntax")
     if labels and len(labels) != n:
         raise InputError("label count mismatch")
+    if cycle is not None:
+        order = _nexus_taxa(cycle, n, "CYCLE")
+        if len(order) != n:
+            raise InputError(f"CYCLE lists {len(order)} taxa, expected all {n}")
+        try:
+            cycle = CircularOrdering(order)
+        except ValueError as exc:  # fewer than three taxa
+            raise InputError(str(exc)) from None
     try:
         system = WeightedSplitSystem(n, weights)
-    except ValueError as exc:  # a negative or non-finite weight
+    except ValueError as exc:  # a negative or non-finite weight, or n < 3
         raise InputError(str(exc)) from None
     return labels, cycle, system
 

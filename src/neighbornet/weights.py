@@ -17,6 +17,7 @@ from .core import (
     Split,
     WeightedSplitSystem,
     all_circular_splits,
+    circular_arcs,
     is_circular_split,
     pair_sums,
     sorted_splits,
@@ -95,16 +96,12 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
     x = ordering.order
     h = Fraction(1, 2)  # an exact half of exact values; 0.5 times a float
     out = {}
-    for a in range(n):
-        for length in range(1, n):
-            b = (a + length - 1) % n
-            before = x[(a - 1) % n]
-            after = x[(b + 1) % n]
-            val = h * (
-                d[before, x[b]] + d[x[a], after] - d[before, after] - d[x[a], x[b]]
-            )
-            block = [x[(a + k) % n] for k in range(length)]
-            out[Split.of(block, n)] = val
+    for split, a, b in circular_arcs(ordering):
+        before = x[(a - 1) % n]
+        after = x[(b + 1) % n]
+        out[split] = h * (
+            d[before, x[b]] + d[x[a], after] - d[before, after] - d[x[a], x[b]]
+        )
     return out
 
 
@@ -116,30 +113,57 @@ def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
 def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: float = KKT_TOL) -> np.ndarray:
     """Active-set non-negative least squares: min ||a x - b|| s.t. x >= 0.
 
-    Lawson-Hanson style: grow the passive set by the most positive gradient
-    coordinate, solve the unconstrained subproblem, and step back along the
-    segment when the subproblem leaves the feasible cone.
+    Lawson-Hanson run on the normal equations (Bro & De Jong 1997): grow the
+    passive set P by the most positive coordinate of the gradient
+    c - G x (c = a^T b, G = a^T a), solve the k x k system G[P, P] z = c[P],
+    and step back along the segment when z leaves the feasible cone. c is
+    formed once, and the Gram row a^T a[:, j] once, when column j first
+    enters P; the rows are stored in order of entry, so the memory touched
+    grows as k x n, not n x n.
+
+    The normal equations square cond(a), so the final passive weights are
+    refined by one least-squares solve of a[:, P] against b, kept when every
+    weight stays positive. A singular G[P, P] means dependent passive
+    columns, which the entry rule excludes; it raises NonConvergence rather
+    than switching solvers, as does running past max_iter. On a
+    rank-deficient problem the minimiser need not be unique: any x returned
+    attains the minimum up to the KKT tolerance, but which one is returned
+    is a detail of the solver.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
     if max_iter is None:
         max_iter = max(10 * n, 30)
-    scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
+    c = a.T @ b
+    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    gram = np.empty((n, n))  # row r holds a^T a[:, entered[r]]; unwritten rows stay untouched
+    entered = np.empty(n, dtype=np.intp)
+    row_of = np.full(n, -1, dtype=np.intp)
+    count = 0
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    w = a.T @ (b - a @ x)
+    w = c
     iters = 0
     while not passive.all() and np.any(w[~passive] > tol * scale):
         j = int(np.argmax(np.where(passive, -np.inf, w)))
+        if row_of[j] < 0:
+            gram[count] = a.T @ a[:, j]
+            entered[count] = j
+            row_of[j] = count
+            count += 1
         passive[j] = True
         while True:
             iters += 1
             if iters > max_iter:
                 raise NonConvergence(f"NNLS did not converge within {max_iter} iterations")
+            p = np.flatnonzero(passive)
             z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            if z[passive].min() > 0:
+            try:
+                z[p] = np.linalg.solve(gram[np.ix_(row_of[p], p)], c[p])
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergence(f"NNLS passive block of {p.size} columns is singular") from exc
+            if z[p].min() > 0:
                 x = z
                 break
             mask = passive & (z <= 0)
@@ -148,7 +172,13 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: floa
             x = x + alpha * (z - x)
             passive &= x > tol * scale
             x[~passive] = 0.0
-        w = a.T @ (b - a @ x)
+        w = c - x[entered[:count]] @ gram[:count]
+    del gram  # freed before the refinement allocates: together they would set the peak memory
+    if passive.any():
+        refined = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        if refined.min() > 0:
+            x = np.zeros(n)
+            x[passive] = refined
     return x
 
 

@@ -1,0 +1,166 @@
+"""The Gram-space NNLS against two oracles: the solver it replaced, which runs
+one least-squares solve of the design per step (tests/lstsq_nnls.py), and
+scipy.optimize.nnls on rank-deficient problems."""
+import random
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+from neighbornet.agglomerate import run_neighbor_net
+from neighbornet.cli import main
+from neighbornet.core import CircularOrdering, DissimilarityMap, all_circular_splits
+from neighbornet.length import adjacency_counts
+from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, nnls, sorted_splits
+from conftest import random_circular_instance, random_dissimilarity
+import lstsq_nnls
+
+
+def system_of(d, ordering, splits=None, pair_weights=None):
+    if splits is None:
+        design = DesignMatrix.for_ordering(ordering)
+    else:
+        design = DesignMatrix.for_splits(splits, d.n)
+    return design.weighted_system(d, pair_weights)
+
+
+def scale_of(a, b):
+    return max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
+
+
+def noisy_circular_map(rng, n):
+    """A circular decomposable map plus noise below half its smallest weight,
+    with its hidden ordering."""
+    pi, system, base = random_circular_instance(rng, n)
+    radius = 0.4 * min(w for _, w in system.items())
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = float(base[i, j]) + rng.uniform(-radius, radius)
+    return DissimilarityMap(rows), pi
+
+
+def case(label, a, b):
+    return pytest.param(a, b, id=label)
+
+
+def fit_cases():
+    """(a, b) cases: full-support circular maps, random maps under their
+    neighbor-net ordering and under a random one, and split subsets."""
+    rng = random.Random(40)
+    for k in range(12):
+        d, pi = noisy_circular_map(rng, rng.randint(5, 14))
+        yield case(f"circular-{k}", *system_of(d, pi))
+    for k in range(12):
+        d = random_dissimilarity(rng, rng.randint(5, 30))
+        yield case(f"random-nnet-{k}", *system_of(d, run_neighbor_net(d).ordering))
+    for k in range(8):
+        n = rng.randint(5, 20)
+        d = random_dissimilarity(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield case(f"random-order-{k}", *system_of(d, CircularOrdering(perm)))
+    for k in range(10):
+        n = rng.randint(5, 14)
+        d, pi = noisy_circular_map(rng, n) if k % 2 else (random_dissimilarity(rng, n), CircularOrdering(range(n)))
+        splits = sorted_splits(all_circular_splits(pi))
+        subset = rng.sample(splits, rng.randint(2, len(splits) - 1))
+        yield case(f"subset-{k}", *system_of(d, pi, splits=subset))
+
+
+@pytest.mark.parametrize("a,b", list(fit_cases()))
+def test_same_support_and_weights_as_the_lstsq_solver(a, b):
+    x = nnls(a, b)
+    x_old = lstsq_nnls.nnls(a, b)
+    assert ((x > 0) == (x_old > 0)).all()
+    assert np.abs(x - x_old).max() <= 1e-9 * scale_of(a, b)
+
+
+def eta_cases():
+    rng = random.Random(41)
+    for k in range(12):
+        if k % 2:
+            d, pi = noisy_circular_map(rng, rng.randint(5, 12))
+        else:
+            d = random_dissimilarity(rng, rng.randint(5, 20))
+            pi = run_neighbor_net(d).ordering
+        yield case(f"eta-{k}", *system_of(d, pi, pair_weights=adjacency_counts([pi])))
+
+
+@pytest.mark.parametrize("a,b", list(eta_cases()))
+def test_eta_weighted_fits_reach_the_same_objective(a, b):
+    """Eta weights are nonzero only on the n adjacent pairs of the ordering,
+    so these designs are rank-deficient and the minimiser is not unique: the
+    two solvers may return different weights. They must reach the same
+    objective, and each must pass the KKT test that nnls_fit applies."""
+    x = nnls(a, b)
+    x_old = lstsq_nnls.nnls(a, b)
+    scale = scale_of(a, b)
+    objective = np.sum((a @ x - b) ** 2)
+    assert objective == pytest.approx(np.sum((a @ x_old - b) ** 2), rel=1e-9, abs=1e-12 * max(1.0, b @ b))
+    assert (x >= 0).all()
+    assert kkt_violation(a, b, x) <= 10 * KKT_TOL * scale
+
+
+def rank_deficient_problems(rng, count):
+    """Fewer rows than columns, repeated columns, and small-integer columns,
+    cycled; right-hand sides over six decades of scale."""
+    for k in range(count):
+        if k % 3 == 0:
+            n = int(rng.integers(2, 12))
+            a = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        elif k % 3 == 1:
+            base = rng.normal(size=(int(rng.integers(3, 14)), int(rng.integers(1, 7))))
+            a = base[:, rng.integers(0, base.shape[1], size=int(rng.integers(2, 12)))]
+        else:
+            a = rng.integers(0, 3, size=(int(rng.integers(2, 12)), int(rng.integers(2, 12)))).astype(float)
+        yield a, rng.normal(size=a.shape[0]) * 10 ** rng.uniform(-3, 3)
+
+
+def test_rank_deficient_problems_against_scipy():
+    rng = np.random.default_rng(42)
+    for a, b in rank_deficient_problems(rng, 999):
+        x = nnls(a, b)
+        x_ref, _ = scipy.optimize.nnls(a, b)
+        assert (x >= 0).all()
+        objective, reference = np.sum((a @ x - b) ** 2), np.sum((a @ x_ref - b) ** 2)
+        assert objective <= reference + 1e-12 * max(1.0, b @ b)
+        assert kkt_violation(a, b, x) <= KKT_TOL * scale_of(a, b)
+
+
+def test_one_least_squares_solve_per_fit(monkeypatch):
+    """The Gram-space loop solves k x k blocks; np.linalg.lstsq runs once, to
+    refine the final passive weights against the design itself."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    d, pi = noisy_circular_map(random.Random(43), 10)
+    x = nnls(*system_of(d, pi))
+    assert (x > 0).sum() > 1 and len(calls) == 1
+
+
+def singular_solve(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_singular_passive_block_raises_non_convergence(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    d, pi = noisy_circular_map(random.Random(44), 6)
+    with pytest.raises(NonConvergence, match="passive block of 1 columns is singular"):
+        nnls(*system_of(d, pi))
+
+
+def test_cli_exits_3_on_a_singular_passive_block(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    d, _ = noisy_circular_map(random.Random(45), 6)
+    path = tmp_path / "map.phy"
+    path.write_text(f"{d.n}\n" + "".join(
+        f"t{i} " + " ".join(repr(float(d[i, j])) for j in range(d.n)) + "\n" for i in range(d.n)))
+    assert main(["nnet", str(path), "--estimate", "nnls"]) == 3
+    assert "error: solver did not converge: NNLS passive block" in capsys.readouterr().err
+
+
+def test_iteration_cap_still_raises():
+    d, pi = noisy_circular_map(random.Random(46), 8)
+    with pytest.raises(NonConvergence, match="within 3 iterations"):
+        nnls(*system_of(d, pi), max_iter=3)

@@ -1,6 +1,9 @@
 """Bad input and solver failure: non-finite entries are rejected with a clear
 message and exit code 1, and a solver that does not converge exits with 3."""
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,3 +109,36 @@ def test_nexus_reader_rejects_non_finite_weights(token):
     with pytest.raises(InputError, match=r"non-finite weight for Split\(0,1\|2,3\)"):
         read_nexus_splits(text.replace("\t 1.0 \t", f"\t {token} \t"))
 
+
+
+def golden_nexus_with(old, new):
+    text = (GOLDEN / "single_split.nex").read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("\t 3 4,", "\t 3 9,", r"taxon 9 in a MATRIX line is outside 1\.\.4"),
+    ("\t 3 4,", "\t 0 3,", r"taxon 0 in a MATRIX line is outside 1\.\.4"),
+    ("\t 3 4,", "\t 3 3 4,", "repeated taxon in a MATRIX line"),
+    ("\t 3 4,", "\t 3 x,", "non-integer taxon in a MATRIX line"),
+    ("\t 1.0 \t", "\t abc \t", "non-numeric split weight 'abc'"),
+    ("[1, size=2] \t 1.0 \t 3 4,", "[1, size=0],", "empty MATRIX line"),
+    ("\t 3 4,", "\t ,", "nonempty proper subset"),
+    ("\t 3 4,", "\t 1 2 3 4,", "nonempty proper subset"),
+    ("CYCLE 1 2 3 4;", "CYCLE 1 2 3;", "CYCLE lists 3 taxa, expected all 4"),
+    ("CYCLE 1 2 3 4;", "CYCLE 1 2 3 5;", r"taxon 5 in CYCLE is outside 1\.\.4"),
+    ("CYCLE 1 2 3 4;", "CYCLE 1 2 3 3;", "repeated taxon in CYCLE"),
+    ("ntax=4 nsplits", "ntax=four nsplits", "bad taxon count"),
+])
+def test_nexus_reader_rejects_malformed_documents(old, new, message):
+    with pytest.raises(InputError, match=message):
+        read_nexus_splits(golden_nexus_with(old, new))
+
+
+def test_library_import_does_not_load_scipy():
+    """scipy is a test-only oracle; the CLI must not pay for importing it."""
+    probe = "import sys, neighbornet.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -10,6 +10,7 @@ import scipy.optimize
 from neighbornet.core import (
     CircularOrdering,
     DissimilarityMap,
+    Split,
     WeightedSplitSystem,
     all_circular_splits,
     metric_from_splits,
@@ -70,6 +71,34 @@ class TestLambdaFormula:
         d = DissimilarityMap([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         with pytest.raises(ValueError):
             lambda_formula(d, CircularOrdering(range(3)))
+
+    @staticmethod
+    def double_loop(d, ordering):
+        """lambda_formula as it stood when it walked all n(n-1) arcs, so that
+        each split was written twice and kept its later arc's value."""
+        n, x = d.n, ordering.order
+        out = {}
+        for a in range(n):
+            for length in range(1, n):
+                b = (a + length - 1) % n
+                before, after = x[(a - 1) % n], x[(b + 1) % n]
+                val = Fraction(1, 2) * (
+                    d[before, x[b]] + d[x[a], after] - d[before, after] - d[x[a], x[b]]
+                )
+                out[Split.of([x[(a + k) % n] for k in range(length)], n)] = val
+        return out
+
+    def test_bit_identical_to_the_double_arc_loop_on_float_maps(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            n = rng.randint(4, 30)
+            d = random_dissimilarity(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pi = CircularOrdering(perm)
+            new, old = lambda_formula(d, pi), self.double_loop(d, pi)
+            assert [(s, v.hex()) for s, v in new.items()] == [(s, v.hex()) for s, v in old.items()]
+            assert frozenset(new) == all_circular_splits(pi)
 
 
 class TestClamp:
