@@ -1,7 +1,8 @@
 """Command-line surface: nnet, nj, tsp, check, estimate, length, enumerate.
 
-Exit codes: 0 success, 1 input error (bad files or flags), 2 internal
-invariant failure, 3 the NNLS solver did not converge.
+Exit codes: 0 success, 1 input error (bad files or flags, or more orderings
+to enumerate than --cap allows), 2 internal invariant failure, 3 the NNLS
+solver did not converge.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .kalmanson import (
     first_four_point_violation,
     first_kalmanson_violation,
 )
-from .length import DEFAULT_CAP, adjacency_counts, balanced_length
+from .length import DEFAULT_CAP, EnumerationCapExceeded, adjacency_counts, balanced_length
 from .tsp import greedy_tsp, read_tsplib_euc2d
 from .weights import NonConvergence, clamp_nonnegative, lambda_formula, nnls_fit
 
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (nio.InputError, OSError, ValueError) as exc:
+    except (nio.InputError, OSError, ValueError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergence as exc:

@@ -9,78 +9,96 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 Num = Union[int, float, Fraction]
 
-_EXACT_TYPES = (int, Fraction)
-
 
 def is_exact_number(x) -> bool:
-    return isinstance(x, _EXACT_TYPES) and not isinstance(x, bool)
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+_fractions = np.frompyfunc(lambda x: x if type(x) is Fraction else Fraction(x), 1, 1)
 
 
 class DissimilarityMap:
     """Symmetric nonnegative matrix of finite entries with zero diagonal over
-    taxa 0..n-1. Immutable; whether every entry is exact (int or Fraction) is
-    decided once, at construction."""
+    taxa 0..n-1, held as one read-only array, d.array.
 
-    __slots__ = ("_rows", "n", "_exact")
+    The array's dtype is the map's one exactness decision: an object array
+    of Fractions when every input entry is exact (int or Fraction) or when
+    exact=True, float64 otherwise. Entries come back as Python numbers."""
 
-    def __init__(self, rows: Sequence[Sequence[Num]], *, exact: bool = False):
+    __slots__ = ("array", "n")
+
+    def __init__(self, rows: Union[np.ndarray, Sequence[Sequence[Num]]], *, exact: bool = False):
         n = len(rows)
         if n < 1:
             raise ValueError("dissimilarity map needs at least one taxon")
         if any(len(r) != n for r in rows):
             raise ValueError("square matrix required")
-        all_exact = all(map(is_exact_number, chain.from_iterable(rows)))
+        a = np.array(rows)
+        # an object array holds Fractions, ints beyond int64, or a mix with floats
+        all_exact = all(map(is_exact_number, a.flat)) if a.dtype == object else a.dtype.kind in "iu"
         if not all_exact:
-            # a row holding nan or inf has a non-finite sum
-            for i, row in enumerate(rows):
-                if not math.isfinite(sum(row)):
-                    for j, x in enumerate(row):
-                        if not math.isfinite(x):
-                            raise ValueError(f"non-finite entry at ({i},{j})")
-        if exact:
-            rows = [[Fraction(x) for x in r] for r in rows]
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise ValueError(f"nonzero diagonal at {i}")
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"asymmetric entries at ({i},{j})")
-                if rows[i][j] < 0:
-                    raise ValueError(f"negative entry at ({i},{j})")
-        self._rows = tuple(tuple(r) for r in rows)
+            floats = a.astype(float)
+            bad = np.argwhere(~np.isfinite(floats))
+            if len(bad):
+                raise ValueError("non-finite entry at ({},{})".format(*bad[0]))
+        a = _fractions(a) if exact or all_exact else floats
+        _check_entries(a)
+        a.flags.writeable = False
+        self.array = a
         self.n = n
-        self._exact = exact or all_exact
 
     def __getitem__(self, ij) -> Num:
-        i, j = ij
-        return self._rows[i][j]
+        return self.array.item(ij)
 
     @property
     def rows(self) -> tuple:
-        return self._rows
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self.array.dtype == object
 
     def to_exact(self) -> "DissimilarityMap":
-        return DissimilarityMap(self._rows, exact=True)
+        return self if self.is_exact else DissimilarityMap(self.array, exact=True)
 
     def __eq__(self, other):
-        return isinstance(other, DissimilarityMap) and self._rows == other._rows
+        return isinstance(other, DissimilarityMap) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(self.rows)
 
     def __repr__(self):
         return f"DissimilarityMap(n={self.n})"
+
+
+def _check_entries(a: np.ndarray) -> None:
+    """Raise on the first fault a row-major scan of the upper triangle meets:
+    at row i the diagonal entry, then for each j > i symmetry before sign;
+    then on entries above float max / n^2, whose sums would overflow."""
+    n = len(a)
+    rows, cols = np.triu_indices(n, 1)
+    upper = a[rows, cols]
+    bad = np.zeros((n, n), dtype=bool)
+    bad[rows, cols] = (upper != a[cols, rows]) | (upper < 0)
+    bad[np.diag_indices(n)] = np.diagonal(a) != 0
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        if i == j:
+            raise ValueError(f"nonzero diagonal at {i}")
+        if a[i, j] != a[j, i]:
+            raise ValueError(f"asymmetric entries at ({i},{j})")
+        raise ValueError(f"negative entry at ({i},{j})")
+    limit = np.finfo(float).max / (n * n)
+    if upper.max(initial=0) > limit:
+        k = int(np.argmax(upper > limit))
+        raise ValueError(f"entry at ({rows[k]},{cols[k]}) above {limit:.4g}: sums over the map would overflow")
 
 
 @dataclass(frozen=True)
@@ -212,7 +230,7 @@ def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
     rows, cols = np.triu_indices(n, 1)
     full[rows, cols] = upper
     full[cols, rows] = upper
-    return DissimilarityMap(full.tolist())
+    return DissimilarityMap(full)
 
 
 def is_pairwise_compatible(splits: Iterable[Split]) -> bool:

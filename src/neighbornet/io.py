@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .agglomerate import AgglomerationTrace, NeighborNetResult
 from .core import (
     CircularOrdering,
@@ -72,37 +74,37 @@ def read_phylip_distances(text: str):
                 f"square matrix required: row {label!r} has {len(values)} entries, expected {n}"
             )
         try:
-            row = [float(v) for v in values]
+            raw.append(list(map(float, values)))
         except ValueError:
             raise InputError(f"non-numeric entry in row {label!r}") from None
         labels.append(label)
-        raw.append(row)
     if len(set(labels)) != n:
         raise InputError("duplicate taxon labels")
-    for i in range(n):
-        for j in range(n):
-            if raw[i][j] < 0:
-                raise InputError(f"negative distance at ({labels[i]}, {labels[j]})")
-    for i in range(n):
-        if not abs(raw[i][i]) <= ASYM_REL_TOL:  # a nan fails this test too
-            raise InputError(f"nonzero diagonal for {labels[i]}")
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = raw[i][j], raw[j][i]
-            if abs(a - b) > ASYM_REL_TOL * max(1.0, abs(a), abs(b)):
-                raise InputError(
-                    f"asymmetric entries at ({labels[i]}, {labels[j]}): {a} vs {b}"
-                )
-            rows[i][j] = rows[j][i] = (a + b) / 2
+    raw = np.array(raw)
+    negative = np.argwhere(raw < 0)
+    if len(negative):
+        i, j = negative[0]
+        raise InputError(f"negative distance at ({labels[i]}, {labels[j]})")
+    off = np.flatnonzero(~(np.abs(np.diagonal(raw)) <= ASYM_REL_TOL))  # a nan is off too
+    if off.size:
+        raise InputError(f"nonzero diagonal for {labels[off[0]]}")
+    with np.errstate(all="ignore"):  # inf and nan entries pass here; the map rejects them
+        excess = np.abs(raw - raw.T) > ASYM_REL_TOL * np.fmax(1.0, np.fmax(np.abs(raw), np.abs(raw.T)))
+        rows = (raw + raw.T) / 2
+    asymmetric = np.argwhere(np.triu(excess, 1))
+    if len(asymmetric):
+        i, j = asymmetric[0]
+        raise InputError(
+            f"asymmetric entries at ({labels[i]}, {labels[j]}): {raw.item(i, j)} vs {raw.item(j, i)}"
+        )
+    np.fill_diagonal(rows, 0.0)
     return DissimilarityMap(rows), labels
 
 
 def format_phylip(d: DissimilarityMap, labels: Sequence[str]) -> str:
-    lines = [str(d.n)]
-    for i, label in enumerate(labels):
-        lines.append(label + " " + " ".join(repr(float(d[i, j])) for j in range(d.n)))
-    return "\n".join(lines) + "\n"
+    rows = d.array.astype(float).tolist()
+    lines = [label + " " + " ".join(map(repr, row)) for label, row in zip(labels, rows)]
+    return "\n".join([str(d.n)] + lines) + "\n"
 
 
 # -- Nexus -------------------------------------------------------------------

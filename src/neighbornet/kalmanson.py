@@ -3,10 +3,16 @@ search, and the perturbation-radius check.
 
 A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
 over taxa, so quartet sets from different orderings compare directly.
+
+Tolerance: a sum of two distances counts as larger than another only when it
+is larger by more than tol. An explicit tol is absolute; the default is 0 on
+an exact map and FLOAT_TOL * max|d| on a float map, so scale changes no verdict.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .agglomerate import BalancedTSP, run_neighbor_net
 from .core import (
@@ -26,7 +32,7 @@ BRUTE_FORCE_LIMIT = 9
 def _default_tol(d: DissimilarityMap, tol) -> Num:
     if tol is not None:
         return tol
-    return 0 if d.is_exact else FLOAT_TOL
+    return 0 if d.is_exact else FLOAT_TOL * d.array.max().item()
 
 
 def quartet(a: int, b: int, c: int, d: int) -> frozenset:
@@ -42,13 +48,14 @@ def first_kalmanson_violation(
     tol = _default_tol(d, tol)
     x = ordering.order
     n = d.n
+    dx = d.array.take(x, 0).take(x, 1).tolist()  # dx[i][j] = d(x_i, x_j); lists index fastest
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for l in range(k + 1, n):
-                    cross = d[x[i], x[k]] + d[x[j], x[l]]
-                    near = d[x[i], x[j]] + d[x[k], x[l]]
-                    wrap = d[x[i], x[l]] + d[x[j], x[k]]
+                    cross = dx[i][k] + dx[j][l]
+                    near = dx[i][j] + dx[k][l]
+                    wrap = dx[i][l] + dx[j][k]
                     if near > cross + tol or wrap > cross + tol:
                         return {
                             "positions": (i, j, k, l),
@@ -70,17 +77,12 @@ def first_four_point_violation(d: DissimilarityMap, tol=None) -> Optional[dict]:
     only once (beyond tol), or None."""
     tol = _default_tol(d, tol)
     n = d.n
+    dd = d.array.tolist()
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for l in range(k + 1, n):
-                    sums = sorted(
-                        (
-                            d[i, j] + d[k, l],
-                            d[i, k] + d[j, l],
-                            d[i, l] + d[j, k],
-                        )
-                    )
+                    sums = sorted((dd[i][j] + dd[k][l], dd[i][k] + dd[j][l], dd[i][l] + dd[j][k]))
                     if sums[2] - sums[1] > tol:
                         return {"taxa": (i, j, k, l), "sums": tuple(sums)}
     return None
@@ -111,15 +113,16 @@ def strict_quartets(d: DissimilarityMap, ordering: CircularOrdering, tol=None) -
         raise ValueError("map is not Kalmanson with respect to the ordering")
     x = ordering.order
     n = d.n
+    dx = d.array.take(x, 0).take(x, 1).tolist()  # dx[i][j] = d(x_i, x_j); lists index fastest
     out = set()
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for l in range(k + 1, n):
-                    cross = d[x[i], x[k]] + d[x[j], x[l]]
-                    if d[x[i], x[j]] + d[x[k], x[l]] < cross - tol:
+                    cross = dx[i][k] + dx[j][l]
+                    if dx[i][j] + dx[k][l] < cross - tol:
                         out.add(quartet(x[i], x[j], x[k], x[l]))
-                    if d[x[i], x[l]] + d[x[j], x[k]] < cross - tol:
+                    if dx[i][l] + dx[j][k] < cross - tol:
                         out.add(quartet(x[i], x[l], x[j], x[k]))
     return frozenset(out)
 
@@ -165,6 +168,7 @@ def find_kalmanson_ordering(
     if mode == "brute":
         if n > BRUTE_FORCE_LIMIT:
             raise ValueError(f"brute-force search capped at n={BRUTE_FORCE_LIMIT}")
+        tol = _default_tol(d, tol)
         for seq in canonical_orderings(n):
             ordering = CircularOrdering(seq)
             if is_kalmanson(d, ordering, tol):
@@ -175,12 +179,11 @@ def find_kalmanson_ordering(
 
 def perturbed_map(system: WeightedSplitSystem, noise: Sequence[Sequence[Num]]) -> DissimilarityMap:
     """metric_from_splits(system) + noise, validated symmetric with zero diagonal."""
-    base = metric_from_splits(system)
-    n = base.n
-    if len(noise) != n or any(len(row) != n for row in noise):
+    base = metric_from_splits(system).array
+    noise = np.array(noise, dtype=object)  # added entry by entry as Python numbers
+    if noise.shape != base.shape:
         raise ValueError("noise shape mismatch")
-    rows = [[base[i, j] + noise[i][j] for j in range(n)] for i in range(n)]
-    return DissimilarityMap(rows)
+    return DissimilarityMap(base + noise)
 
 
 def radius_perturbation_check(

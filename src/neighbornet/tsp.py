@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Sequence, Union
 
@@ -19,6 +20,8 @@ from .core import CircularOrdering, DissimilarityMap, Num, canonical_orderings
 
 BRUTE_FORCE_MAX_N = 11
 _BATCH = 100_000
+_hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot's rounding, which np.hypot does not share
+_int = np.frompyfunc(int, 1, 1)  # Python ints: exact at any size
 
 
 def tour_length(d: DissimilarityMap, ordering: Union[CircularOrdering, Sequence[int]]) -> Num:
@@ -47,34 +50,27 @@ def greedy_tsp(d: DissimilarityMap, scheme: WeightingScheme = BalancedTSP()) -> 
     return Tour.of(d, result.ordering)
 
 
-def _brute_force_exact(d: DissimilarityMap) -> Tour:
-    # min keeps the first of equal lengths, the lexicographically least cycle
-    best = min(canonical_orderings(d.n), key=lambda seq: tour_length(d, seq))
-    return Tour.of(d, CircularOrdering(best))
-
-
-def _brute_force_float(d: DissimilarityMap) -> Tour:
-    arr = np.array([[float(v) for v in row] for row in d.rows])
-    best_seq, best_len = None, math.inf
+def brute_force_tsp(d: DissimilarityMap) -> Tour:
+    """Exact minimum over all (n-1)!/2 canonical cycles; ties resolve to the
+    lexicographically least canonical ordering. Cycles are scored in batches,
+    in that order: in float64, or on an exact map as integer numerators over
+    the entries' common denominator, which add far faster than Fractions."""
+    if d.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force capped at n={BRUTE_FORCE_MAX_N}")
+    a, den = d.array, 1
+    if d.is_exact:
+        den = math.lcm(*(x.denominator for x in a.flat))
+        a = _int(a * den)
+    best_seq = best_len = None
     orderings = canonical_orderings(d.n)
     while batch := list(islice(orderings, _BATCH)):
         perms = np.array(batch)
-        lengths = arr[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
-        k = int(np.argmin(lengths))
-        if lengths[k] < best_len:
-            best_len = float(lengths[k])
-            best_seq = tuple(int(t) for t in perms[k])
-    return Tour(CircularOrdering(best_seq), best_len)
-
-
-def brute_force_tsp(d: DissimilarityMap) -> Tour:
-    """Exact minimum over all (n-1)!/2 canonical cycles; ties resolve to the
-    lexicographically least canonical ordering."""
-    if d.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force capped at n={BRUTE_FORCE_MAX_N}")
-    if d.is_exact:
-        return _brute_force_exact(d)
-    return _brute_force_float(d)
+        lengths = a[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
+        k = int(np.argmin(lengths))  # the first of equal minima
+        if best_len is None or lengths[k] < best_len:
+            best_len = lengths.item(k)
+            best_seq = tuple(perms[k].tolist())
+    return Tour(CircularOrdering(best_seq), Fraction(best_len, den) if d.is_exact else best_len)
 
 
 def read_tsplib_euc2d(text: str, rounding: str = "none") -> DissimilarityMap:
@@ -119,13 +115,16 @@ def read_tsplib_euc2d(text: str, rounding: str = "none") -> DissimilarityMap:
         if len(parts) < 3:
             raise ValueError(f"bad coordinate line: {line!r}")
         coords.append((float(parts[1]), float(parts[2])))
-    rows: list = [[0] * n for _ in range(n)]
-    for i in range(n):
-        xi, yi = coords[i]
-        for j in range(i + 1, n):
-            xj, yj = coords[j]
-            dist = math.hypot(xi - xj, yi - yj)
-            if rounding == "tsplib":
-                dist = int(dist + 0.5)
-            rows[i][j] = rows[j][i] = dist
-    return DissimilarityMap(rows)
+        if not all(map(math.isfinite, coords[-1])):
+            raise ValueError(f"non-finite coordinate in line {line!r}")
+    xy = np.array(coords).reshape(n, 2)
+    rows, cols = np.triu_indices(n, 1)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        upper = _hypot(*(xy[rows] - xy[cols]).T).astype(float)
+    bad = np.flatnonzero(~np.isfinite(upper))
+    if bad.size:
+        i, j = rows[bad[0]], cols[bad[0]]
+        raise ValueError(f"non-finite distance between {coord_lines[i]!r} and {coord_lines[j]!r}")
+    dist = np.zeros((n, n))
+    dist[rows, cols] = dist[cols, rows] = upper
+    return DissimilarityMap(_int(dist + 0.5) if rounding == "tsplib" else dist)

@@ -57,7 +57,7 @@ class DesignMatrix:
         return a
 
     def rhs(self, d: DissimilarityMap) -> np.ndarray:
-        return np.array([float(d[i, j]) for i, j in self.pairs])
+        return d.array[np.triu_indices(d.n, 1)].astype(float)  # in the order of pairs
 
     def weighted_system(self, d: DissimilarityMap, pair_weights=None) -> tuple:
         """(A, b) with each row scaled by the square root of its pair's weight;
@@ -235,28 +235,17 @@ def reconstruction_residual(
     return float(np.sum(w * errors**2))
 
 
-def _solve_normal_equations_exact(a_rows, weights, y):
+def _solve_normal_equations_exact(a, weights, y):
     """Solve (A^T W A) x = A^T W y over Fractions; free coordinates are 0.
 
     The normal equations are always consistent, so a solution exists even when
     the design is rank-deficient.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    ata = [[Fraction(0)] * n for _ in range(n)]
-    aty = [Fraction(0)] * n
-    for r in range(m):
-        wr = Fraction(weights[r])
-        if wr == 0:
-            continue
-        row = a_rows[r]
-        yr = Fraction(y[r])
-        nz = [c for c in range(n) if row[c]]
-        for c1 in nz:
-            aty[c1] += wr * row[c1] * yr
-            for c2 in nz:
-                ata[c1][c2] += wr * row[c1] * row[c2]
-    aug = [ata[r] + [aty[r]] for r in range(n)]
+    w = np.array([Fraction(v) for v in weights], dtype=object)
+    kept = w != 0  # rows of weight zero add nothing
+    wa = a[kept].T * w[kept]  # A^T W
+    aug = np.column_stack([wa @ a[kept], wa @ y[kept]]).tolist()
+    n = len(aug)
     pivots = []
     rank_row = 0
     for col in range(n):
@@ -295,9 +284,9 @@ def wls_split_weights(
     design = DesignMatrix.for_splits(splits, d.n)
     w = [pair_weights.get(p, 0) for p in design.pairs]
     if d.is_exact and all(not isinstance(v, float) for v in w):
-        a_rows = design.as_array().astype(int).tolist()
-        y = [d[i, j] for i, j in design.pairs]
-        return dict(zip(design.splits, _solve_normal_equations_exact(a_rows, w, y)))
+        a = design.as_array().astype(int)
+        y = d.array[np.triu_indices(d.n, 1)]
+        return dict(zip(design.splits, _solve_normal_equations_exact(a, w, y)))
     sol, *_ = np.linalg.lstsq(*design.weighted_system(d, pair_weights), rcond=None)
     return dict(zip(design.splits, (float(v) for v in sol)))
 

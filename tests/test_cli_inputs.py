@@ -1,0 +1,145 @@
+"""Bad input through the command line: an enumeration past --cap and
+non-finite TSPLIB coordinates are input errors (exit 1), and seeded
+mutations of PHYLIP and TSPLIB files never reach an internal error."""
+import random
+
+import pytest
+
+from neighbornet.cli import main
+from neighbornet.tsp import read_tsplib_euc2d
+
+PHYLIP = """5
+A 0 3 4 5 4
+B 3 0 3 4 5
+C 4 3 0 3 4
+D 5 4 3 0 3
+E 4 5 4 3 0
+"""
+
+TSPLIB = """NAME: toy
+TYPE: TSP
+DIMENSION: 6
+EDGE_WEIGHT_TYPE: EUC_2D
+NODE_COORD_SECTION
+1 0 0
+2 3 1
+3 6 0
+4 7 4
+5 3 6.5
+6 -1 4
+EOF
+"""
+
+
+def run(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code, err
+
+
+def test_length_past_cap_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "m.phy"
+    labels = [f"t{k}" for k in range(12)]
+    path.write_text("12\n" + "".join(
+        f"{a} " + " ".join("0" if a == b else "1" for b in labels) + "\n" for a in labels
+    ))
+    code, err = run(capsys, ["length", str(path), "--blocks", "|".join(labels)])
+    assert code == 1
+    assert "error: 19958400 consistent orderings exceed cap 1000000" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("rounding", ["none", "tsplib"])
+@pytest.mark.parametrize("x, y, line", [
+    ("inf", "0", "3 inf 0"),
+    ("0", "-inf", "3 0 -inf"),
+    ("nan", "1", "3 nan 1"),
+])
+def test_non_finite_coordinates_are_input_errors(tmp_path, capsys, rounding, x, y, line):
+    text = TSPLIB.replace("3 6 0", f"3 {x} {y}")
+    with pytest.raises(ValueError, match=f"non-finite coordinate in line '{line}'"):
+        read_tsplib_euc2d(text, rounding=rounding)
+    path = tmp_path / "bad.tsp"
+    path.write_text(text)
+    code, err = run(capsys, ["tsp", str(path), "--round", rounding])
+    assert code == 1 and f"error: non-finite coordinate in line '{line}'" in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("rounding", ["none", "tsplib"])
+def test_infinite_distances_are_input_errors(tmp_path, capsys, rounding):
+    text = TSPLIB.replace("1 0 0", "1 1e308 0").replace("3 6 0", "3 -1e308 0")
+    path = tmp_path / "far.tsp"
+    path.write_text(text)
+    code, err = run(capsys, ["tsp", str(path), "--round", rounding])
+    assert code == 1
+    assert "error: non-finite distance between '1 1e308 0' and '3 -1e308 0'" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("rounding", ["none", "tsplib"])
+def test_distances_whose_sums_overflow_are_input_errors(tmp_path, capsys, rounding):
+    path = tmp_path / "far.tsp"
+    path.write_text(TSPLIB.replace("2 3 1", "2 1e308 1"))
+    code, err = run(capsys, ["tsp", str(path), "--round", rounding])
+    assert code == 1 and "sums over the map would overflow" in err
+    assert "internal error" not in err
+    phy = tmp_path / "big.phy"
+    phy.write_text("4\n" + "".join(
+        f"{a} " + " ".join("0" if a == b else "8e307" for b in "ABCD") + "\n" for a in "ABCD"
+    ))
+    for argv in (["nnet", str(phy)], ["check", str(phy)], ["length", str(phy), "--blocks", "A,B|C|D"]):
+        code, err = run(capsys, argv)
+        assert code == 1 and "sums over the map would overflow" in err, (argv, err)
+
+
+TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "0", "-5", "2.5", "x", "", "1e400", "99999"]
+CHARS = "0123456789.-+e :\nx\t"
+
+
+def mutate(rng, text):
+    """One to three random edits: a token swapped for a special one, a
+    character inserted or deleted, or a line deleted or duplicated."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 0:
+            parts = lines[k].split(" ")
+            parts[rng.randrange(len(parts))] = rng.choice(TOKENS)
+            lines[k] = " ".join(parts)
+        elif op == 1:
+            p = rng.randrange(len(lines[k]) + 1)
+            lines[k] = lines[k][:p] + rng.choice(CHARS) + lines[k][p:]
+        elif op == 2 and lines[k]:
+            p = rng.randrange(len(lines[k]))
+            lines[k] = lines[k][:p] + lines[k][p + 1:]
+        elif op == 3:
+            del lines[k]
+        else:
+            lines.insert(k, lines[k])
+        text = "\n".join(lines)
+    return text
+
+
+COMMANDS = [["nnet"], ["nnet", "--estimate", "nnls"], ["check"], ["tsp"], ["nj"]]
+
+
+@pytest.mark.parametrize("name, base, commands", [
+    ("phylip", PHYLIP, COMMANDS),
+    ("tsplib", TSPLIB, [["tsp"], ["tsp", "--round", "tsplib"], ["nnet"]]),
+], ids=["phylip", "tsplib"])
+def test_mutated_files_exit_0_or_1(tmp_path, capsys, name, base, commands):
+    rng = random.Random(f"fuzz/{name}")
+    path = tmp_path / "in.txt"
+    codes = set()
+    for trial in range(150):
+        text = mutate(rng, base)
+        path.write_text(text)
+        argv = [*commands[trial % len(commands)]]
+        argv.insert(1, str(path))
+        code, err = run(capsys, argv)
+        assert code in (0, 1), (argv, text, err)
+        assert "Traceback" not in err and "internal error" not in err, (argv, text, err)
+        codes.add(code)
+    assert codes == {0, 1}
