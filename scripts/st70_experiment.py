@@ -12,7 +12,8 @@ import argparse
 import time
 
 from neighbornet.agglomerate import BalancedTSP, TreeWeighting
-from neighbornet.tsp import brute_force_tsp, greedy_tsp, read_tsplib_euc2d
+from neighbornet.oracle import brute_force_tsp
+from neighbornet.tsp import greedy_tsp, read_tsplib_euc2d
 
 
 def main():

@@ -40,22 +40,8 @@ from .kalmanson import (
     satisfies_four_point,
     strict_quartets,
 )
-from .length import (
-    EtaTable,
-    balanced_length,
-    count_consistent_orderings,
-    enumerate_consistent_orderings,
-    eta_table,
-    split_system_length,
-    z_criterion,
-)
-from .tsp import Tour, brute_force_tsp, greedy_tsp, read_tsplib_euc2d, tour_length
-from .weights import (
-    DesignMatrix,
-    clamp_nonnegative,
-    lambda_formula,
-    nnls_fit,
-    wls_length_identity_check,
-)
+from .length import EtaTable, balanced_length, count_consistent_orderings, eta_table, z_criterion
+from .tsp import Tour, greedy_tsp, read_tsplib_euc2d, tour_length
+from .weights import DesignMatrix, clamp_nonnegative, lambda_formula, nnls_fit
 
 __version__ = "0.1.0"

@@ -1,8 +1,7 @@
 """Command-line surface: nnet, nj, tsp, check, estimate, length, enumerate.
 
-Exit codes: 0 success, 1 input error (bad files or flags, or more orderings
-to enumerate than --cap allows), 2 internal invariant failure, 3 the NNLS
-solver did not converge.
+Exit codes: 0 success, 1 input error (bad files or flags), 2 internal
+invariant failure, 3 the NNLS solver did not converge.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from .kalmanson import (
     first_four_point_violation,
     first_kalmanson_violation,
 )
-from .length import DEFAULT_CAP, EnumerationCapExceeded, adjacency_counts, balanced_length
+from .length import balanced_length, eta_table
 from .tsp import greedy_tsp, read_tsplib_euc2d
 from .weights import NonConvergence, clamp_nonnegative, lambda_formula, nnls_fit
 
@@ -54,7 +53,6 @@ def _checked(convert, ok, message):
 
 _alpha = _checked(float, lambda a: 0 <= a <= 1, "alpha must be in [0, 1]")
 _tolerance = _checked(float, lambda t: t >= 0, "tolerance must be >= 0")
-_cap = _checked(int, lambda c: c >= 1, "cap must be >= 1")
 
 
 def _scheme(args) -> WeightingScheme:
@@ -131,7 +129,8 @@ def _estimated_system(d, ordering, method: str, ols_weights: str) -> WeightedSpl
     if method == "formula-clamped":
         return WeightedSplitSystem(d.n, clamp_nonnegative(lambda_formula(d, ordering)))
     # nnls; eta weights each pair by how often the ordering makes it adjacent
-    pair_weights = adjacency_counts([ordering]) if ols_weights == "eta" else None
+    cycle = PartialCircularOrdering([ordering.order])
+    pair_weights = eta_table(cycle).counts if ols_weights == "eta" else None
     return nnls_fit(d, ordering, pair_weights=pair_weights)
 
 
@@ -191,7 +190,7 @@ def cmd_check(args) -> int:
             )
             return 0
     else:
-        found = find_kalmanson_ordering(d, mode="fast", tol=tol)
+        found = find_kalmanson_ordering(d, tol=tol)
         if found is None:
             print("kalmanson ordering: none found by agglomeration-and-verify")
         else:
@@ -224,7 +223,7 @@ def cmd_length(args) -> int:
         _parse_taxa(block, labels) for block in args.blocks.split("|") if block.strip()
     ]
     pco = PartialCircularOrdering(blocks)
-    value = balanced_length(d, pco, cap=args.cap)
+    value = balanced_length(d, pco)
     if isinstance(value, Fraction):
         print(f"balanced length: {value} ({float(value):.6g})")
     else:
@@ -290,7 +289,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("length", help="balanced length of a partial circular ordering")
     p.add_argument("input")
     p.add_argument("--blocks", required=True, help="e.g. 'A,B|C|D,E' (paths separated by |)")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--rational", action="store_true")
     p.set_defaults(func=cmd_length)
 
@@ -309,7 +307,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (nio.InputError, OSError, ValueError, EnumerationCapExceeded) as exc:
+    except (nio.InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergence as exc:

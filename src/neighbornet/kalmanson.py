@@ -20,13 +20,11 @@ from .core import (
     DissimilarityMap,
     Num,
     WeightedSplitSystem,
-    canonical_orderings,
     is_circular_split,
     metric_from_splits,
 )
 
 FLOAT_TOL = 1e-9
-BRUTE_FORCE_LIMIT = 9
 
 
 def _default_tol(d: DissimilarityMap, tol) -> Num:
@@ -151,30 +149,12 @@ def positive_split_quartets(system: WeightedSplitSystem) -> frozenset:
     return frozenset(out)
 
 
-def find_kalmanson_ordering(
-    d: DissimilarityMap, mode: str = "fast", tol=None
-) -> Optional[CircularOrdering]:
-    """Search for an ordering making d Kalmanson.
-
-    fast: run the agglomeration and verify its output (sound, but may miss an
-    ordering on non-generic inputs). brute: try every canonical ordering
-    (n <= 9).
-    """
-    n = d.n
-    if mode == "fast":
-        result = run_neighbor_net(d, BalancedTSP())
-        ordering = result.ordering
-        return ordering if is_kalmanson(d, ordering, tol) else None
-    if mode == "brute":
-        if n > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"brute-force search capped at n={BRUTE_FORCE_LIMIT}")
-        tol = _default_tol(d, tol)
-        for seq in canonical_orderings(n):
-            ordering = CircularOrdering(seq)
-            if is_kalmanson(d, ordering, tol):
-                return ordering
-        return None
-    raise ValueError(f"unknown mode {mode!r}")
+def find_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularOrdering]:
+    """The agglomeration's ordering when d is Kalmanson with respect to it, else
+    None: sound, but it may miss an ordering on non-generic inputs (the
+    exhaustive search is neighbornet.oracle.brute_force_kalmanson_ordering)."""
+    ordering = run_neighbor_net(d, BalancedTSP()).ordering
+    return ordering if is_kalmanson(d, ordering, tol) else None
 
 
 def perturbed_map(system: WeightedSplitSystem, noise: Sequence[Sequence[Num]]) -> DissimilarityMap:

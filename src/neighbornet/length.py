@@ -1,19 +1,23 @@
-"""Balanced length of dissimilarity maps over partial circular orderings and
-split systems, adjacency counts, and the Z-criterion.
-
-Everything here is oracle machinery: the enumerators are capped and the
-agglomeration engine never calls them. All quantities stay exact when the
-input distances are exact.
+"""Balanced length of dissimilarity maps over partial circular orderings,
+adjacency counts, and the Z-criterion, all in closed form.
 
 The balanced length of a map d over a partial circular ordering C averages
-half the tour length over every circular ordering consistent with C:
+half the tour length over the N circular orderings consistent with C:
 
-    l(d, C) = (1 / |o(C)|) * sum_orderings (1/2) sum_k d(x_k, x_{k+1})
-            = (1 / (2 |o(C)|)) * sum_{i<j} eta_C(i, j) d(i, j)
+    l(d, C) = (1 / N) * sum_orderings (1/2) sum_k d(x_k, x_{k+1})
+            = (1 / (2 N)) * sum_{i<j} eta_C(i, j) d(i, j)
 
 where eta_C(i, j) counts the consistent orderings in which i and j are
-adjacent. The split-system length uses the same normalization with
-"consistent" meaning every split is a contiguous arc of the ordering.
+adjacent. With m >= 2 blocks, e_r endpoints of block r (1 for a singleton,
+2 otherwise) and E_r the set of them, a path edge is adjacent in all N
+orderings, x in E_r and y in E_t (r != t) in 2N / ((m-1) e_r e_t), and no
+other pair in any. So
+
+    l(d, C) = (1/2) sum_{path edges} d
+              + (1 / (m-1)) sum_{r<t} sum_{x in E_r, y in E_t} d(x, y) / (e_r e_t),
+
+and for m = 1 it is half the cycle the one path closes. The enumerating
+counterparts live in neighbornet.oracle, which the tests pin these against.
 
 Every division here is num / Fraction(den), with den an int: a Fraction
 when num is an int or a Fraction, and for a float num the float num / den
@@ -25,30 +29,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from typing import Iterable
+from itertools import combinations
 
 from .agglomerate import BlockState, q_criterion
-from .core import (
-    CircularOrdering,
-    DissimilarityMap,
-    Num,
-    PartialCircularOrdering,
-    Split,
-    canonical_cycle,
-    canonical_orderings,
-    count_distinct_orderings,
-    is_circular_split,
-    join_paths,
-    merged_at,
-)
-from .tsp import tour_length
-
-DEFAULT_CAP = 10**6
-
-
-class EnumerationCapExceeded(RuntimeError):
-    pass
+from .core import DissimilarityMap, Num, PartialCircularOrdering, join_paths, merged_at
 
 
 @dataclass(frozen=True)
@@ -58,38 +42,21 @@ class EtaTable:
 
     n: int
     counts: dict
-    total_orderings: Num
+    total_orderings: int
 
-    def eta(self, i: int, j: int) -> Num:
+    def eta(self, i: int, j: int) -> int:
         if i == j:
             return 0
         return self.counts.get((min(i, j), max(i, j)), 0)
 
-    def row_sum(self, i: int) -> Num:
+    def row_sum(self, i: int) -> int:
         return sum(self.eta(i, j) for j in range(self.n) if j != i)
-
-    def pairs(self):
-        return combinations(range(self.n), 2)
-
-
-def adjacency_counts(orderings: Iterable[CircularOrdering]) -> dict:
-    """(i, j) with i < j -> the number of the orderings in which i and j are
-    adjacent."""
-    counts: dict = defaultdict(int)
-    for o in orderings:
-        seq = o.order
-        for a, b in zip(seq, seq[1:] + seq[:1]):
-            counts[(min(a, b), max(a, b))] += 1
-    return dict(counts)
-
-
-def _mean_half_tour(d: DissimilarityMap, orderings: list) -> Num:
-    """Average half tour length over the orderings (sequences or orderings)."""
-    return sum(tour_length(d, o) for o in orderings) / Fraction(2 * len(orderings))
 
 
 def count_consistent_orderings(pco: PartialCircularOrdering) -> int:
     """(1/2) (m-1)! * prod_r |endpoints(C_r)|, and 1 for a single block."""
+    if pco.n < 3:
+        raise ValueError("circular orderings need n >= 3")
     m = pco.m
     if m == 1:
         return 1
@@ -99,126 +66,59 @@ def count_consistent_orderings(pco: PartialCircularOrdering) -> int:
     return math.factorial(m - 1) * prod // 2
 
 
-def enumerate_consistent_orderings(
-    pco: PartialCircularOrdering, cap: int = DEFAULT_CAP
-) -> list:
-    """All canonical circular orderings that keep every block's path intact."""
-    expected = count_consistent_orderings(pco)
-    if expected > cap:
-        raise EnumerationCapExceeded(f"{expected} consistent orderings exceed cap {cap}")
-    first, rest = pco.blocks[0], pco.blocks[1:]
-    seen = set()
-    for perm in permutations(rest):
-        arrangement = (first,) + perm
-        orient_choices = [
-            ((b, b[::-1]) if len(b) > 1 else (b,)) for b in arrangement
-        ]
-        for oriented in product(*orient_choices):
-            seq = [t for b in oriented for t in b]
-            seen.add(canonical_cycle(seq))
-    assert len(seen) == expected
-    return [CircularOrdering(o) for o in sorted(seen)]
-
-
-def pco_join(
-    pco: PartialCircularOrdering, r: int, s: int, i: int, j: int
-) -> PartialCircularOrdering:
-    """The single-edge extension joining block r at endpoint i to block s at j."""
-    merged = join_paths(pco.blocks[r], pco.blocks[s], i, j)
-    return PartialCircularOrdering(merged_at(pco.blocks, r, s, merged))
-
-
 def join_extensions(pco: PartialCircularOrdering, r: int, s: int):
-    """All joined partial orderings over the endpoint choices of blocks r, s."""
+    """((i, j), the single-edge extension joining block r at endpoint i to
+    block s at endpoint j) for every endpoint choice."""
     for i in pco.endpoints(r):
         for j in pco.endpoints(s):
-            yield (i, j), pco_join(pco, r, s, i, j)
+            merged = join_paths(pco.blocks[r], pco.blocks[s], i, j)
+            yield (i, j), PartialCircularOrdering(merged_at(pco.blocks, r, s, merged))
 
 
-def eta_table(pco: PartialCircularOrdering, cap: int = DEFAULT_CAP) -> EtaTable:
-    """Brute-force adjacency counts over the consistent orderings."""
-    orderings = enumerate_consistent_orderings(pco, cap)
-    return EtaTable(pco.n, adjacency_counts(orderings), len(orderings))
-
-
-def eta_table_for_join(
-    pco: PartialCircularOrdering, r: int, s: int, mu
-) -> EtaTable:
-    """Closed-form adjacency counts over o(C_{r,s}), the orderings consistent
-    with some endpoint joining of blocks r and s.
-
-    Only valid for TSP-style weightings (interior weights zero) and m >= 3.
-    """
+def eta_table(pco: PartialCircularOrdering) -> EtaTable:
+    """Adjacency counts over the consistent orderings, in closed form."""
+    total = count_consistent_orderings(pco)
     m = pco.m
-    if m < 3:
-        raise ValueError("closed form requires at least 3 blocks")
-    if r == s:
-        raise ValueError("r and s must differ")
-    for t_idx, block in enumerate(pco.blocks):
-        ends = pco.endpoints(t_idx)
-        for t in block:
-            if t not in ends and mu[t] != 0:
-                raise ValueError("closed form requires a TSP weighting (interior weights zero)")
-    n_total = count_consistent_orderings(pco)
-    block_of = {t: b for b, blk in enumerate(pco.blocks) for t in blk}
-    adjacent = {(min(a, b), max(a, b)) for a, b in pco.adjacent_pairs()}
-
-    counts = {}
-    n = pco.n
-    for i, j in combinations(range(n), 2):
-        bi, bj = block_of[i], block_of[j]
-        if bi == bj:
-            val = 2 * n_total / Fraction(m - 1) if (i, j) in adjacent else 0
-        else:
-            mm = mu[i] * mu[j]
-            if {bi, bj} == {r, s}:
-                val = 2 * n_total * mm / Fraction(m - 1)
-            elif bi in (r, s) or bj in (r, s):
-                val = 2 * n_total * mm / Fraction((m - 1) * (m - 2))
-            else:
-                val = 4 * n_total * mm / Fraction((m - 1) * (m - 2))
-        if val:
-            counts[(i, j)] = val
-    return EtaTable(n, counts, 2 * n_total / Fraction(m - 1))
+    counts = {(a, b) if a < b else (b, a): total for a, b in pco.adjacent_pairs()}
+    if m == 1:
+        a, b = pco.endpoints(0)  # the edge that closes the cycle
+        counts[(a, b) if a < b else (b, a)] = total
+        return EtaTable(pco.n, counts, total)
+    per_pair = 2 * total // (m - 1)  # (m-2)! prod_r e_r: divisible by e_r e_t
+    for er, et in combinations([pco.endpoints(r) for r in range(m)], 2):
+        share = per_pair // (len(er) * len(et))
+        for x in er:
+            for y in et:
+                counts[(x, y) if x < y else (y, x)] = share
+    return EtaTable(pco.n, counts, total)
 
 
-def balanced_length(
-    d: DissimilarityMap, pco: PartialCircularOrdering, cap: int = DEFAULT_CAP
-) -> Num:
+def balanced_length(d: DissimilarityMap, pco: PartialCircularOrdering) -> Num:
     """Average half tour length over the orderings consistent with pco."""
     if d.n != pco.n:
         raise ValueError("taxon count mismatch")
-    return _mean_half_tour(d, enumerate_consistent_orderings(pco, cap))
+    return balanced_length_from_eta(d, eta_table(pco))
 
 
 def balanced_length_from_eta(d: DissimilarityMap, table: EtaTable) -> Num:
-    """The eta-weighted form of the balanced length; agrees with the average."""
-    total = sum(table.eta(i, j) * d[i, j] for i, j in table.pairs())
-    return total / (2 * Fraction(table.total_orderings))
+    """(1/2) sum_{i<j} (eta(i, j) / N) d(i, j). Distances are summed per
+    distinct count, which enters as the exact ratio count / N: N passes the
+    float range (10^308) long before the length does."""
+    sums: dict = defaultdict(int)
+    for (i, j), count in table.counts.items():
+        sums[count] += d[i, j]
+    total = sum(Fraction(count, table.total_orderings) * s for count, s in sums.items())
+    return total / Fraction(2)
 
 
 def balanced_length_of_join_family(
-    d: DissimilarityMap,
-    pco: PartialCircularOrdering,
-    r: int,
-    s: int,
-    cap: int = DEFAULT_CAP,
+    d: DissimilarityMap, pco: PartialCircularOrdering, r: int, s: int
 ) -> Num:
-    """l(d, C_{r,s}): balanced length over the union of the endpoint joinings."""
-    seen = set()
-    for _, joined in join_extensions(pco, r, s):
-        for o in enumerate_consistent_orderings(joined, cap):
-            seen.add(o.order)
-    return _mean_half_tour(d, list(seen))
-
-
-def w_neighborliness(state: BlockState, r: int, s: int, t: int, u: int) -> Num:
-    """Pairwise neighborliness w(C_r C_s : C_t C_u)."""
-    bd = state.block_distance
-    val = (
-        bd(r, t) + bd(r, u) + bd(s, t) + bd(s, u) - 2 * bd(r, s) - 2 * bd(t, u)
-    )
-    return val / Fraction(2)
+    """l(d, C_{r,s}): balanced length over the union of the endpoint joinings,
+    the mean over the joinings, whose families are disjoint and of equal size
+    for m >= 3 (for m = 2 each cycle recurs equally often)."""
+    lengths = [balanced_length(d, joined) for _, joined in join_extensions(pco, r, s)]
+    return sum(lengths) / Fraction(len(lengths))
 
 
 def z_criterion(state: BlockState, r: int, s: int) -> Num:
@@ -239,50 +139,3 @@ def z_criterion(state: BlockState, r: int, s: int) -> Num:
     p_total = state.total_pair_sum()
     q = q_criterion(state, r, s)
     return -p_total / Fraction((m - 1) * (m - 2)) - q / Fraction(2 * (m - 2))
-
-
-def z_from_w_sum(state: BlockState, r: int, s: int) -> Num:
-    """Z recomputed from the neighborliness sum; equals z_criterion."""
-    m = state.m
-    if m < 3:
-        raise ValueError("requires at least 3 blocks")
-    others = [t for t in range(m) if t not in (r, s)]
-    total = state.scalar(0)
-    for a in range(len(others)):
-        for b in range(a + 1, len(others)):
-            total += w_neighborliness(state, r, s, others[a], others[b])
-    return total / Fraction((m - 1) * (m - 2))
-
-
-def split_system_orderings(
-    splits: Iterable[Split], n: int, cap: int = DEFAULT_CAP
-) -> list:
-    """Canonical orderings for which every split is a contiguous arc."""
-    splits = list(splits)
-    if any(s.n != n for s in splits):
-        raise ValueError("split taxon count mismatch")
-    if count_distinct_orderings(n) > cap:
-        raise EnumerationCapExceeded(
-            f"{count_distinct_orderings(n)} candidate orderings exceed cap {cap}"
-        )
-    out = []
-    for seq in canonical_orderings(n):
-        o = CircularOrdering(seq)
-        if all(is_circular_split(s, o) for s in splits):
-            out.append(o)
-    return out
-
-
-def eta_for_splits(splits: Iterable[Split], n: int, cap: int = DEFAULT_CAP) -> EtaTable:
-    orderings = split_system_orderings(splits, n, cap)
-    if not orderings:
-        raise ValueError("no circular ordering is consistent with the split system")
-    return EtaTable(n, adjacency_counts(orderings), len(orderings))
-
-
-def split_system_length(
-    d: DissimilarityMap, splits: Iterable[Split], cap: int = DEFAULT_CAP
-) -> Num:
-    """Length of d with respect to a circular split system, normalized the same
-    way as the balanced length over partial orderings."""
-    return balanced_length_from_eta(d, eta_for_splits(splits, d.n, cap))

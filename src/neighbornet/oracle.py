@@ -1,0 +1,217 @@
+"""Brute-force oracles, each capped: the orderings consistent with a partial
+ordering or a split system and the lengths averaged over them, the
+neighborliness sum behind the Z-criterion, the eta-weighted least-squares
+length identity, exact minimum tours and an exhaustive Kalmanson search.
+
+Oracle-only: no other module of the package imports this one. The tests pin
+the closed forms and the agglomeration against these enumerations.
+"""
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+from fractions import Fraction
+from itertools import islice, permutations, product
+from typing import Iterable, Optional
+
+import numpy as np
+
+from .agglomerate import BlockState
+from .core import (
+    CircularOrdering,
+    DissimilarityMap,
+    Num,
+    PartialCircularOrdering,
+    Split,
+    canonical_cycle,
+    canonical_orderings,
+    count_distinct_orderings,
+    is_circular_split,
+)
+from .kalmanson import _default_tol, is_kalmanson
+from .length import EtaTable, balanced_length_from_eta, count_consistent_orderings, join_extensions
+from .tsp import Tour, _int, tour_length
+from .weights import wls_split_weights
+
+DEFAULT_CAP = 10**6
+BRUTE_FORCE_LIMIT = 9
+BRUTE_FORCE_MAX_N = 11
+_BATCH = 100_000
+
+
+class EnumerationCapExceeded(RuntimeError):
+    pass
+
+
+def adjacency_counts(orderings: Iterable[CircularOrdering]) -> dict:
+    """(i, j) with i < j -> the number of the orderings in which i and j are
+    adjacent."""
+    counts: dict = defaultdict(int)
+    for o in orderings:
+        seq = o.order
+        for a, b in zip(seq, seq[1:] + seq[:1]):
+            counts[(min(a, b), max(a, b))] += 1
+    return dict(counts)
+
+
+def _mean_half_tour(d: DissimilarityMap, orderings: list) -> Num:
+    """Average half tour length over the orderings (sequences or orderings)."""
+    return sum(tour_length(d, o) for o in orderings) / Fraction(2 * len(orderings))
+
+
+def enumerate_consistent_orderings(
+    pco: PartialCircularOrdering, cap: int = DEFAULT_CAP
+) -> list:
+    """All canonical circular orderings that keep every block's path intact."""
+    expected = count_consistent_orderings(pco)
+    if expected > cap:
+        raise EnumerationCapExceeded(f"{expected} consistent orderings exceed cap {cap}")
+    first, rest = pco.blocks[0], pco.blocks[1:]
+    seen = set()
+    for perm in permutations(rest):
+        arrangement = (first,) + perm
+        orient_choices = [
+            ((b, b[::-1]) if len(b) > 1 else (b,)) for b in arrangement
+        ]
+        for oriented in product(*orient_choices):
+            seq = [t for b in oriented for t in b]
+            seen.add(canonical_cycle(seq))
+    assert len(seen) == expected
+    return [CircularOrdering(o) for o in sorted(seen)]
+
+
+def enumerated_eta_table(pco: PartialCircularOrdering, cap: int = DEFAULT_CAP) -> EtaTable:
+    """Adjacency counts over the enumerated consistent orderings."""
+    orderings = enumerate_consistent_orderings(pco, cap)
+    return EtaTable(pco.n, adjacency_counts(orderings), len(orderings))
+
+
+def enumerated_balanced_length(
+    d: DissimilarityMap, pco: PartialCircularOrdering, cap: int = DEFAULT_CAP
+) -> Num:
+    """Average half tour length over the orderings consistent with pco."""
+    if d.n != pco.n:
+        raise ValueError("taxon count mismatch")
+    return _mean_half_tour(d, enumerate_consistent_orderings(pco, cap))
+
+
+def enumerated_join_family_length(
+    d: DissimilarityMap,
+    pco: PartialCircularOrdering,
+    r: int,
+    s: int,
+    cap: int = DEFAULT_CAP,
+) -> Num:
+    """l(d, C_{r,s}): balanced length over the union of the endpoint joinings."""
+    seen = set()
+    for _, joined in join_extensions(pco, r, s):
+        for o in enumerate_consistent_orderings(joined, cap):
+            seen.add(o.order)
+    return _mean_half_tour(d, list(seen))
+
+
+def w_neighborliness(state: BlockState, r: int, s: int, t: int, u: int) -> Num:
+    """Pairwise neighborliness w(C_r C_s : C_t C_u)."""
+    bd = state.block_distance
+    val = (
+        bd(r, t) + bd(r, u) + bd(s, t) + bd(s, u) - 2 * bd(r, s) - 2 * bd(t, u)
+    )
+    return val / Fraction(2)
+
+
+def z_from_w_sum(state: BlockState, r: int, s: int) -> Num:
+    """Z recomputed from the neighborliness sum; equals z_criterion."""
+    m = state.m
+    if m < 3:
+        raise ValueError("requires at least 3 blocks")
+    others = [t for t in range(m) if t not in (r, s)]
+    total = state.scalar(0)
+    for a in range(len(others)):
+        for b in range(a + 1, len(others)):
+            total += w_neighborliness(state, r, s, others[a], others[b])
+    return total / Fraction((m - 1) * (m - 2))
+
+
+def split_system_orderings(
+    splits: Iterable[Split], n: int, cap: int = DEFAULT_CAP
+) -> list:
+    """Canonical orderings for which every split is a contiguous arc."""
+    splits = list(splits)
+    if any(s.n != n for s in splits):
+        raise ValueError("split taxon count mismatch")
+    if count_distinct_orderings(n) > cap:
+        raise EnumerationCapExceeded(
+            f"{count_distinct_orderings(n)} candidate orderings exceed cap {cap}"
+        )
+    out = []
+    for seq in canonical_orderings(n):
+        o = CircularOrdering(seq)
+        if all(is_circular_split(s, o) for s in splits):
+            out.append(o)
+    return out
+
+
+def eta_for_splits(splits: Iterable[Split], n: int, cap: int = DEFAULT_CAP) -> EtaTable:
+    orderings = split_system_orderings(splits, n, cap)
+    if not orderings:
+        raise ValueError("no circular ordering is consistent with the split system")
+    return EtaTable(n, adjacency_counts(orderings), len(orderings))
+
+
+def split_system_length(
+    d: DissimilarityMap, splits: Iterable[Split], cap: int = DEFAULT_CAP
+) -> Num:
+    """Length of d with respect to a circular split system, normalized the same
+    way as the balanced length over partial orderings."""
+    return balanced_length_from_eta(d, eta_for_splits(splits, d.n, cap))
+
+
+def wls_length_identity_check(
+    d: DissimilarityMap, splits, cap: int = DEFAULT_CAP
+) -> tuple:
+    """Return (lhs, rhs): the split-system length of d, and the sum of the
+    eta-weighted least-squares split weights. The two agree when the variance
+    of each observed distance is inversely proportional to its adjacency
+    count."""
+    splits = list(splits)
+    n = d.n
+    table = eta_for_splits(splits, n, cap)
+    lam = wls_split_weights(d, splits, table.counts)  # the nonzero counts
+    lhs = split_system_length(d, splits, cap)
+    rhs = sum(lam.values())
+    return lhs, rhs
+
+
+def brute_force_tsp(d: DissimilarityMap) -> Tour:
+    """Exact minimum over all (n-1)!/2 canonical cycles; ties resolve to the
+    lexicographically least canonical ordering. Cycles are scored in batches,
+    in that order: in float64, or on an exact map as integer numerators over
+    the entries' common denominator, which add far faster than Fractions."""
+    if d.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force capped at n={BRUTE_FORCE_MAX_N}")
+    a, den = d.array, 1
+    if d.is_exact:
+        den = math.lcm(*(x.denominator for x in a.flat))
+        a = _int(a * den)
+    best_seq = best_len = None
+    orderings = canonical_orderings(d.n)
+    while batch := list(islice(orderings, _BATCH)):
+        perms = np.array(batch)
+        lengths = a[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
+        k = int(np.argmin(lengths))  # the first of equal minima
+        if best_len is None or lengths[k] < best_len:
+            best_len = lengths.item(k)
+            best_seq = tuple(perms[k].tolist())
+    return Tour(CircularOrdering(best_seq), Fraction(best_len, den) if d.is_exact else best_len)
+
+
+def brute_force_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularOrdering]:
+    """The first canonical ordering making d Kalmanson, or None (n <= 9)."""
+    if d.n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute-force search capped at n={BRUTE_FORCE_LIMIT}")
+    tol = _default_tol(d, tol)
+    for seq in canonical_orderings(d.n):
+        ordering = CircularOrdering(seq)
+        if is_kalmanson(d, ordering, tol):
+            return ordering
+    return None

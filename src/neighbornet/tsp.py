@@ -1,5 +1,5 @@
-"""Tour lengths, the agglomerative greedy tour heuristic, exact brute-force
-tours for small n, and a TSPLIB EUC_2D reader.
+"""Tour lengths, the agglomerative greedy tour heuristic, and a TSPLIB EUC_2D
+reader. The exact brute-force tour is in neighbornet.oracle.
 
 Tour lengths are full cycle lengths (no 1/2 factor): the halving in the
 balanced-length definition only symmetrizes the per-ordering average, and
@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
 
 from .agglomerate import BalancedTSP, WeightingScheme, run_neighbor_net
-from .core import CircularOrdering, DissimilarityMap, Num, canonical_orderings
+from .core import CircularOrdering, DissimilarityMap, Num
 
-BRUTE_FORCE_MAX_N = 11
-_BATCH = 100_000
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot's rounding, which np.hypot does not share
 _int = np.frompyfunc(int, 1, 1)  # Python ints: exact at any size
 
@@ -48,29 +44,6 @@ def greedy_tsp(d: DissimilarityMap, scheme: WeightingScheme = BalancedTSP()) -> 
     """Tour from the agglomerative ordering; optimal on Kalmanson inputs."""
     result = run_neighbor_net(d, scheme)
     return Tour.of(d, result.ordering)
-
-
-def brute_force_tsp(d: DissimilarityMap) -> Tour:
-    """Exact minimum over all (n-1)!/2 canonical cycles; ties resolve to the
-    lexicographically least canonical ordering. Cycles are scored in batches,
-    in that order: in float64, or on an exact map as integer numerators over
-    the entries' common denominator, which add far faster than Fractions."""
-    if d.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force capped at n={BRUTE_FORCE_MAX_N}")
-    a, den = d.array, 1
-    if d.is_exact:
-        den = math.lcm(*(x.denominator for x in a.flat))
-        a = _int(a * den)
-    best_seq = best_len = None
-    orderings = canonical_orderings(d.n)
-    while batch := list(islice(orderings, _BATCH)):
-        perms = np.array(batch)
-        lengths = a[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
-        k = int(np.argmin(lengths))  # the first of equal minima
-        if best_len is None or lengths[k] < best_len:
-            best_len = lengths.item(k)
-            best_seq = tuple(perms[k].tolist())
-    return Tour(CircularOrdering(best_seq), Fraction(best_len, den) if d.is_exact else best_len)
 
 
 def read_tsplib_euc2d(text: str, rounding: str = "none") -> DissimilarityMap:

@@ -1,6 +1,6 @@
 """Split-weight estimation over the circular splits of an ordering: the closed
-corner formula, clamping, non-negative least squares, and the eta-weighted
-least-squares length identity.
+corner formula, clamping, non-negative least squares, and pair-weighted
+least squares.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .core import (
     sorted_splits,
     split_masks,
 )
-from .length import DEFAULT_CAP, eta_for_splits, split_system_length
 
 KKT_TOL = 1e-10
 
@@ -289,19 +288,3 @@ def wls_split_weights(
         return dict(zip(design.splits, _solve_normal_equations_exact(a, w, y)))
     sol, *_ = np.linalg.lstsq(*design.weighted_system(d, pair_weights), rcond=None)
     return dict(zip(design.splits, (float(v) for v in sol)))
-
-
-def wls_length_identity_check(
-    d: DissimilarityMap, splits, cap: int = DEFAULT_CAP
-) -> tuple:
-    """Return (lhs, rhs): the split-system length of d, and the sum of the
-    eta-weighted least-squares split weights. The two agree when the variance
-    of each observed distance is inversely proportional to its adjacency
-    count."""
-    splits = list(splits)
-    n = d.n
-    table = eta_for_splits(splits, n, cap)
-    lam = wls_split_weights(d, splits, table.counts)  # the nonzero counts
-    lhs = split_system_length(d, splits, cap)
-    rhs = sum(lam.values())
-    return lhs, rhs

@@ -40,19 +40,19 @@ from neighbornet.kalmanson import (
     satisfies_four_point,
     strict_quartets,
 )
-from neighbornet.length import (
-    balanced_length,
-    balanced_length_of_join_family,
-    join_extensions,
-    z_criterion,
+from neighbornet.length import join_extensions, z_criterion
+from neighbornet.oracle import (
+    brute_force_tsp,
+    enumerated_balanced_length,
+    enumerated_join_family_length,
+    wls_length_identity_check,
 )
-from neighbornet.tsp import brute_force_tsp, greedy_tsp, read_tsplib_euc2d
+from neighbornet.tsp import greedy_tsp, read_tsplib_euc2d
 from neighbornet.weights import (
     clamp_nonnegative,
     lambda_formula,
     nnls_fit,
     reconstruction_residual,
-    wls_length_identity_check,
 )
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 from test_agglomerate import BM_DIVERGENCE_ROWS
@@ -123,11 +123,11 @@ def test_criterion_4_greedy_balanced_length_steps():
             r, s = pair
             (i, j), _ = _select_endpoints(state, r, s)
             pco = state.to_pco()
-            lengths = {ij: balanced_length(d, joined)
+            lengths = {ij: enumerated_balanced_length(d, joined)
                        for ij, joined in join_extensions(pco, r, s)}
             assert lengths[(i, j)] == min(lengths.values()), f"trial {trial}"
             if state.m >= 3:
-                drop = balanced_length(d, pco) - balanced_length_of_join_family(d, pco, r, s)
+                drop = enumerated_balanced_length(d, pco) - enumerated_join_family_length(d, pco, r, s)
                 assert z_criterion(state, r, s) == drop, f"trial {trial}: Z identity"
             state = merge_blocks(state, r, s, i, j)
             state = state.with_mu(adjust_weights(state, BalancedTSP()))

@@ -26,7 +26,8 @@ from neighbornet.core import (
     is_circular_split,
     is_pairwise_compatible,
 )
-from neighbornet.length import balanced_length, join_extensions
+from neighbornet.length import join_extensions
+from neighbornet.oracle import enumerated_balanced_length
 from conftest import (
     permute_map,
     random_circular_instance,
@@ -102,11 +103,11 @@ class TestQHatCriterion:
             state = BlockState.initial(d)
             while state.m > 1:
                 pco = state.to_pco()
-                l_before = balanced_length(d, pco)
+                l_before = enumerated_balanced_length(d, pco)
                 pair = (0, 1) if state.m == 2 else _select_pair(state)[0]
                 r, s = pair
                 for (i, j), joined in join_extensions(pco, r, s):
-                    assert q_hat_criterion(state, r, s, i, j) == balanced_length(d, joined) - l_before
+                    assert q_hat_criterion(state, r, s, i, j) == enumerated_balanced_length(d, joined) - l_before
                 (i, j), _ = _select_endpoints(state, r, s)
                 state = merge_blocks(state, r, s, i, j)
                 state = state.with_mu(adjust_weights(state, BalancedTSP()))
@@ -122,7 +123,7 @@ class TestQHatCriterion:
                 r, s = pair
                 (i, j), _ = _select_endpoints(state, r, s)
                 pco = state.to_pco()
-                lengths = {ij: balanced_length(d, joined) for ij, joined in join_extensions(pco, r, s)}
+                lengths = {ij: enumerated_balanced_length(d, joined) for ij, joined in join_extensions(pco, r, s)}
                 assert lengths[(i, j)] == min(lengths.values())
                 state = merge_blocks(state, r, s, i, j)
                 state = state.with_mu(adjust_weights(state, BalancedTSP()))

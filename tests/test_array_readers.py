@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from neighbornet.core import CircularOrdering, DissimilarityMap, canonical_orderings
-from neighbornet.tsp import brute_force_tsp, read_tsplib_euc2d, tour_length
+from neighbornet.oracle import brute_force_tsp
+from neighbornet.tsp import read_tsplib_euc2d, tour_length
 from neighbornet.weights import DesignMatrix
 from conftest import random_dissimilarity
 

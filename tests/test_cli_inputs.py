@@ -1,6 +1,7 @@
-"""Bad input through the command line: an enumeration past --cap and
-non-finite TSPLIB coordinates are input errors (exit 1), and seeded
-mutations of PHYLIP and TSPLIB files never reach an internal error."""
+"""Inputs at the edges of the command line: balanced lengths past any
+enumeration are answered, two taxa and non-finite TSPLIB coordinates are
+input errors (exit 1), and seeded mutations of PHYLIP and TSPLIB files never
+reach an internal error."""
 import random
 
 import pytest
@@ -37,16 +38,42 @@ def run(capsys, argv):
     return code, err
 
 
-def test_length_past_cap_is_an_input_error(tmp_path, capsys):
-    path = tmp_path / "m.phy"
-    labels = [f"t{k}" for k in range(12)]
-    path.write_text("12\n" + "".join(
+def all_ones_phylip(path, labels):
+    path.write_text(f"{len(labels)}\n" + "".join(
         f"{a} " + " ".join("0" if a == b else "1" for b in labels) + "\n" for a in labels
     ))
-    code, err = run(capsys, ["length", str(path), "--blocks", "|".join(labels)])
+
+
+def test_length_on_twelve_singletons_needs_no_cap(tmp_path, capsys):
+    # 19,958,400 consistent orderings: the closed form never enumerates them
+    path = tmp_path / "m.phy"
+    labels = [f"t{k}" for k in range(12)]
+    all_ones_phylip(path, labels)
+    assert main(["length", str(path), "--blocks", "|".join(labels)]) == 0
+    assert capsys.readouterr().out == "balanced length: 6\n"
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("block_size", [1, 10])
+def test_length_at_two_hundred_taxa(tmp_path, capsys, rational, block_size):
+    # an all-ones map has balanced length n/2 over every partial ordering
+    path = tmp_path / "m.phy"
+    labels = [f"t{k}" for k in range(200)]
+    all_ones_phylip(path, labels)
+    blocks = "|".join(",".join(labels[k:k + block_size]) for k in range(0, 200, block_size))
+    argv = ["length", str(path), "--blocks", blocks] + ["--rational"] * rational
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == ("balanced length: 100 (100)\n" if rational else "balanced length: 100\n")
+
+
+@pytest.mark.parametrize("blocks", ["A|B", "A,B"])
+def test_length_on_two_taxa_is_an_input_error(tmp_path, capsys, blocks):
+    path = tmp_path / "two.phy"
+    path.write_text("2\nA 0 1\nB 1 0\n")
+    code, err = run(capsys, ["length", str(path), "--blocks", blocks])
     assert code == 1
-    assert "error: 19958400 consistent orderings exceed cap 1000000" in err
-    assert "internal error" not in err
+    assert err == "error: circular orderings need n >= 3\n"
 
 
 @pytest.mark.parametrize("rounding", ["none", "tsplib"])

@@ -290,11 +290,6 @@ class TestCliFlags:
         assert main(["check", str(path), "--tol", "-1"]) == 1
         assert "tolerance must be >= 0" in capsys.readouterr().err
 
-    def test_length_zero_cap_exits_1(self, phy_file, capsys):
-        path, _, _ = phy_file
-        assert main(["length", str(path), "--blocks", "t0,t1|t2|t3|t4|t5", "--cap", "0"]) == 1
-        assert "cap must be >= 1" in capsys.readouterr().err
-
     def test_alpha_is_checked_under_every_weighting(self, phy_file, capsys):
         path, _, _ = phy_file
         assert main(["nnet", str(path), "--alpha", "1.5"]) == 1

@@ -25,6 +25,7 @@ from neighbornet.kalmanson import (
     satisfies_four_point,
     strict_quartets,
 )
+from neighbornet.oracle import brute_force_kalmanson_ordering
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 
 
@@ -92,7 +93,7 @@ class TestFourPoint:
         for _ in range(5):
             n = rng.randint(4, 7)
             d, _, _ = random_tree_instance(rng, n, exact=True)
-            assert find_kalmanson_ordering(d, mode="brute", tol=0) is not None
+            assert brute_force_kalmanson_ordering(d, tol=0) is not None
 
 
 class TestStrictQuartets:
@@ -150,7 +151,7 @@ class TestFindKalmansonOrdering:
         for _ in range(6):
             n = rng.randint(5, 9)
             pi, _, d = random_circular_instance(rng, n, exact=True)
-            found = find_kalmanson_ordering(d, mode="fast", tol=0)
+            found = find_kalmanson_ordering(d, tol=0)
             assert found is not None
             assert strict_quartets(d, found, tol=0) <= quartets_of_ordering(found)
             assert found == pi.canonical()
@@ -161,21 +162,21 @@ class TestFindKalmansonOrdering:
         for _ in range(20):
             n = rng.randint(5, 7)
             d = random_dissimilarity(rng, n)
-            brute = find_kalmanson_ordering(d, mode="brute")
+            brute = brute_force_kalmanson_ordering(d)
             if brute is None:
-                assert find_kalmanson_ordering(d, mode="fast") is None
+                assert find_kalmanson_ordering(d) is None
                 checked += 1
         assert checked >= 10  # random maps are essentially never Kalmanson
 
     def test_tree_metric_found(self):
         rng = random.Random(10)
         d, _, _ = random_tree_instance(rng, 7, exact=True)
-        assert find_kalmanson_ordering(d, mode="fast", tol=0) is not None
+        assert find_kalmanson_ordering(d, tol=0) is not None
 
     def test_brute_force_cap(self):
         d = random_dissimilarity(random.Random(11), 12)
         with pytest.raises(ValueError):
-            find_kalmanson_ordering(d, mode="brute")
+            brute_force_kalmanson_ordering(d)
 
 
 def box_noise(rng, n, magnitude):

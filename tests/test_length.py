@@ -1,7 +1,10 @@
 """Balanced-length machinery: enumeration counts, eta tables, the Z-criterion
-identity, and split-system lengths."""
+identity, and split-system lengths. The closed forms of neighbornet.length
+are pinned against the enumerating oracles of neighbornet.oracle."""
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -21,19 +24,24 @@ from neighbornet.core import (
     all_circular_splits,
 )
 from neighbornet.length import (
-    EnumerationCapExceeded,
     balanced_length,
     balanced_length_from_eta,
     balanced_length_of_join_family,
     count_consistent_orderings,
-    enumerate_consistent_orderings,
-    eta_for_splits,
     eta_table,
-    eta_table_for_join,
-    pco_join,
+    join_extensions,
+    z_criterion,
+)
+from neighbornet.oracle import (
+    EnumerationCapExceeded,
+    adjacency_counts,
+    enumerate_consistent_orderings,
+    enumerated_balanced_length,
+    enumerated_eta_table,
+    enumerated_join_family_length,
+    eta_for_splits,
     split_system_length,
     split_system_orderings,
-    z_criterion,
     z_from_w_sum,
 )
 from conftest import random_dissimilarity
@@ -48,6 +56,26 @@ def random_pco(rng, n):
         size = min(rng.randint(1, 3), len(taxa))
         blocks.append([taxa.pop() for _ in range(size)])
     return PartialCircularOrdering(blocks)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+        yield [[first]] + part
+
+
+def all_pcos(n):
+    """Every partial circular ordering of 0..n-1 once: each set partition,
+    with each block's paths taken up to reversal."""
+    for partition in set_partitions(list(range(n))):
+        paths = [[p for p in permutations(b) if p[0] <= p[-1]] for b in partition]
+        for blocks in product(*paths):
+            yield PartialCircularOrdering(blocks)
 
 
 class TestCounting:
@@ -109,43 +137,23 @@ class TestEtaTable:
                 assert table.row_sum(i) == 2 * table.total_orderings
 
     def test_closed_form_matches_brute_force(self):
+        # for m >= 3 the endpoint joinings of blocks r and s have disjoint
+        # consistent families of equal size, so their closed-form counts add
+        # up to the counts over the enumerated union
         rng = random.Random(13)
         checked = 0
         while checked < 10:
-            n = rng.randint(5, 7)
-            pco = random_pco(rng, n)
-            m = pco.m
-            if m < 3:
+            pco = random_pco(rng, rng.randint(5, 7))
+            if pco.m < 3:
                 continue
-            mu = {}
-            for r in range(m):
-                ends = pco.endpoints(r)
-                for t in pco.blocks[r]:
-                    mu[t] = Fraction(1, len(ends)) if t in ends else Fraction(0)
-            r, s = sorted(rng.sample(range(m), 2))
-            closed = eta_table_for_join(pco, r, s, mu)
-            seen = set()
-            for i in pco.endpoints(r):
-                for j in pco.endpoints(s):
-                    for o in enumerate_consistent_orderings(pco_join(pco, r, s, i, j)):
-                        seen.add(o.order)
-            assert closed.total_orderings == len(seen)
-            from collections import defaultdict
-            brute = defaultdict(int)
-            for seq in seen:
-                for k in range(len(seq)):
-                    a, b = seq[k], seq[(k + 1) % len(seq)]
-                    brute[(min(a, b), max(a, b))] += 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    assert closed.eta(i, j) == brute.get((i, j), 0)
+            r, s = sorted(rng.sample(range(pco.m), 2))
+            tables = [eta_table(joined) for _, joined in join_extensions(pco, r, s)]
+            union = {o for _, joined in join_extensions(pco, r, s)
+                     for o in enumerate_consistent_orderings(joined)}
+            assert len({t.total_orderings for t in tables}) == 1
+            assert sum(t.total_orderings for t in tables) == len(union)
+            assert sum((Counter(t.counts) for t in tables), Counter()) == adjacency_counts(union)
             checked += 1
-
-    def test_closed_form_needs_tsp_weighting(self):
-        pco = PartialCircularOrdering([(0, 1, 2), (3,), (4,)])
-        mu = {0: 0.25, 1: 0.5, 2: 0.25, 3: 1.0, 4: 1.0}
-        with pytest.raises(ValueError):
-            eta_table_for_join(pco, 0, 1, mu)
 
 
 class TestBalancedLength:
@@ -170,7 +178,51 @@ class TestBalancedLength:
             n = rng.randint(4, 7)
             d = random_dissimilarity(rng, n, exact=True)
             pco = random_pco(rng, n)
-            assert balanced_length(d, pco) == balanced_length_from_eta(d, eta_table(pco))
+            expected = enumerated_balanced_length(d, pco)
+            assert balanced_length_from_eta(d, enumerated_eta_table(pco)) == expected
+
+    def test_needs_three_taxa(self):
+        d = DissimilarityMap([[0, 1], [1, 0]])
+        for blocks in ([(0,), (1,)], [(0, 1)]):
+            pco = PartialCircularOrdering(blocks)
+            for closed_form in (eta_table, count_consistent_orderings):
+                with pytest.raises(ValueError, match="circular orderings need n >= 3"):
+                    closed_form(pco)
+            with pytest.raises(ValueError, match="circular orderings need n >= 3"):
+                balanced_length(d, pco)
+
+
+class TestClosedFormAgainstOracle:
+    """eta_table, balanced_length and the join-family length against the
+    enumeration, on every PCO with n <= 6 and on seeded PCOs with 7 <= n <= 9:
+    equal on exact maps, within 1e-12 relative on float maps. The join family
+    is checked for one block pair per PCO, the pair moving from one PCO to
+    the next, which keeps the test near one second."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(14)
+        for n in range(3, 10):
+            maps = random_dissimilarity(rng, n, exact=True), random_dissimilarity(rng, n)
+            pcos = all_pcos(n) if n <= 6 else (random_pco(rng, n) for _ in range(12))
+            for pco in pcos:
+                yield pco, maps
+
+    def test_closed_forms_equal_enumeration(self):
+        checked = 0
+        for pco, (exact, approx) in self.cases():
+            assert eta_table(pco) == enumerated_eta_table(pco)
+            assert balanced_length(exact, pco) == enumerated_balanced_length(exact, pco)
+            assert balanced_length(approx, pco) == pytest.approx(
+                enumerated_balanced_length(approx, pco), rel=1e-12, abs=0)
+            if pco.m >= 2:
+                r, s = checked % pco.m, (checked + 1) % pco.m
+                closed = balanced_length_of_join_family(exact, pco, r, s)
+                assert closed == enumerated_join_family_length(exact, pco, r, s)
+                assert balanced_length_of_join_family(approx, pco, r, s) == pytest.approx(
+                    enumerated_join_family_length(approx, pco, r, s), rel=1e-12, abs=0)
+            checked += 1
+        assert checked == 1733 + 3 * 12
 
 
 def engine_states(d, max_blocks=None):
@@ -195,11 +247,11 @@ class TestZCriterion:
                 if state.m < 3:
                     continue
                 pco = state.to_pco()
-                l_before = balanced_length(d, pco)
+                l_before = enumerated_balanced_length(d, pco)
                 for r in range(state.m):
                     for s in range(r + 1, state.m):
                         z = z_criterion(state, r, s)
-                        assert z == l_before - balanced_length_of_join_family(d, pco, r, s)
+                        assert z == l_before - enumerated_join_family_length(d, pco, r, s)
                         assert z == z_from_w_sum(state, r, s)
 
     def test_three_blocks_give_zero(self):

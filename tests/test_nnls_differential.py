@@ -10,7 +10,7 @@ import scipy.optimize
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
 from neighbornet.core import CircularOrdering, DissimilarityMap, all_circular_splits
-from neighbornet.length import adjacency_counts
+from neighbornet.oracle import adjacency_counts
 from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, nnls, sorted_splits
 from conftest import random_circular_instance, random_dissimilarity
 import lstsq_nnls

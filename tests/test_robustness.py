@@ -137,8 +137,9 @@ def test_nexus_reader_rejects_malformed_documents(old, new, message):
 
 
 def test_library_import_does_not_load_scipy():
-    """scipy is a test-only oracle; the CLI must not pay for importing it."""
-    probe = "import sys, neighbornet.cli; print('scipy' in sys.modules)"
+    """scipy and neighbornet.oracle are test-only oracles; the CLI must not
+    pay for importing them."""
+    probe = "import sys, neighbornet.cli; print('scipy' in sys.modules, 'neighbornet.oracle' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -8,12 +8,8 @@ import pytest
 
 from neighbornet.agglomerate import BalancedTSP, TreeWeighting
 from neighbornet.core import CircularOrdering, DissimilarityMap
-from neighbornet.tsp import (
-    brute_force_tsp,
-    greedy_tsp,
-    read_tsplib_euc2d,
-    tour_length,
-)
+from neighbornet.oracle import brute_force_tsp
+from neighbornet.tsp import greedy_tsp, read_tsplib_euc2d, tour_length
 from conftest import random_circular_instance, random_dissimilarity
 
 ST70_PATHS = [
