@@ -38,7 +38,6 @@ from .kalmanson import (
     is_kalmanson,
     radius_perturbation_check,
     satisfies_four_point,
-    strict_quartets,
 )
 from .length import EtaTable, balanced_length, count_consistent_orderings, eta_table, z_criterion
 from .tsp import Tour, greedy_tsp, read_tsplib_euc2d, tour_length

@@ -1,5 +1,6 @@
 """Agglomerative construction of circular orderings with pluggable weighting
-schemes, plus a standalone neighbor-joining used as an oracle.
+schemes. Neighbor-joining is the same agglomeration under a tree weighting,
+so it has no engine of its own.
 
 The engine repeatedly (1) picks the block pair minimizing the Q criterion,
 (2) picks the endpoint pair minimizing the Q-hat criterion, (3) joins the two
@@ -276,19 +277,12 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     # blocks' distances
     tb = np.delete(state._tb, hi, axis=1)
     tb[:, lo] = state._tb[:, r] + state._tb[:, s]
-    bb = _joined(state._bb, lo, hi, state._bb[r] + state._bb[s], state.scalar(0))
+    row = np.delete(state._bb[r] + state._bb[s], hi)
+    row[lo] = state.scalar(0)
+    bb = np.delete(np.delete(state._bb, hi, axis=0), hi, axis=1)
+    bb[lo, :] = row
+    bb[:, lo] = row
     return state._successor(blocks, state.mu, parts, info, tb, bb, [])
-
-
-def _joined(dist: np.ndarray, lo: int, hi: int, row: np.ndarray, zero: Num) -> np.ndarray:
-    """A copy of the symmetric matrix dist without row and column hi, whose
-    row and column lo are row (indexed as in dist) with a zero diagonal."""
-    row = np.delete(row, hi)
-    row[lo] = zero
-    out = np.delete(np.delete(dist, hi, axis=0), hi, axis=1)
-    out[lo, :] = row
-    out[:, lo] = row
-    return out
 
 
 def _apply_original_bm(mu, compound_parts, junction, other_block, quarter, hlf):
@@ -388,18 +382,6 @@ def _near_min(values: np.ndarray, tol: Num) -> np.ndarray:
     return np.flatnonzero(values <= values.min() + tol)
 
 
-def _q_argmin(dist: np.ndarray, row_sums: np.ndarray, tol: Num) -> tuple:
-    """The pair r < s chosen by Q over a matrix of block distances, with its
-    Q value; the tie rule is _select_pair's."""
-    m = len(dist)
-    rows, cols = np.triu_indices(m, 1)
-    between = dist[rows, cols]
-    q = (m - 2) * between - row_sums[rows] - row_sums[cols]
-    near = _near_min(q, tol)
-    k = near[_near_min(between[near], tol)[0]]
-    return (int(rows[k]), int(cols[k])), _py(q[k])
-
-
 def _select_pair(state: BlockState) -> tuple:
     """Argmin of Q over the block pairs r < s, as ((r, s), Q value).
 
@@ -412,7 +394,13 @@ def _select_pair(state: BlockState) -> tuple:
       4. take the lexicographically first (r, s) of what remains.
     Ties always occur at three blocks, where Q is the same for every pair.
     """
-    return _q_argmin(state._bb, state._row_sums(), state.tie_tol)
+    m, tol, row_sums = state.m, state.tie_tol, state._row_sums()
+    rows, cols = np.triu_indices(m, 1)
+    between = state._bb[rows, cols]
+    q = (m - 2) * between - row_sums[rows] - row_sums[cols]
+    near = _near_min(q, tol)
+    k = near[_near_min(between[near], tol)[0]]
+    return (int(rows[k]), int(cols[k])), _py(q[k])
 
 
 def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:
@@ -473,30 +461,12 @@ def run_neighbor_net(
 
 
 def neighbor_joining(d: DissimilarityMap, alpha: Union[str, float, Fraction] = "balanced") -> frozenset:
-    """Standalone neighbor-joining, reduced distances d' = a*d_r + (1-a)*d_s.
+    """The splits of the neighbor-joining tree whose reduced distances are
+    alpha * d(C_r, .) + (1 - alpha) * d(C_s, .).
 
-    Returns the splits induced by the merges (those with a nonempty
-    complement). Selection, tie-breaking, and block bookkeeping are
-    run_neighbor_net's, so that split sets can be compared.
+    Under a tree weighting the neighbor-net tree is the neighbor-joining tree
+    (Levy & Pachter, The Neighbor-Net Algorithm), so these are the splits that
+    run_neighbor_net records under TreeWeighting(alpha). The tests compare
+    them with an independent NJ recursion.
     """
-    n = d.n
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    scalar, unit = _arithmetic(d)
-    a = TreeWeighting(alpha).resolve_alpha(scalar)
-    dist = d.array
-    blocks = [frozenset((t,)) for t in range(n)]
-    splits = set()
-    while len(blocks) > 1:
-        m = len(blocks)
-        if m == 2:
-            r, s = 0, 1
-        else:
-            (r, s), _ = _q_argmin(dist, dist.sum(axis=1), unit * m)
-        union = blocks[r] | blocks[s]
-        if len(union) < n:
-            splits.add(Split.of(union, n))
-        dist = _joined(dist, r, s, a * dist[r] + (1 - a) * dist[s], scalar(0))
-        blocks[r] = union
-        del blocks[s]
-    return frozenset(splits)
+    return frozenset(run_neighbor_net(d, TreeWeighting(alpha)).tree_splits)

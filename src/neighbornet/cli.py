@@ -32,7 +32,7 @@ from .kalmanson import (
     first_four_point_violation,
     first_kalmanson_violation,
 )
-from .length import balanced_length, eta_table
+from .length import balanced_length
 from .tsp import greedy_tsp, read_tsplib_euc2d
 from .weights import NonConvergence, clamp_nonnegative, lambda_formula, nnls_fit
 
@@ -116,7 +116,7 @@ def _write_nexus(path, system, labels, ordering):
     print(f"nexus written to {path}")
 
 
-def _estimated_system(d, ordering, method: str, ols_weights: str) -> WeightedSplitSystem:
+def _estimated_system(d, ordering, method: str) -> WeightedSplitSystem:
     if method == "formula":
         lam = lambda_formula(d, ordering)
         negatives = sum(1 for v in lam.values() if v < 0)
@@ -128,10 +128,7 @@ def _estimated_system(d, ordering, method: str, ols_weights: str) -> WeightedSpl
         return WeightedSplitSystem(d.n, lam)
     if method == "formula-clamped":
         return WeightedSplitSystem(d.n, clamp_nonnegative(lambda_formula(d, ordering)))
-    # nnls; eta weights each pair by how often the ordering makes it adjacent
-    cycle = PartialCircularOrdering([ordering.order])
-    pair_weights = eta_table(cycle).counts if ols_weights == "eta" else None
-    return nnls_fit(d, ordering, pair_weights=pair_weights)
+    return nnls_fit(d, ordering)
 
 
 def cmd_nnet(args) -> int:
@@ -140,7 +137,7 @@ def cmd_nnet(args) -> int:
     print("ordering:", " ".join(labels[t] for t in result.ordering.order))
     system = WeightedSplitSystem(d.n, {s: 1.0 for s in result.tree_splits})
     if args.estimate != "none":
-        system = _estimated_system(d, result.ordering, args.estimate, args.ols_weights)
+        system = _estimated_system(d, result.ordering, args.estimate)
     print(f"splits ({len(system)}):")
     _print_splits(system, labels, show_weights=args.estimate != "none")
     if args.nexus:
@@ -208,7 +205,7 @@ def cmd_estimate(args) -> int:
     else:
         ordering = run_neighbor_net(d, BalancedTSP()).ordering
         print("ordering (from agglomeration):", " ".join(labels[t] for t in ordering.order))
-    system = _estimated_system(d, ordering, args.method, args.ols_weights)
+    system = _estimated_system(d, ordering, args.method)
     if args.nexus:
         _write_nexus(args.nexus, system, labels, ordering)
     else:
@@ -253,7 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--weighting", choices=["balanced-tsp", "tree", "original"], default="balanced-tsp")
     p.add_argument("--alpha", type=_alpha, default=0.5)
     p.add_argument("--estimate", choices=["none", "formula", "formula-clamped", "nnls"], default="none")
-    p.add_argument("--ols-weights", choices=["uniform", "eta"], default="uniform")
     p.add_argument("--nexus", metavar="PATH")
     p.add_argument("--trace", metavar="PATH")
     p.add_argument("--rational", action="store_true")
@@ -281,7 +277,6 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--ordering", help="comma-separated labels or indices")
     p.add_argument("--method", choices=["formula", "formula-clamped", "nnls"], default="nnls")
-    p.add_argument("--ols-weights", choices=["uniform", "eta"], default="uniform")
     p.add_argument("--nexus", metavar="PATH")
     p.add_argument("--rational", action="store_true")
     p.set_defaults(func=cmd_estimate)

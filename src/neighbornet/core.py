@@ -328,6 +328,21 @@ def circular_arcs(ordering: CircularOrdering) -> Iterator[tuple]:
             yield Split.of(order[s:s + length], n), s + length, (s - 1) % n
 
 
+def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
+    """The n x n array whose entry (a, b) is twice the lambda of the arc of
+    positions a..b (mod n): with D the map in the ordering's positions,
+
+        D[a-1, b] + D[a, b+1] - D[a-1, b+1] - D[a, b]
+
+    summed in that order, in the map's arithmetic."""
+    if ordering.n != d.n:
+        raise ValueError("taxon count mismatch")
+    x = list(ordering.order)
+    here = d.array[x][:, x]
+    before = np.roll(here, 1, axis=0)  # before[a, b] = D[a-1, b]
+    return before + np.roll(here, -1, axis=1) - np.roll(before, -1, axis=1) - here
+
+
 def all_circular_splits(ordering: CircularOrdering) -> frozenset:
     """The n(n-1)/2 splits whose blocks are contiguous arcs of the ordering."""
     return frozenset(split for split, _, _ in circular_arcs(ordering))

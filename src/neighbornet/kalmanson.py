@@ -1,12 +1,15 @@
-"""Kalmanson and four-point condition checking, quartet extraction, ordering
-search, and the perturbation-radius check.
+"""Kalmanson and four-point condition checking, ordering search, and the
+perturbation-radius check.
 
-A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
-over taxa, so quartet sets from different orderings compare directly.
+The Kalmanson check reads the lambda formula: d is Kalmanson for an ordering
+exactly when every nontrivial arc has lambda >= 0, an O(n^2) test. The
+four-deep scan over position quadruples is its test oracle, in
+neighbornet.oracle, beside the quartet sets.
 
 Tolerance: a sum of two distances counts as larger than another only when it
-is larger by more than tol. An explicit tol is absolute; the default is 0 on
-an exact map and FLOAT_TOL * max|d| on a float map, so scale changes no verdict.
+is larger by more than tol; the Kalmanson check applies it at each arc's
+corner quadruple. An explicit tol is absolute; the default is 0 on an exact
+map and FLOAT_TOL * max|d| on a float map, so scale changes no verdict.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from .core import (
     DissimilarityMap,
     Num,
     WeightedSplitSystem,
+    corner_differences,
     is_circular_split,
     metric_from_splits,
 )
@@ -33,40 +37,45 @@ def _default_tol(d: DissimilarityMap, tol) -> Num:
     return 0 if d.is_exact else FLOAT_TOL * d.array.max().item()
 
 
-def quartet(a: int, b: int, c: int, d: int) -> frozenset:
-    return frozenset({frozenset({a, b}), frozenset({c, d})})
-
-
 def first_kalmanson_violation(
     d: DissimilarityMap, ordering: CircularOrdering, tol=None
 ) -> Optional[dict]:
-    """First position quadruple i<j<k<l violating either inequality, or None."""
+    """A position quadruple i<j<k<l violating either inequality, or None.
+
+    d is Kalmanson for the ordering exactly when every nontrivial arc (of
+    length 2..n-2) has lambda >= 0 (Chepoi & Fichet 1998), so the check reads
+    the doubled lambdas of core.corner_differences. An arc a..b whose value
+    is below -tol names its corner quadruple (a-1, a, b, b+1), which violates
+    by that much; the first such arc in row-major (a, b) order is reported.
+    tol bounds each corner quadruple, so a violation spread over several
+    arcs, each within tol, passes.
+    """
     if d.n != ordering.n:
         raise ValueError("taxon count mismatch")
     tol = _default_tol(d, tol)
-    x = ordering.order
     n = d.n
-    dx = d.array.take(x, 0).take(x, 1).tolist()  # dx[i][j] = d(x_i, x_j); lists index fastest
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    cross = dx[i][k] + dx[j][l]
-                    near = dx[i][j] + dx[k][l]
-                    wrap = dx[i][l] + dx[j][k]
-                    if near > cross + tol or wrap > cross + tol:
-                        return {
-                            "positions": (i, j, k, l),
-                            "taxa": (x[i], x[j], x[k], x[l]),
-                            "near_sum": near,
-                            "cross_sum": cross,
-                            "wrap_sum": wrap,
-                        }
-    return None
+    pos = np.arange(n)
+    length = (pos[None, :] - pos[:, None]) % n + 1  # of the arc a..b
+    negative = corner_differences(d, ordering) < -tol
+    arcs = np.flatnonzero(negative & (length >= 2) & (length <= n - 2))
+    if arcs.size == 0:
+        return None
+    a, b = divmod(int(arcs[0]), n)
+    positions = tuple(sorted({(a - 1) % n, a, b, (b + 1) % n}))
+    taxa = tuple(ordering.order[p] for p in positions)
+    i, j, k, l = taxa
+    return {
+        "positions": positions,
+        "taxa": taxa,
+        "near_sum": d[i, j] + d[k, l],
+        "cross_sum": d[i, k] + d[j, l],
+        "wrap_sum": d[i, l] + d[j, k],
+    }
 
 
 def is_kalmanson(d: DissimilarityMap, ordering: CircularOrdering, tol=None) -> bool:
-    """Both quadruple inequalities hold (within tol) at every i<j<k<l."""
+    """Both quadruple inequalities hold at every i<j<k<l: exactly on an exact
+    map with tol 0, and within tol at each arc's corner quadruple otherwise."""
     return first_kalmanson_violation(d, ordering, tol) is None
 
 
@@ -88,65 +97,6 @@ def first_four_point_violation(d: DissimilarityMap, tol=None) -> Optional[dict]:
 
 def satisfies_four_point(d: DissimilarityMap, tol=None) -> bool:
     return first_four_point_violation(d, tol) is None
-
-
-def quartets_of_ordering(ordering: CircularOrdering) -> frozenset:
-    """W_pi: for every position quadruple the two non-crossing pairings."""
-    x = ordering.order
-    n = ordering.n
-    out = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    out.add(quartet(x[i], x[j], x[k], x[l]))
-                    out.add(quartet(x[i], x[l], x[j], x[k]))
-    return frozenset(out)
-
-
-def strict_quartets(d: DissimilarityMap, ordering: CircularOrdering, tol=None) -> frozenset:
-    """W_delta: the quartets whose Kalmanson inequality is strict (beyond tol)."""
-    tol = _default_tol(d, tol)
-    if not is_kalmanson(d, ordering, tol):
-        raise ValueError("map is not Kalmanson with respect to the ordering")
-    x = ordering.order
-    n = d.n
-    dx = d.array.take(x, 0).take(x, 1).tolist()  # dx[i][j] = d(x_i, x_j); lists index fastest
-    out = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    cross = dx[i][k] + dx[j][l]
-                    if dx[i][j] + dx[k][l] < cross - tol:
-                        out.add(quartet(x[i], x[j], x[k], x[l]))
-                    if dx[i][l] + dx[j][k] < cross - tol:
-                        out.add(quartet(x[i], x[l], x[j], x[k]))
-    return frozenset(out)
-
-
-def positive_split_quartets(system: WeightedSplitSystem) -> frozenset:
-    """Quartets (ab;cd) separated by some split of positive weight."""
-    n = system.n
-    positive = [s for s, w in system.items() if w > 0]
-    out = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    for a, b, c, dd in (
-                        (i, j, k, l),
-                        (i, k, j, l),
-                        (i, l, j, k),
-                    ):
-                        if any(
-                            not s.separates(a, b)
-                            and not s.separates(c, dd)
-                            and s.separates(a, c)
-                            for s in positive
-                        ):
-                            out.add(quartet(a, b, c, dd))
-    return frozenset(out)
 
 
 def find_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularOrdering]:

@@ -1,7 +1,11 @@
 """Brute-force oracles, each capped: the orderings consistent with a partial
 ordering or a split system and the lengths averaged over them, the
 neighborliness sum behind the Z-criterion, the eta-weighted least-squares
-length identity, exact minimum tours and an exhaustive Kalmanson search.
+length identity, exact minimum tours, the four-deep Kalmanson scan, the
+quartet sets and an exhaustive Kalmanson search.
+
+A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
+over taxa, so quartet sets from different orderings compare directly.
 
 Oracle-only: no other module of the package imports this one. The tests pin
 the closed forms and the agglomeration against these enumerations.
@@ -11,8 +15,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import islice, permutations, product
-from typing import Iterable, Optional
+from itertools import combinations, islice, permutations, product
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -23,15 +27,16 @@ from .core import (
     Num,
     PartialCircularOrdering,
     Split,
+    WeightedSplitSystem,
     canonical_cycle,
     canonical_orderings,
     count_distinct_orderings,
     is_circular_split,
 )
-from .kalmanson import _default_tol, is_kalmanson
+from .kalmanson import _default_tol
 from .length import EtaTable, balanced_length_from_eta, count_consistent_orderings, join_extensions
 from .tsp import Tour, _int, tour_length
-from .weights import wls_split_weights
+from .weights import DesignMatrix
 
 DEFAULT_CAP = 10**6
 BRUTE_FORCE_LIMIT = 9
@@ -166,6 +171,62 @@ def split_system_length(
     return balanced_length_from_eta(d, eta_for_splits(splits, d.n, cap))
 
 
+def _solve_normal_equations_exact(a, weights, y):
+    """Solve (A^T W A) x = A^T W y over Fractions; free coordinates are 0.
+
+    The normal equations are always consistent, so a solution exists even when
+    the design is rank-deficient.
+    """
+    w = np.array([Fraction(v) for v in weights], dtype=object)
+    kept = w != 0  # rows of weight zero add nothing
+    wa = a[kept].T * w[kept]  # A^T W
+    aug = np.column_stack([wa @ a[kept], wa @ y[kept]]).tolist()
+    n = len(aug)
+    pivots = []
+    rank_row = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank_row, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank_row], aug[pivot] = aug[pivot], aug[rank_row]
+        pv = aug[rank_row][col]
+        aug[rank_row] = [v / pv for v in aug[rank_row]]
+        for r in range(n):
+            if r != rank_row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[rank_row])]
+        pivots.append((rank_row, col))
+        rank_row += 1
+    x = [Fraction(0)] * n
+    for r, col in pivots:
+        x[col] = aug[r][n]
+    # consistency check (zero rows must have zero rhs)
+    for r in range(rank_row, n):
+        if aug[r][n] != 0:
+            raise ArithmeticError("inconsistent normal equations")
+    return x
+
+
+def wls_split_weights(
+    d: DissimilarityMap, splits, pair_weights: Mapping[tuple, Num]
+) -> dict:
+    """Unconstrained weighted least squares over the given splits.
+
+    Exact (Fraction) when d and the weights are exact, else a float
+    minimum-norm solve. Weight-zero pairs are excluded. The sum of the fitted
+    values is invariant across solutions of a rank-deficient system because
+    every split crosses exactly two edges of any consistent ordering.
+    """
+    design = DesignMatrix.for_splits(splits, d.n)
+    w = [pair_weights.get(p, 0) for p in design.pairs]
+    if d.is_exact and all(not isinstance(v, float) for v in w):
+        a = design.as_array().astype(int)
+        y = d.array[np.triu_indices(d.n, 1)]
+        return dict(zip(design.splits, _solve_normal_equations_exact(a, w, y)))
+    sol, *_ = np.linalg.lstsq(*design.weighted_system(d, pair_weights), rcond=None)
+    return dict(zip(design.splits, (float(v) for v in sol)))
+
+
 def wls_length_identity_check(
     d: DissimilarityMap, splits, cap: int = DEFAULT_CAP
 ) -> tuple:
@@ -205,6 +266,34 @@ def brute_force_tsp(d: DissimilarityMap) -> Tour:
     return Tour(CircularOrdering(best_seq), Fraction(best_len, den) if d.is_exact else best_len)
 
 
+def brute_force_kalmanson_violation(
+    d: DissimilarityMap, ordering: CircularOrdering, tol=None
+) -> Optional[dict]:
+    """First position quadruple i<j<k<l violating either inequality, or None."""
+    if d.n != ordering.n:
+        raise ValueError("taxon count mismatch")
+    tol = _default_tol(d, tol)
+    x = ordering.order
+    n = d.n
+    dx = d.array.take(x, 0).take(x, 1).tolist()  # dx[i][j] = d(x_i, x_j); lists index fastest
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(k + 1, n):
+                    cross = dx[i][k] + dx[j][l]
+                    near = dx[i][j] + dx[k][l]
+                    wrap = dx[i][l] + dx[j][k]
+                    if near > cross + tol or wrap > cross + tol:
+                        return {
+                            "positions": (i, j, k, l),
+                            "taxa": (x[i], x[j], x[k], x[l]),
+                            "near_sum": near,
+                            "cross_sum": cross,
+                            "wrap_sum": wrap,
+                        }
+    return None
+
+
 def brute_force_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularOrdering]:
     """The first canonical ordering making d Kalmanson, or None (n <= 9)."""
     if d.n > BRUTE_FORCE_LIMIT:
@@ -212,6 +301,50 @@ def brute_force_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[Ci
     tol = _default_tol(d, tol)
     for seq in canonical_orderings(d.n):
         ordering = CircularOrdering(seq)
-        if is_kalmanson(d, ordering, tol):
+        if brute_force_kalmanson_violation(d, ordering, tol) is None:
             return ordering
     return None
+
+
+def quartet(a: int, b: int, c: int, d: int) -> frozenset:
+    return frozenset({frozenset({a, b}), frozenset({c, d})})
+
+
+def quartets_of_ordering(ordering: CircularOrdering) -> frozenset:
+    """W_pi: for every position quadruple the two non-crossing pairings."""
+    return frozenset(
+        q
+        for i, j, k, l in combinations(ordering.order, 4)  # taxa in position order
+        for q in (quartet(i, j, k, l), quartet(i, l, j, k))
+    )
+
+
+def strict_quartets(d: DissimilarityMap, ordering: CircularOrdering, tol=None) -> frozenset:
+    """W_delta: the quartets whose Kalmanson inequality is strict (beyond tol)."""
+    tol = _default_tol(d, tol)
+    if brute_force_kalmanson_violation(d, ordering, tol) is not None:
+        raise ValueError("map is not Kalmanson with respect to the ordering")
+    x = ordering.order
+    dx = d.array.take(x, 0).take(x, 1).tolist()  # dx[i][j] = d(x_i, x_j); lists index fastest
+    out = set()
+    for i, j, k, l in combinations(range(d.n), 4):
+        cross = dx[i][k] + dx[j][l]
+        if dx[i][j] + dx[k][l] < cross - tol:
+            out.add(quartet(x[i], x[j], x[k], x[l]))
+        if dx[i][l] + dx[j][k] < cross - tol:
+            out.add(quartet(x[i], x[l], x[j], x[k]))
+    return frozenset(out)
+
+
+def positive_split_quartets(system: WeightedSplitSystem) -> frozenset:
+    """Quartets (ab;cd) separated by some split of positive weight."""
+    positive = [s for s, w in system.items() if w > 0]
+    return frozenset(
+        quartet(a, b, c, e)
+        for i, j, k, l in combinations(range(system.n), 4)
+        for a, b, c, e in ((i, j, k, l), (i, k, j, l), (i, l, j, k))
+        if any(
+            not s.separates(a, b) and not s.separates(c, e) and s.separates(a, c)
+            for s in positive
+        )
+    )

@@ -1,6 +1,5 @@
 """Split-weight estimation over the circular splits of an ordering: the closed
-corner formula, clamping, non-negative least squares, and pair-weighted
-least squares.
+corner formula, clamping, and non-negative least squares.
 """
 from __future__ import annotations
 
@@ -18,6 +17,7 @@ from .core import (
     WeightedSplitSystem,
     all_circular_splits,
     circular_arcs,
+    corner_differences,
     is_circular_split,
     pair_sums,
     sorted_splits,
@@ -84,24 +84,15 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
 
         (d(x_{a-1}, x_b) + d(x_a, x_{b+1}) - d(x_{a-1}, x_{b+1}) - d(x_a, x_b)) / 2
 
-    (indices mod n). Reconstructs the weights of a circular decomposable
-    metric exactly; values may be negative on other inputs.
+    (indices mod n), read from core.corner_differences. Reconstructs the
+    weights of a circular decomposable metric exactly; values may be
+    negative on other inputs.
     """
-    n = d.n
-    if n < 4:
+    if d.n < 4:
         raise ValueError("n >= 4 required")
-    if ordering.n != n:
-        raise ValueError("taxon count mismatch")
-    x = ordering.order
+    twice = corner_differences(d, ordering).tolist()
     h = Fraction(1, 2)  # an exact half of exact values; 0.5 times a float
-    out = {}
-    for split, a, b in circular_arcs(ordering):
-        before = x[(a - 1) % n]
-        after = x[(b + 1) % n]
-        out[split] = h * (
-            d[before, x[b]] + d[x[a], after] - d[before, after] - d[x[a], x[b]]
-        )
-    return out
+    return {split: h * twice[a][b] for split, a, b in circular_arcs(ordering)}
 
 
 def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
@@ -192,16 +183,12 @@ def kkt_violation(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
 def nnls_fit(
     d: DissimilarityMap,
     ordering: CircularOrdering,
-    pair_weights: Optional[Mapping[tuple, Num]] = None,
     tol: float = KKT_TOL,
     splits=None,
 ) -> WeightedSplitSystem:
     """Nonnegative weights over the circular splits of the ordering minimizing
-    the (optionally pair-weighted) squared reconstruction error.
-
-    pair_weights maps (i, j) with i < j to positive weights; pairs given
-    weight zero are excluded from the fit. Passing splits restricts the basis
-    to a subset of the ordering's circular splits.
+    the squared reconstruction error. Passing splits restricts the basis to a
+    subset of the ordering's circular splits.
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
@@ -212,7 +199,7 @@ def nnls_fit(
         if any(not is_circular_split(s, ordering) for s in splits):
             raise ValueError("splits must be circular with respect to the ordering")
         design = DesignMatrix.for_splits(splits, d.n)
-    a, b = design.weighted_system(d, pair_weights)
+    a, b = design.weighted_system(d)
     x = nnls(a, b, tol=tol)
     viol = kkt_violation(a, b, x)
     scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
@@ -232,59 +219,3 @@ def reconstruction_residual(
     errors = design.rhs(d) - pair_sums(lam, d.n)
     w = 1.0 if pair_weights is None else design.pair_weight_vector(pair_weights)
     return float(np.sum(w * errors**2))
-
-
-def _solve_normal_equations_exact(a, weights, y):
-    """Solve (A^T W A) x = A^T W y over Fractions; free coordinates are 0.
-
-    The normal equations are always consistent, so a solution exists even when
-    the design is rank-deficient.
-    """
-    w = np.array([Fraction(v) for v in weights], dtype=object)
-    kept = w != 0  # rows of weight zero add nothing
-    wa = a[kept].T * w[kept]  # A^T W
-    aug = np.column_stack([wa @ a[kept], wa @ y[kept]]).tolist()
-    n = len(aug)
-    pivots = []
-    rank_row = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank_row, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank_row], aug[pivot] = aug[pivot], aug[rank_row]
-        pv = aug[rank_row][col]
-        aug[rank_row] = [v / pv for v in aug[rank_row]]
-        for r in range(n):
-            if r != rank_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[rank_row])]
-        pivots.append((rank_row, col))
-        rank_row += 1
-    x = [Fraction(0)] * n
-    for r, col in pivots:
-        x[col] = aug[r][n]
-    # consistency check (zero rows must have zero rhs)
-    for r in range(rank_row, n):
-        if aug[r][n] != 0:
-            raise ArithmeticError("inconsistent normal equations")
-    return x
-
-
-def wls_split_weights(
-    d: DissimilarityMap, splits, pair_weights: Mapping[tuple, Num]
-) -> dict:
-    """Unconstrained weighted least squares over the given splits.
-
-    Exact (Fraction) when d and the weights are exact, else a float
-    minimum-norm solve. Weight-zero pairs are excluded. The sum of the fitted
-    values is invariant across solutions of a rank-deficient system because
-    every split crosses exactly two edges of any consistent ordering.
-    """
-    design = DesignMatrix.for_splits(splits, d.n)
-    w = [pair_weights.get(p, 0) for p in design.pairs]
-    if d.is_exact and all(not isinstance(v, float) for v in w):
-        a = design.as_array().astype(int)
-        y = d.array[np.triu_indices(d.n, 1)]
-        return dict(zip(design.splits, _solve_normal_equations_exact(a, w, y)))
-    sol, *_ = np.linalg.lstsq(*design.weighted_system(d, pair_weights), rcond=None)
-    return dict(zip(design.splits, (float(v) for v in sol)))

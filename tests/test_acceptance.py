@@ -17,7 +17,6 @@ from neighbornet.agglomerate import (
     TreeWeighting,
     adjust_weights,
     merge_blocks,
-    neighbor_joining,
     run_neighbor_net,
     _select_endpoints,
     _select_pair,
@@ -33,18 +32,14 @@ from neighbornet.core import (
     count_nnet_outputs,
     metric_from_splits,
 )
-from neighbornet.kalmanson import (
-    is_kalmanson,
-    positive_split_quartets,
-    radius_perturbation_check,
-    satisfies_four_point,
-    strict_quartets,
-)
+from neighbornet.kalmanson import is_kalmanson, radius_perturbation_check, satisfies_four_point
 from neighbornet.length import join_extensions, z_criterion
 from neighbornet.oracle import (
     brute_force_tsp,
     enumerated_balanced_length,
     enumerated_join_family_length,
+    positive_split_quartets,
+    strict_quartets,
     wls_length_identity_check,
 )
 from neighbornet.tsp import greedy_tsp, read_tsplib_euc2d
@@ -54,6 +49,7 @@ from neighbornet.weights import (
     nnls_fit,
     reconstruction_residual,
 )
+import scalar_engine
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 from test_agglomerate import BM_DIVERGENCE_ROWS
 from test_tsp import st70_text
@@ -104,11 +100,11 @@ def test_criterion_3_nj_equivalence_and_bm_divergence():
         n = rng.randint(4, 15)
         d = random_dissimilarity(rng, n)
         nnet_splits = set(run_neighbor_net(d, TreeWeighting("balanced")).tree_splits)
-        nj_splits = set(neighbor_joining(d, "balanced"))
+        nj_splits = set(scalar_engine.neighbor_joining(d, "balanced"))
         assert nnet_splits == nj_splits, f"trial {trial}"
     d = DissimilarityMap(BM_DIVERGENCE_ROWS)
-    assert set(run_neighbor_net(d, OriginalBM()).tree_splits) != set(neighbor_joining(d))
-    print("\nACCEPTANCE 3 PASS: tree-weighted splits == NJ oracle in 100/100 trials; "
+    assert set(run_neighbor_net(d, OriginalBM()).tree_splits) != set(scalar_engine.neighbor_joining(d))
+    print("\nACCEPTANCE 3 PASS: tree-weighted splits == independent NJ recursion in 100/100 trials; "
           "frozen input where the historical scheme's tree differs")
 
 

@@ -1,5 +1,6 @@
 """Engine behavior: selection criteria, merges, weight adjustment, full runs,
-and the standalone neighbor-joining oracle."""
+and neighbor-joining as the tree-weighted run, checked against the independent
+recursion in scalar_engine."""
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from neighbornet.core import (
 )
 from neighbornet.length import join_extensions
 from neighbornet.oracle import enumerated_balanced_length
+import scalar_engine
 from conftest import (
     permute_map,
     random_circular_instance,
@@ -317,7 +319,7 @@ class TestNeighborJoining:
             n = rng.randint(4, 15)
             d = random_dissimilarity(rng, n)
             result = run_neighbor_net(d, TreeWeighting("balanced"))
-            assert set(result.tree_splits) == set(neighbor_joining(d))
+            assert set(result.tree_splits) == set(scalar_engine.neighbor_joining(d))
 
     def test_matches_tree_weighted_run_other_alpha(self):
         rng = random.Random(42)
@@ -326,7 +328,7 @@ class TestNeighborJoining:
                 n = rng.randint(4, 12)
                 d = random_dissimilarity(rng, n)
                 result = run_neighbor_net(d, TreeWeighting(alpha))
-                assert set(result.tree_splits) == set(neighbor_joining(d, alpha))
+                assert set(result.tree_splits) == set(scalar_engine.neighbor_joining(d, alpha))
 
     def test_consistent_on_additive_metrics(self):
         rng = random.Random(43)
@@ -365,6 +367,6 @@ class TestOriginalBMDivergence:
     def test_regression_tree_differs_from_nj(self):
         d = DissimilarityMap(BM_DIVERGENCE_ROWS)
         bm = set(run_neighbor_net(d, OriginalBM()).tree_splits)
-        nj = set(neighbor_joining(d))
+        nj = set(scalar_engine.neighbor_joining(d))
         assert bm != nj
         assert is_pairwise_compatible(bm)

@@ -56,9 +56,11 @@ def test_float_runs_match_reference(name):
 
 
 def test_neighbor_joining_matches_reference():
-    for k in range(24):
+    # engine.neighbor_joining is the tree-weighted agglomeration, so this pins
+    # the theorem that its tree is the NJ tree, alpha = 0 and 1 included
+    for k in range(30):
         rng = random.Random(8000 + k)
         n = rng.randint(4, 16)
         d = random_dissimilarity(rng, n, exact=k % 2 == 0)
-        alpha = rng.choice(["balanced", 0.3, 0.8])
+        alpha = rng.choice(["balanced", 0.3, 0.8, 0, 1])
         assert engine.neighbor_joining(d, alpha) == reference.neighbor_joining(d, alpha), f"k {k}"

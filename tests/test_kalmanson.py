@@ -1,5 +1,5 @@
-"""Kalmanson/four-point checks, quartet sets, ordering search, and the
-perturbation radius."""
+"""Kalmanson/four-point checks, the lambda-based Kalmanson check against the
+four-deep scan, quartet sets, ordering search, and the perturbation radius."""
 import random
 from fractions import Fraction
 
@@ -12,20 +12,25 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     metric_from_splits,
+    split_metric,
 )
 from neighbornet.kalmanson import (
+    _default_tol,
     find_kalmanson_ordering,
     first_four_point_violation,
     first_kalmanson_violation,
     is_kalmanson,
+    radius_perturbation_check,
+    satisfies_four_point,
+)
+from neighbornet.oracle import (
+    brute_force_kalmanson_ordering,
+    brute_force_kalmanson_violation,
     positive_split_quartets,
     quartet,
     quartets_of_ordering,
-    radius_perturbation_check,
-    satisfies_four_point,
     strict_quartets,
 )
-from neighbornet.oracle import brute_force_kalmanson_ordering
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 
 
@@ -59,6 +64,83 @@ class TestIsKalmanson:
         violation = first_kalmanson_violation(d, pi)
         assert violation["positions"] == (0, 1, 2, 3)
         assert violation["cross_sum"] == 2
+
+
+def kalmanson_cases(seed, count, exact):
+    """Circular decomposable maps on their own ordering (Kalmanson) or with
+    two positions swapped (most often not), n from 4 to 10."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 10)
+        pi, _, d = random_circular_instance(rng, n, exact=exact)
+        order = list(pi.order)
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            order[i], order[j] = order[j], order[i]
+        yield d, CircularOrdering(order)
+
+
+class TestLambdaCheckAgainstScan:
+    def test_exact_verdicts_match(self):
+        verdicts = []
+        for d, pi in kalmanson_cases(21, 150, exact=True):
+            scan = brute_force_kalmanson_violation(d, pi, tol=0) is None
+            assert is_kalmanson(d, pi, tol=0) == scan
+            verdicts.append(scan)
+        assert 30 < sum(verdicts) < 120
+
+    def test_float_verdicts_match(self):
+        verdicts = []
+        for d, pi in kalmanson_cases(22, 150, exact=False):
+            scan = brute_force_kalmanson_violation(d, pi) is None
+            assert is_kalmanson(d, pi) == scan
+            verdicts.append(scan)
+        assert 30 < sum(verdicts) < 120
+
+    def test_reported_quadruple_violates_under_the_scan(self):
+        reported = 0
+        for exact in (True, False):
+            for d, pi in kalmanson_cases(23, 100, exact=exact):
+                violation = first_kalmanson_violation(d, pi)
+                if violation is None:
+                    continue
+                i, j, k, l = violation["taxa"]
+                assert violation["positions"] == tuple(sorted(pi.positions()[t] for t in (i, j, k, l)))
+                cross = d[i, k] + d[j, l]
+                assert (violation["cross_sum"], violation["near_sum"], violation["wrap_sum"]) == (
+                    cross, d[i, j] + d[k, l], d[i, l] + d[j, k])
+                tol = _default_tol(d, None)
+                assert d[i, j] + d[k, l] > cross + tol or d[i, l] + d[j, k] > cross + tol
+                reported += 1
+        assert reported > 50
+
+    def test_tolerance_bounds_each_corner_quadruple(self):
+        # lambda -0.3 tol on two adjacent arcs, {1,2} and {1,2,3}: each corner
+        # quadruple is off by 0.6 tol and passes, though the quadruple
+        # (0, 1, 2, 4) that both arcs separate is off by 1.2 tol; one arc at
+        # -0.6 tol, whose corner quadruple is off by 1.2 tol, fails
+        n, tol = 7, 1e-3
+        pi = CircularOrdering(range(n))
+
+        def weighted(arcs):
+            rows = [[0.0] * n for _ in range(n)]
+            for s in all_circular_splits(pi):
+                arc = tuple(sorted(s.other))
+                w = arcs[arc] * tol if arc in arcs else 1.0
+                for i in range(n):
+                    for j in range(n):
+                        rows[i][j] += w * split_metric(s, i, j)
+            return DissimilarityMap(rows)
+
+        spread = weighted({(1, 2): -0.3, (1, 2, 3): -0.3})
+        assert is_kalmanson(spread, pi, tol)
+        scan = brute_force_kalmanson_violation(spread, pi, tol)
+        assert scan["positions"] == (0, 1, 2, 4)
+        assert scan["wrap_sum"] - scan["cross_sum"] == pytest.approx(1.2 * tol)
+        single = weighted({(1, 2): -0.6})
+        violation = first_kalmanson_violation(single, pi, tol)
+        assert violation["positions"] == (0, 1, 2, 3)
+        assert violation["wrap_sum"] - violation["cross_sum"] == pytest.approx(1.2 * tol)
 
 
 class TestFourPoint:

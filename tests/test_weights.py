@@ -24,9 +24,8 @@ from neighbornet.weights import (
     nnls_fit,
     reconstruction_residual,
     sorted_splits,
-    wls_split_weights,
 )
-from neighbornet.oracle import wls_length_identity_check
+from neighbornet.oracle import wls_length_identity_check, wls_split_weights
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 
 
