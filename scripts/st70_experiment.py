@@ -31,7 +31,7 @@ def main():
     t_bal = time.perf_counter() - start
     print(f"balanced weighting: length {float(balanced.length):.6g}  ({t_bal:.2f}s)")
 
-    tree = greedy_tsp(d, TreeWeighting("balanced"))
+    tree = greedy_tsp(d, TreeWeighting())
     print(f"tree weighting: length {float(tree.length):.6g}")
     print(f"balanced shorter than tree: {balanced.length < tree.length}")
 

@@ -19,7 +19,6 @@ from .agglomerate import (
 from .core import (
     CircularOrdering,
     DissimilarityMap,
-    NodeWeighting,
     PartialCircularOrdering,
     Split,
     WeightedSplitSystem,

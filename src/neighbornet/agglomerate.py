@@ -63,24 +63,15 @@ class BalancedTSP:
 class TreeWeighting:
     """Scale the first merged block by alpha and the second by 1-alpha.
 
-    alpha="balanced" fixes alpha = 1/2 at every step; numeric alpha in [0, 1]
-    is exposed for BIONJ-style experimentation.
+    The default alpha = 1/2 is exact in both arithmetics; other values in
+    [0, 1] are exposed for BIONJ-style experimentation.
     """
 
-    alpha: Union[str, float, Fraction] = "balanced"
+    alpha: Union[float, Fraction] = Fraction(1, 2)
 
     def __post_init__(self):
-        if isinstance(self.alpha, str):
-            if self.alpha != "balanced":
-                raise ValueError("alpha must be 'balanced' or a number in [0, 1]")
-        elif not 0 <= self.alpha <= 1:
-            raise ValueError("alpha must be in [0, 1]")
-
-    def resolve_alpha(self, scalar) -> Num:
-        """alpha as a value of the scalar type (Fraction or float)."""
-        if self.alpha == "balanced":
-            return scalar(1) / 2
-        return scalar(self.alpha)
+        if isinstance(self.alpha, str) or not 0 <= self.alpha <= 1:
+            raise ValueError("alpha must be a number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -315,7 +306,7 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
         mu[merged_path[0]] = h
         mu[merged_path[-1]] = h
     elif isinstance(scheme, TreeWeighting):
-        alpha = scheme.resolve_alpha(state.scalar)
+        alpha = state.scalar(scheme.alpha)
         for t in info.block_r:
             mu[t] = alpha * mu[t]
         for t in info.block_s:
@@ -352,6 +343,10 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One merge. mu holds the merged path's weights after the adjustment:
+    no scheme changes a weight outside it, so the records replayed over
+    all-ones weights rebuild every state's weights."""
+
     m: int
     pair: tuple
     q_value: Num
@@ -443,6 +438,7 @@ def run_neighbor_net(
         state = merge_blocks(state, r, s, i, j)
         mu = adjust_weights(state, scheme)
         state = state.with_mu(mu)
+        merged = state.blocks[min(r, s)]
         records.append(
             StepRecord(
                 m=m,
@@ -451,8 +447,8 @@ def run_neighbor_net(
                 endpoints=(i, j),
                 q_hat_value=qh_val,
                 split=split,
-                merged_block=state.blocks[min(r, s)],
-                mu=dict(mu),
+                merged_block=merged,
+                mu={t: mu[t] for t in merged},
             )
         )
     ordering = CircularOrdering(state.blocks[0]).canonical()
@@ -460,7 +456,7 @@ def run_neighbor_net(
     return NeighborNetResult(ordering, tree_splits, AgglomerationTrace(tuple(records)))
 
 
-def neighbor_joining(d: DissimilarityMap, alpha: Union[str, float, Fraction] = "balanced") -> frozenset:
+def neighbor_joining(d: DissimilarityMap, alpha: Union[float, Fraction] = Fraction(1, 2)) -> frozenset:
     """The splits of the neighbor-joining tree whose reduced distances are
     alpha * d(C_r, .) + (1 - alpha) * d(C_s, .).
 

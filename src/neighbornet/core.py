@@ -157,7 +157,7 @@ def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
     """For each split, in input order, the bool mask of the taxon pairs it
     separates: the pair x split incidence delta_S(i, j), one column at a time.
     Pairs i < j follow np.triu_indices(n, 1) order, (0,1), (0,2), ...,
-    (0,n-1), (1,2), ..., which is the order of DesignMatrix.pairs."""
+    (0,n-1), (1,2), ..., which is the order of the DesignMatrix rows."""
     rows, cols = np.triu_indices(n, 1)
     for s in splits:
         side = np.zeros(n, dtype=bool)
@@ -177,8 +177,12 @@ def pair_sums(weights: Mapping[Split, Num], n: int, scalar: type = float) -> np.
 
 
 class WeightedSplitSystem:
-    """A set of splits with finite nonnegative weights; duplicates collapse by
-    canonical form."""
+    """The splits of n taxa that carry positive weight, with their weights.
+
+    Every weight given is validated (finite, nonnegative, its split over n
+    taxa); zero weights are then dropped, so len, iteration, items, splits
+    and `in` cover the positive splits only, and weight(s) is 0 for a split
+    of n taxa outside the system. Duplicates collapse by canonical form."""
 
     __slots__ = ("n", "_weights")
 
@@ -191,14 +195,16 @@ class WeightedSplitSystem:
             if w < 0:
                 raise ValueError(f"negative weight for {s}")
         self.n = n
-        self._weights = dict(weights)
+        self._weights = {s: w for s, w in weights.items() if w > 0}
 
     @property
     def splits(self) -> frozenset:
         return frozenset(self._weights)
 
     def weight(self, s: Split) -> Num:
-        return self._weights[s]
+        if s.n != self.n:
+            raise ValueError("split taxon count mismatch")
+        return self._weights.get(s, 0)
 
     def items(self):
         return self._weights.items()
@@ -418,30 +424,6 @@ def join_paths(path_r: Sequence[int], path_s: Sequence[int], i: int, j: int) -> 
             raise ValueError(f"{j} is not an endpoint of the second path")
         path_s.reverse()
     return tuple(path_r + path_s)
-
-
-class NodeWeighting:
-    """Per-taxon weights mu relative to a partial circular ordering."""
-
-    __slots__ = ("mu",)
-
-    def __init__(self, mu: Mapping[int, Num]):
-        self.mu = dict(mu)
-
-    def __getitem__(self, taxon: int) -> Num:
-        return self.mu[taxon]
-
-    def validate(self, pco: PartialCircularOrdering) -> None:
-        """Check the weighting axioms: block sums 1, positive on endpoints, nonnegative."""
-        for r, b in enumerate(pco.blocks):
-            if any(self.mu[t] < 0 for t in b):
-                raise ValueError(f"negative weight in block {r}")
-            total = sum(self.mu[t] for t in b)
-            if total != 1:
-                raise ValueError(f"block {r} weights sum to {total}, not 1")
-            for t in pco.endpoints(r):
-                if self.mu[t] <= 0:
-                    raise ValueError(f"endpoint {t} must have positive weight")
 
 
 # -- counting identities ----------------------------------------------------

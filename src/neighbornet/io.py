@@ -11,18 +11,20 @@ Trace record schema (one JSON object per line, one line per merge step):
     q_hat        endpoint criterion value at the chosen join
     split_block  sorted taxa of the merged side, or null for the final merge
     merged_path  the merged block's path after the merge
-    mu           taxon -> weight after the adjustment step
+    mu           taxon -> weight after the adjustment step, for the taxa of
+                 merged_path; every other weight is as in the previous
+                 record (initially 1), since no scheme changes it
 
 Numeric fields are serialized as floats (exact values are rounded).
 """
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .agglomerate import AgglomerationTrace, NeighborNetResult
+from .agglomerate import AgglomerationTrace
 from .core import (
     CircularOrdering,
     DissimilarityMap,
@@ -109,30 +111,17 @@ def format_phylip(d: DissimilarityMap, labels: Sequence[str]) -> str:
 
 # -- Nexus -------------------------------------------------------------------
 
-def _split_system_of(obj) -> WeightedSplitSystem:
-    if isinstance(obj, WeightedSplitSystem):
-        return obj
-    if isinstance(obj, NeighborNetResult):
-        return WeightedSplitSystem(
-            obj.ordering.n, {s: 1.0 for s in obj.tree_splits}
-        )
-    raise TypeError("expected a WeightedSplitSystem or NeighborNetResult")
-
-
 def write_nexus(
-    obj: Union[WeightedSplitSystem, NeighborNetResult],
+    system: WeightedSplitSystem,
     labels: Sequence[str],
     cycle: Optional[CircularOrdering] = None,
 ) -> str:
     """Nexus document with a TAXA block and a SPLITS block.
 
-    Each MATRIX line carries the split weight and the 1-based members of the
-    block not containing taxon 1. The CYCLE statement is included when an
-    ordering is supplied (a NeighborNetResult brings its own).
+    Each MATRIX line carries the weight of one split of the system (a
+    positive one) and the 1-based members of the block not containing taxon
+    1. The CYCLE statement is included when an ordering is supplied.
     """
-    system = _split_system_of(obj)
-    if isinstance(obj, NeighborNetResult) and cycle is None:
-        cycle = obj.ordering
     n = system.n
     if len(labels) != n:
         raise ValueError("label count mismatch")
@@ -184,7 +173,8 @@ def read_nexus_splits(text: str):
     Every MATRIX member and CYCLE entry must be a taxon in 1..ntax, named
     once; a split block must be nonempty and not the whole taxon set; a CYCLE
     must list all ntax taxa; weights must be finite nonnegative numbers.
-    Anything else raises InputError.
+    Anything else raises InputError. Lines of weight 0, which older versions
+    wrote, are read and left out of the system.
     """
     labels = []
     cycle = None

@@ -128,11 +128,10 @@ def radius_perturbation_check(
     With enforce_bound, require sup|noise| < min weight / 2, the radius inside
     which recovery is guaranteed. Pass enforce_bound=False to probe beyond it.
     """
-    weights = [w for _, w in system.items()]
-    if not weights or min(weights) <= 0:
-        raise ValueError("system must have all-positive weights")
+    if not system:
+        raise ValueError("system has no splits")
     sup = max(abs(v) for row in noise for v in row)
-    if enforce_bound and not sup < min(weights) / 2:
+    if enforce_bound and not sup < min(w for _, w in system.items()) / 2:
         raise ValueError("perturbation bound violated: sup|noise| must be < min weight / 2")
     d = perturbed_map(system, noise)
     result = run_neighbor_net(d, BalancedTSP())

@@ -2,7 +2,8 @@
 ordering or a split system and the lengths averaged over them, the
 neighborliness sum behind the Z-criterion, the eta-weighted least-squares
 length identity, exact minimum tours, the four-deep Kalmanson scan, the
-quartet sets and an exhaustive Kalmanson search.
+quartet sets and an exhaustive Kalmanson search; and the node-weighting
+axioms, which the tests check along agglomeration steps.
 
 A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
 over taxa, so quartet sets from different orderings compare directly.
@@ -46,6 +47,31 @@ _BATCH = 100_000
 
 class EnumerationCapExceeded(RuntimeError):
     pass
+
+
+class NodeWeighting:
+    """Per-taxon weights mu relative to a partial circular ordering, with the
+    axioms of a node weighting: in every block the weights are nonnegative,
+    sum to 1 and are positive on the path's endpoints. BalancedTSP and
+    TreeWeighting keep them at every step; OriginalBM does not, as its
+    block weights no longer sum to 1."""
+
+    __slots__ = ("mu",)
+
+    def __init__(self, mu: Mapping[int, Num]):
+        self.mu = dict(mu)
+
+    def validate(self, pco: PartialCircularOrdering) -> None:
+        """Check the weighting axioms: block sums 1, positive on endpoints, nonnegative."""
+        for r, b in enumerate(pco.blocks):
+            if any(self.mu[t] < 0 for t in b):
+                raise ValueError(f"negative weight in block {r}")
+            total = sum(self.mu[t] for t in b)
+            if total != 1:
+                raise ValueError(f"block {r} weights sum to {total}, not 1")
+            for t in pco.endpoints(r):
+                if self.mu[t] <= 0:
+                    raise ValueError(f"endpoint {t} must have positive weight")
 
 
 def adjacency_counts(orderings: Iterable[CircularOrdering]) -> dict:
@@ -218,12 +244,14 @@ def wls_split_weights(
     every split crosses exactly two edges of any consistent ordering.
     """
     design = DesignMatrix.for_splits(splits, d.n)
-    w = [pair_weights.get(p, 0) for p in design.pairs]
+    rows, cols = np.triu_indices(d.n, 1)  # the design's row order
+    w = [pair_weights.get(p, 0) for p in zip(rows.tolist(), cols.tolist())]
     if d.is_exact and all(not isinstance(v, float) for v in w):
         a = design.as_array().astype(int)
-        y = d.array[np.triu_indices(d.n, 1)]
+        y = d.array[rows, cols]
         return dict(zip(design.splits, _solve_normal_equations_exact(a, w, y)))
-    sol, *_ = np.linalg.lstsq(*design.weighted_system(d, pair_weights), rcond=None)
+    root = np.sqrt(np.array(w, dtype=float))  # scales each row of A and b
+    sol, *_ = np.linalg.lstsq(design.as_array() * root[:, None], design.rhs(d) * root, rcond=None)
     return dict(zip(design.splits, (float(v) for v in sol)))
 
 

@@ -37,7 +37,6 @@ class DesignMatrix:
     splits (columns, in sorted_splits order)."""
 
     n: int
-    pairs: tuple
     splits: tuple
 
     @classmethod
@@ -46,34 +45,18 @@ class DesignMatrix:
 
     @classmethod
     def for_splits(cls, splits, n: int) -> "DesignMatrix":
-        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        return cls(n, pairs, tuple(sorted_splits(splits)))
+        return cls(n, tuple(sorted_splits(splits)))
 
     def as_array(self) -> np.ndarray:
-        a = np.zeros((len(self.pairs), len(self.splits)))
+        a = np.zeros((self.n * (self.n - 1) // 2, len(self.splits)))
         for col, mask in enumerate(split_masks(self.splits, self.n)):
             a[mask, col] = 1.0  # a bool-to-float copy would need a cast buffer
         return a
 
-    def rhs(self, d: DissimilarityMap) -> np.ndarray:
-        return d.array[np.triu_indices(d.n, 1)].astype(float)  # in the order of pairs
-
-    def weighted_system(self, d: DissimilarityMap, pair_weights=None) -> tuple:
-        """(A, b) with each row scaled by the square root of its pair's weight;
-        pairs absent from pair_weights get weight zero."""
-        a = self.as_array()
-        b = self.rhs(d)
-        if pair_weights is not None:
-            root = np.sqrt(self.pair_weight_vector(pair_weights))
-            a = a * root[:, None]
-            b = b * root
-        return a, b
-
-    def pair_weight_vector(self, pair_weights: Mapping[tuple, Num]) -> np.ndarray:
-        w = np.array([float(pair_weights.get(p, 0.0)) for p in self.pairs])
-        if (w < 0).any():
-            raise ValueError("pair weights must be nonnegative")
-        return w
+    @staticmethod
+    def rhs(d: DissimilarityMap) -> np.ndarray:
+        """The map's distances as floats, in the order of the rows."""
+        return d.array[np.triu_indices(d.n, 1)].astype(float)
 
 
 def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
@@ -96,8 +79,9 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
 
 
 def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
-    """Entrywise max(value, 0), preserving exactness."""
-    return {s: (v if v > 0 else 0 * v) for s, v in lam.items()}
+    """The entries with a positive value; the rest clamp to weight 0, which
+    a split system leaves out."""
+    return {s: v for s, v in lam.items() if v > 0}
 
 
 def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: float = KKT_TOL) -> np.ndarray:
@@ -173,22 +157,18 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: floa
 
 
 def kkt_violation(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
-    """Max violation of the stationarity conditions at x for the (weighted)
+    """Max violation of the stationarity conditions at x for the
     nonnegative least-squares problem: gradient >= 0 on active bounds,
     gradient == 0 on free coordinates."""
     grad = a.T @ (a @ x - b)
     return float(np.where(x > 0, np.abs(grad), -grad).max(initial=0.0))
 
 
-def nnls_fit(
-    d: DissimilarityMap,
-    ordering: CircularOrdering,
-    tol: float = KKT_TOL,
-    splits=None,
-) -> WeightedSplitSystem:
+def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering, splits=None) -> WeightedSplitSystem:
     """Nonnegative weights over the circular splits of the ordering minimizing
-    the squared reconstruction error. Passing splits restricts the basis to a
-    subset of the ordering's circular splits.
+    the squared reconstruction error; the system holds the splits whose
+    weight is positive. Passing splits restricts the basis to a subset of
+    the ordering's circular splits.
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
@@ -199,23 +179,17 @@ def nnls_fit(
         if any(not is_circular_split(s, ordering) for s in splits):
             raise ValueError("splits must be circular with respect to the ordering")
         design = DesignMatrix.for_splits(splits, d.n)
-    a, b = design.weighted_system(d)
-    x = nnls(a, b, tol=tol)
+    a, b = design.as_array(), design.rhs(d)
+    x = nnls(a, b)
     viol = kkt_violation(a, b, x)
     scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
-    if viol > 10 * tol * scale:
+    if viol > 10 * KKT_TOL * scale:
         raise NonConvergence(f"KKT violation {viol} above tolerance")
     return WeightedSplitSystem(d.n, dict(zip(design.splits, (float(v) for v in x))))
 
 
-def reconstruction_residual(
-    d: DissimilarityMap,
-    lam: Mapping[Split, Num],
-    pair_weights: Optional[Mapping[tuple, Num]] = None,
-) -> float:
-    """Sum of (weighted) squared errors between d and the metric of lam,
-    whose weights may be negative."""
-    design = DesignMatrix.for_splits(lam, d.n)
-    errors = design.rhs(d) - pair_sums(lam, d.n)
-    w = 1.0 if pair_weights is None else design.pair_weight_vector(pair_weights)
-    return float(np.sum(w * errors**2))
+def reconstruction_residual(d: DissimilarityMap, lam: Mapping[Split, Num]) -> float:
+    """Sum of squared errors between d and the metric of lam, whose weights
+    may be negative."""
+    errors = DesignMatrix.rhs(d) - pair_sums(lam, d.n)
+    return float(np.sum(errors**2))

@@ -99,7 +99,7 @@ def test_criterion_3_nj_equivalence_and_bm_divergence():
     for trial in range(100):
         n = rng.randint(4, 15)
         d = random_dissimilarity(rng, n)
-        nnet_splits = set(run_neighbor_net(d, TreeWeighting("balanced")).tree_splits)
+        nnet_splits = set(run_neighbor_net(d, TreeWeighting()).tree_splits)
         nj_splits = set(scalar_engine.neighbor_joining(d, "balanced"))
         assert nnet_splits == nj_splits, f"trial {trial}"
     d = DissimilarityMap(BM_DIVERGENCE_ROWS)
@@ -164,7 +164,7 @@ def test_criterion_7_st70_experiment():
     start = time.perf_counter()
     balanced = greedy_tsp(d, BalancedTSP())
     elapsed = time.perf_counter() - start
-    tree = greedy_tsp(d, TreeWeighting("balanced"))
+    tree = greedy_tsp(d, TreeWeighting())
     assert 678.598 <= balanced.length <= 780.0, balanced.length
     assert tree.length > balanced.length
     assert elapsed < 5.0, f"balanced run took {elapsed:.2f}s"

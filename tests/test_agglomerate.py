@@ -161,7 +161,7 @@ class TestAdjustWeights:
         d = random_dissimilarity(random.Random(3), 4, exact=True)
         state = BlockState.initial(d)
         state = merge_blocks(state, 0, 1, 0, 1)
-        mu = adjust_weights(state, TreeWeighting("balanced"))
+        mu = adjust_weights(state, TreeWeighting())
         assert mu[0] == mu[1] == Fraction(1, 2)
 
     def test_balanced_tsp_zeroes_interior(self):
@@ -217,8 +217,9 @@ class TestAdjustWeights:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             TreeWeighting(1.5)
-        with pytest.raises(ValueError):
-            TreeWeighting("bogus")
+        for alias in ("bogus", "balanced"):  # the default is the exact 1/2
+            with pytest.raises(ValueError):
+                TreeWeighting(alias)
 
 
 class TestRunNeighborNet:
@@ -247,7 +248,7 @@ class TestRunNeighborNet:
         for _ in range(8):
             n = rng.randint(5, 9)
             d, _, internal = random_tree_instance(rng, n)
-            result = run_neighbor_net(d, TreeWeighting("balanced"))
+            result = run_neighbor_net(d, TreeWeighting())
             nontrivial = {s for s in result.tree_splits if len(s.block) >= 2 and len(s.other) >= 2}
             assert nontrivial == internal
 
@@ -274,7 +275,7 @@ class TestRunNeighborNet:
 
     def test_all_recorded_splits_circular_wrt_ordering(self):
         rng = random.Random(36)
-        for scheme in (BalancedTSP(), TreeWeighting("balanced"), OriginalBM()):
+        for scheme in (BalancedTSP(), TreeWeighting(), OriginalBM()):
             n = rng.randint(5, 9)
             d = random_dissimilarity(rng, n)
             result = run_neighbor_net(d, scheme)
@@ -296,7 +297,7 @@ class TestRunNeighborNet:
 
     def test_relabel_equivariance(self):
         rng = random.Random(38)
-        for scheme in (BalancedTSP(), TreeWeighting("balanced")):
+        for scheme in (BalancedTSP(), TreeWeighting()):
             for _ in range(5):
                 n = rng.randint(5, 10)
                 d = random_dissimilarity(rng, n)
@@ -318,7 +319,7 @@ class TestNeighborJoining:
         for _ in range(20):
             n = rng.randint(4, 15)
             d = random_dissimilarity(rng, n)
-            result = run_neighbor_net(d, TreeWeighting("balanced"))
+            result = run_neighbor_net(d, TreeWeighting())
             assert set(result.tree_splits) == set(scalar_engine.neighbor_joining(d))
 
     def test_matches_tree_weighted_run_other_alpha(self):
@@ -341,7 +342,7 @@ class TestNeighborJoining:
 
     def test_splits_always_pairwise_compatible(self):
         rng = random.Random(44)
-        for scheme in (TreeWeighting("balanced"), TreeWeighting(0.25), OriginalBM()):
+        for scheme in (TreeWeighting(), TreeWeighting(0.25), OriginalBM()):
             for _ in range(5):
                 n = rng.randint(4, 10)
                 d = random_dissimilarity(rng, n)

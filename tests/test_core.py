@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from neighbornet.core import (
     CircularOrdering,
     DissimilarityMap,
-    NodeWeighting,
     PartialCircularOrdering,
     Split,
     WeightedSplitSystem,
@@ -27,7 +26,9 @@ from neighbornet.core import (
     metric_from_splits,
     split_metric,
 )
-from conftest import random_circular_instance, random_tree_instance
+from neighbornet.agglomerate import BalancedTSP, BlockState, OriginalBM, TreeWeighting, adjust_weights, merge_blocks
+from neighbornet.oracle import NodeWeighting
+from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 
 
 def split(members, n):
@@ -206,7 +207,36 @@ class TestPartialCircularOrdering:
             join_paths((0, 1, 2), (3,), 1, 3)
 
 
+def axiom_failures(scheme, seed):
+    """Walk a seeded random merge sequence on an exact map through the step
+    API; the axiom each state (the initial one, then the one after each
+    step's reweighting) breaks, or None where it keeps them all."""
+    rng = random.Random(seed)
+    state = BlockState.initial(random_dissimilarity(rng, rng.randint(4, 12), exact=True))
+    failures = []
+    while True:
+        try:
+            NodeWeighting(state.mu).validate(state.to_pco())
+            failures.append(None)
+        except ValueError as exc:
+            failures.append(str(exc))
+        if state.m == 1:
+            return failures
+        r, s = rng.sample(range(state.m), 2)
+        merged = merge_blocks(state, r, s, rng.choice(state.endpoints(r)), rng.choice(state.endpoints(s)))
+        state = merged.with_mu(adjust_weights(merged, scheme))
+
+
 class TestNodeWeighting:
+    @pytest.mark.parametrize("scheme", [BalancedTSP(), TreeWeighting(), TreeWeighting(0.3)], ids=repr)
+    def test_weightings_keep_the_axioms_at_every_step(self, scheme):
+        for seed in range(20):
+            assert set(axiom_failures(scheme, seed)) == {None}, seed
+
+    def test_original_bm_breaks_the_block_sum(self):
+        failures = [f for seed in range(5) for f in axiom_failures(OriginalBM(), seed) if f]
+        assert failures and all("weights sum to" in f for f in failures)
+
     def test_validate_accepts_balanced(self):
         pco = PartialCircularOrdering([(0, 1, 2), (3,)])
         NodeWeighting({0: 0.5, 1: 0.0, 2: 0.5, 3: 1.0}).validate(pco)

@@ -1,18 +1,21 @@
 """The array engine against the scalar engine it replaced (tests/scalar_engine.py):
 the same orderings, tree splits and per-step decisions on seeded maps, and in
 exact arithmetic the same criterion values and weights too."""
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import neighbornet.agglomerate as engine
 import scalar_engine as reference
 from conftest import random_dissimilarity
+from neighbornet.io import trace_records
 
 SCHEMES = {
     "balanced-tsp": (engine.BalancedTSP(), reference.BalancedTSP()),
-    "tree": (engine.TreeWeighting("balanced"), reference.TreeWeighting("balanced")),
+    "tree": (engine.TreeWeighting(), reference.TreeWeighting("balanced")),
     "original": (engine.OriginalBM(), reference.OriginalBM()),
 }
 
@@ -40,7 +43,34 @@ def test_exact_runs_match_reference(name):
         d = random_dissimilarity(random.Random(seed), 4 + k % 13, exact=True)
         new, old = run_both(d, name)
         values = [(st.q_value, st.q_hat_value, st.mu) for st in new.trace.steps]
-        assert values == [(st.q_value, st.q_hat_value, st.mu) for st in old.trace.steps], f"seed {seed}"
+        expected = [
+            (st.q_value, st.q_hat_value, {t: st.mu[t] for t in st.merged_block}) for st in old.trace.steps
+        ]
+        assert values == expected, f"seed {seed}"
+
+
+def replayed(records, n, one):
+    """The full weights after each record, rebuilt from all-ones by applying
+    the record's weights, which cover the merged path alone."""
+    mu = dict.fromkeys(range(n), one)
+    for record in records:
+        mu.update(record)
+        yield dict(mu)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_replayed_records_rebuild_every_weight(name):
+    # the reference keeps all n weights per step; on exact maps the weights
+    # are dyadic, so the trace's floats must equal them exactly
+    for k in range(13):
+        seed = 9000 + 100 * sorted(SCHEMES).index(name) + k
+        d = random_dissimilarity(random.Random(seed), 4 + k % 13, exact=True)
+        new, old = run_both(d, name)
+        full = [st.mu for st in old.trace.steps]
+        assert list(replayed((st.mu for st in new.trace.steps), d.n, Fraction(1))) == full, f"seed {seed}"
+        lines = [json.loads(json.dumps(record)) for record in trace_records(new.trace)]
+        mus = ({int(t): w for t, w in line["mu"].items()} for line in lines)
+        assert list(replayed(mus, d.n, 1.0)) == full, f"seed {seed}"
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -62,5 +92,6 @@ def test_neighbor_joining_matches_reference():
         rng = random.Random(8000 + k)
         n = rng.randint(4, 16)
         d = random_dissimilarity(rng, n, exact=k % 2 == 0)
-        alpha = rng.choice(["balanced", 0.3, 0.8, 0, 1])
-        assert engine.neighbor_joining(d, alpha) == reference.neighbor_joining(d, alpha), f"k {k}"
+        alpha = rng.choice(["balanced", 0.3, 0.8, 0, 1])  # the reference's name for 1/2
+        ours = Fraction(1, 2) if alpha == "balanced" else alpha
+        assert engine.neighbor_joining(d, ours) == reference.neighbor_joining(d, alpha), f"k {k}"

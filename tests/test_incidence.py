@@ -101,9 +101,8 @@ def test_design_matrix_equals_the_loop(n):
                    DesignMatrix.for_splits(random_splits(rng, n, 5), n)):
         a = design.as_array()
         assert a.dtype == np.float64
-        expected = [[split_metric(s, i, j) for s in design.splits] for i, j in design.pairs]
-        assert a.tolist() == expected
-        assert list(design.pairs) == list(zip(*(t.tolist() for t in np.triu_indices(n, 1))))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert a.tolist() == [[split_metric(s, i, j) for s in design.splits] for i, j in pairs]
 
 
 def test_residual_on_negative_lambda():
@@ -116,13 +115,12 @@ def test_residual_on_negative_lambda():
     # the formula inverts the circular incidence, negative weights included
     assert reconstruction_residual(d, lam) == pytest.approx(0.0, abs=1e-18)
     part = {s: v for k, (s, v) in enumerate(lam.items()) if k % 3}
-    pair_weights = {(i, j): rng.uniform(0, 2) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
     expected = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             fitted = sum(float(v) for s, v in part.items() if split_metric(s, i, j))
-            expected += pair_weights.get((i, j), 0.0) * (float(d[i, j]) - fitted) ** 2
-    assert reconstruction_residual(d, part, pair_weights) == pytest.approx(expected, rel=1e-12)
+            expected += (float(d[i, j]) - fitted) ** 2
+    assert reconstruction_residual(d, part) == pytest.approx(expected, rel=1e-12)
 
 
 def test_residual_of_exact_weights():

@@ -1,9 +1,12 @@
 """File formats and the command-line surface."""
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from neighbornet.agglomerate import run_neighbor_net, neighbor_joining
 from neighbornet.cli import main
@@ -12,9 +15,12 @@ from neighbornet.core import (
     Split,
     WeightedSplitSystem,
     is_circular_split,
+    metric_from_splits,
+    sorted_splits,
 )
 from neighbornet.io import (
     InputError,
+    fmt_num,
     format_phylip,
     read_nexus_splits,
     read_phylip_distances,
@@ -23,7 +29,8 @@ from neighbornet.io import (
     write_nexus,
     write_trace_jsonl,
 )
-from conftest import permute_map, random_dissimilarity
+from neighbornet.weights import nnls_fit
+from conftest import permute_map, random_circular_instance, random_dissimilarity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -127,10 +134,85 @@ class TestNexus:
     def test_result_variant_carries_cycle(self):
         d = random_dissimilarity(random.Random(4), 5)
         result = run_neighbor_net(d)
-        text = write_nexus(result, [f"t{k}" for k in range(5)])
+        system = WeightedSplitSystem(5, {s: 1.0 for s in result.tree_splits})
+        text = write_nexus(system, [f"t{k}" for k in range(5)], cycle=result.ordering)
         _, cycle, system = read_nexus_splits(text)
         assert cycle == result.ordering
         assert system.splits == frozenset(result.tree_splits)
+
+
+def split_systems():
+    """Split systems over 3..9 taxa with positive finite float weights."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(3, 9))
+        blocks = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1), max_size=12))
+        weight = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+        return WeightedSplitSystem(n, {Split.of(b, n): draw(weight) for b in blocks})
+
+    return build()
+
+
+class TestPositiveSplits:
+    """A split system holds its positive splits: zero weights given to it, or
+    read from a Nexus file, leave no trace in what it prints or computes."""
+
+    def test_zero_weights_leave_no_trace(self):
+        rng = random.Random(21)
+        for exact in (False, True):
+            pi, full, _ = random_circular_instance(rng, 8, exact=exact)
+            splits = sorted_splits(full.splits)
+            positive = {s: full.weight(s) for s in splits[::3]}
+            zero = Fraction(0) if exact else 0.0
+            system = WeightedSplitSystem(8, positive)
+            padded = WeightedSplitSystem(8, {s: positive.get(s, zero) for s in splits})
+            assert len(padded) == len(system) == len(positive)
+            assert list(padded.items()) == list(system.items()) == list(positive.items())
+            assert padded.splits == system.splits and splits[1] not in padded
+            assert padded.weight(splits[1]) == 0 and padded.weight(splits[3]) == positive[splits[3]]
+            metric = metric_from_splits(system)
+            assert metric_from_splits(padded) == metric
+            assert metric_from_splits(padded).array.dtype == metric.array.dtype
+            labels = [f"x{k}" for k in range(8)]
+            text = write_nexus(system, labels, cycle=pi)
+            assert write_nexus(padded, labels, cycle=pi) == text
+            # a file that lists the zero splits too, as older versions wrote
+            members = [" ".join(str(t + 1) for t in sorted(s.other)) for s in splits if s not in positive]
+            old = text.replace("MATRIX\n", "MATRIX\n" + "".join(f"[0, size=1] \t 0.0 \t {m},\n" for m in members))
+            _, cycle, reread = read_nexus_splits(old)
+            current = read_nexus_splits(text)[2]
+            assert cycle == pi and list(reread.items()) == list(current.items())
+            assert metric_from_splits(reread) == metric_from_splits(current)
+
+    def test_nnls_cli_prints_the_positive_splits_of_the_fit(self, tmp_path, capsys):
+        labels = [f"t{k}" for k in range(30)]
+        path = tmp_path / "map.phy"
+        path.write_text(format_phylip(random_dissimilarity(random.Random(22), 30), labels))
+        d, _ = read_phylip_distances(path.read_text())
+        fit = nnls_fit(d, run_neighbor_net(d).ordering)
+        assert 0 < len(fit) < 30 * 29 // 2 and min(w for _, w in fit.items()) > 0
+        assert main(["nnet", str(path), "--estimate", "nnls", "--nexus", str(tmp_path / "fit.nex")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        start = out.index(f"splits ({len(fit)}):") + 1
+        expected = [
+            f"  {fmt_num(fit.weight(s))} \t {{{','.join(labels[t] for t in sorted(s.other))}}}"
+            for s in sorted_splits(fit.splits)
+        ]
+        assert out[start:start + len(expected) + 1] == expected + [f"nexus written to {tmp_path / 'fit.nex'}"]
+        _, _, written = read_nexus_splits((tmp_path / "fit.nex").read_text())
+        assert dict(written.items()) == dict(fit.items())
+
+    @seed(23)
+    @settings(max_examples=60, deadline=None)
+    @given(split_systems())
+    def test_nexus_round_trips_any_positive_system(self, system):
+        labels = [f"t{k}" for k in range(system.n)]
+        text = write_nexus(system, labels)
+        read_labels, cycle, reread = read_nexus_splits(text)
+        assert (read_labels, cycle) == (labels, None)
+        assert dict(reread.items()) == dict(system.items())
+        assert write_nexus(reread, labels) == text
 
 
 class TestNewick:
@@ -164,6 +246,7 @@ class TestTrace:
         assert len(lines) == 5
         parsed = [json.loads(line) for line in lines]
         assert parsed == records
+        assert all(sorted(map(int, r["mu"])) == sorted(r["merged_path"]) for r in records)
 
 
 @pytest.fixture

@@ -17,11 +17,18 @@ import lstsq_nnls
 
 
 def system_of(d, ordering, splits=None, pair_weights=None):
+    """(A, b) of the fit; with pair_weights, each row scaled by the square
+    root of its pair's weight, 0 for a pair absent from them."""
     if splits is None:
         design = DesignMatrix.for_ordering(ordering)
     else:
         design = DesignMatrix.for_splits(splits, d.n)
-    return design.weighted_system(d, pair_weights)
+    a, b = design.as_array(), design.rhs(d)
+    if pair_weights is None:
+        return a, b
+    rows, cols = np.triu_indices(d.n, 1)
+    root = np.sqrt([float(pair_weights.get(p, 0)) for p in zip(rows.tolist(), cols.tolist())])
+    return a * root[:, None], b * root
 
 
 def scale_of(a, b):

@@ -52,3 +52,18 @@ def test_st70_experiment_on_nine_cities(tmp_path, rounding):
     assert len(values) == 4, out  # n <= 11 takes the brute-force path
     assert values["brute-force optimum:"] <= values["balanced weighting: length"]
     assert values["greedy gap:"] >= 0
+
+
+def test_cli_outputs_at_the_smallest_size(tmp_path):
+    def outputs(sub):
+        out = run_script("cli_outputs.py", str(ROOT), str(tmp_path / sub), "--max-n", "4", "--no-fit-sparse")
+        assert re.fullmatch(r"\d+ calls written to .*\n", out)
+        return {p.relative_to(tmp_path / sub): p.read_text() for p in (tmp_path / sub).rglob("*") if p.is_file()}
+
+    first = outputs("a")
+    assert first == outputs("b")  # seeded, and printed paths are relative
+    nnls = first[Path("circular-4/nnet-nnls.txt")]
+    assert nnls.startswith("exit 0\n--- stdout\nordering:") and "nexus written to circular-4/nnet-nnls.nex" in nnls
+    assert first[Path("circular-4/nnet-nnls.nex")].startswith("#nexus")
+    assert len(first[Path("ties-4/nnet-original.jsonl")].splitlines()) == 3
+    assert first[Path("random-4/estimate-formula.txt")].startswith("exit 1\n")  # a negative lambda

@@ -21,7 +21,7 @@ from neighbornet.agglomerate import (
 from neighbornet.core import DissimilarityMap
 from conftest import random_circular_instance, random_dissimilarity
 
-SCHEMES = (BalancedTSP(), TreeWeighting("balanced"), OriginalBM())
+SCHEMES = (BalancedTSP(), TreeWeighting(), OriginalBM())
 
 
 def scaled(d, factor):

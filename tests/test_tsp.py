@@ -190,6 +190,6 @@ class TestSt70:
         d = read_tsplib_euc2d(st70_text(), rounding="none")
         assert d.n == 70
         balanced = greedy_tsp(d, BalancedTSP())
-        tree = greedy_tsp(d, TreeWeighting("balanced"))
+        tree = greedy_tsp(d, TreeWeighting())
         assert 678.598 <= balanced.length <= 780.0
         assert tree.length > balanced.length

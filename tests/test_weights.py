@@ -33,7 +33,6 @@ class TestDesignMatrix:
     def test_dimensions_and_columns(self):
         pi = CircularOrdering(range(5))
         design = DesignMatrix.for_ordering(pi)
-        assert len(design.pairs) == 10
         assert len(design.splits) == 10
         a = design.as_array()
         assert a.shape == (10, 10)
@@ -104,13 +103,14 @@ class TestClamp:
     def test_nonnegative_unchanged(self):
         pi = CircularOrdering(range(4))
         splits = sorted_splits(all_circular_splits(pi))
-        lam = {s: Fraction(k, 2) for k, s in enumerate(splits)}
+        lam = {s: Fraction(k + 1, 2) for k, s in enumerate(splits)}
         assert clamp_nonnegative(lam) == lam
 
     def test_negative_zeroed(self):
+        # zeroed, so left out: a split system holds its positive splits
         pi = CircularOrdering(range(4))
-        s1, s2 = sorted_splits(all_circular_splits(pi))[:2]
-        assert clamp_nonnegative({s1: -1.0, s2: 2.0}) == {s1: 0.0, s2: 2.0}
+        s1, s2, s3 = sorted_splits(all_circular_splits(pi))[:3]
+        assert clamp_nonnegative({s1: -1.0, s2: 2.0, s3: Fraction(0)}) == {s2: 2.0}
 
 
 class TestNNLS:
