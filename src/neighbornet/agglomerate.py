@@ -12,17 +12,27 @@ the mu-weighted sums over the original matrix:
     delta(x, C_r)   = sum_{i in C_r} mu(i) d(x, i)
 
 Each BlockState holds them in two numpy tables, tb (n x m, taxon to block)
-and bb (m x m, block to block): float64 for float maps and object arrays of
-Fraction for exact ones, so one code path serves both. The tables are never
-rebuilt whole. A merge leaves the weights alone, so it drops column hi and
-makes the merged column the sum of the two it joins; a weight change
-recomputes, from the original matrix, only the columns of the blocks whose
-weights changed, in O(n |block|) each. Every scheme changes weights inside the
-merged block alone, so a step costs O(n^2) with the vectorised Q, a run
-O(n^3), and float runs cannot accumulate drift.
+and bb (m x m, block to block), and one code path serves both arithmetics.
+A float map's tables are float64. An exact map's are object arrays of
+Python ints: with L the map's common denominator (d.integer_form) and D a
+common denominator of the node weights, tb holds its values times L*D and
+bb its values times L*D^2, so Q and the tie rule compare integers and no
+Fraction is formed per table entry. D only grows: when new weights bring in
+a denominator D does not divide (1/2 and 1/4 under the dyadic schemes,
+alpha's under TreeWeighting), both tables are scaled up by the factor, f
+and f^2. Fractions appear only where values leave the engine: the
+accessors, Q-hat, the step records and mu.
+
+The tables are never rebuilt whole. A merge leaves the weights alone, so it
+drops column hi and makes the merged column the sum of the two it joins; a
+weight change recomputes, from the original matrix, only the columns of the
+blocks whose weights changed, in O(n |block|) each. Every scheme changes
+weights inside the merged block alone, so a step costs O(n^2) with the
+vectorised Q, a run O(n^3), and float runs cannot accumulate drift.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -50,7 +60,7 @@ def _arithmetic(d: DissimilarityMap) -> tuple:
 
 
 def _py(x) -> Num:
-    """A numpy scalar as the Python number it holds; Fractions pass through."""
+    """A numpy scalar as the Python number it holds; Python objects pass through."""
     return x.item() if isinstance(x, np.generic) else x
 
 
@@ -102,21 +112,30 @@ class BlockState:
 
     The distance tables are private arrays that belong to one state; a
     transition builds its successor on copies, so a state handed out never
-    changes.
+    changes. On an exact map the tables hold Python ints over L*D and
+    L*D^2 (see the module docstring) and _w the weights as ints over D; on a
+    float map the tables hold the distances and _w is mu itself. mu and
+    every accessor give the state's scalar: Fraction or float.
     """
 
     __slots__ = (
         "d", "blocks", "mu", "parts", "last_merge", "scalar",
-        "_unit", "_tb", "_bb", "_rowsum", "_total",
+        "_unit", "_dm", "_den", "_w", "_tb", "_bb", "_rowsum", "_total",
     )
 
     def __init__(self, d, blocks, mu, parts, last_merge=None):
         self.d = d
         self.scalar, self._unit = _arithmetic(d)
+        if self.scalar is Fraction:
+            self._dm, map_den = d.integer_form
+            self._den, self._w = (map_den, 1), {}
+        else:
+            self._dm, self._den = d.array, None
         self._set(blocks, mu, parts, last_merge)
+        self._take_weights(self.mu)
         m = len(self.blocks)
-        self._tb = np.empty((d.n, m), dtype=d.array.dtype)
-        self._bb = np.empty((m, m), dtype=d.array.dtype)
+        self._tb = np.empty((d.n, m), dtype=self._dm.dtype)
+        self._bb = np.empty((m, m), dtype=self._dm.dtype)
         self._refresh(range(m))
 
     def _set(self, blocks, mu, parts, last_merge):
@@ -125,32 +144,66 @@ class BlockState:
         self.parts = tuple(parts)
         self.last_merge = last_merge
 
-    def _successor(self, blocks, mu, parts, last_merge, tb, bb, stale) -> "BlockState":
+    def _take_weights(self, changed) -> int:
+        """Make _w the table weights of mu after the taxa in changed took new
+        weights; returns the factor by which D grew (1 on a float map)."""
+        if self._den is None:
+            self._w = self.mu
+            return 1
+        if not changed:
+            return 1
+        map_den, den = self._den
+        grown = math.lcm(den, *(self.mu[k].denominator for k in changed))
+        f = grown // den
+        w = {k: v * f for k, v in self._w.items()} if f > 1 else dict(self._w)
+        for k in changed:
+            v = self.mu[k]
+            w[k] = v.numerator * (grown // v.denominator)
+        self._den, self._w = (map_den, grown), w
+        return f
+
+    def _successor(self, blocks, mu, parts, last_merge, tb, bb, changed=frozenset()) -> "BlockState":
         """A state on the same map whose tables are tb and bb (which it now
-        owns) with the columns of the blocks in stale recomputed."""
+        owns) after the taxa in changed took their weights in mu: the
+        tables are scaled if D grew, and the columns of the blocks holding
+        a changed taxon recomputed."""
         new = object.__new__(BlockState)
-        new.d, new.scalar, new._unit = self.d, self.scalar, self._unit
+        new.d, new.scalar, new._unit, new._dm = self.d, self.scalar, self._unit, self._dm
         new._set(blocks, mu, parts, last_merge)
+        new._den, new._w = self._den, self._w
+        f = new._take_weights(changed)
+        if f > 1:
+            tb *= f
+            bb *= f * f
         new._tb, new._bb = tb, bb
+        stale = [t for t, block in enumerate(new.blocks) if not changed.isdisjoint(block)] if changed else []
         new._refresh(stale)
         return new
 
     def _refresh(self, stale):
         """Recompute delta(., C_t) and delta(C_t, .) for each block t in stale
         from the original matrix; zero weights are skipped."""
-        dm, tb, bb, mu = self.d.array, self._tb, self._bb, self.mu
+        dm, tb, bb, w_of = self._dm, self._tb, self._bb, self._w
         weighted = []
         for t in stale:
-            idx = [k for k in self.blocks[t] if mu[k] != 0]
-            w = np.array([mu[k] for k in idx], dtype=dm.dtype)
+            idx = [k for k in self.blocks[t] if w_of[k] != 0]
+            w = np.array([w_of[k] for k in idx], dtype=dm.dtype)
             tb[:, t] = dm[:, idx] @ w
             weighted.append((t, idx, w))
         for t, idx, w in weighted:
             row = w @ tb[idx, :]
-            row[t] = self.scalar(0)
+            row[t] = 0
             bb[t, :] = row
             bb[:, t] = row
         self._rowsum = None
+
+    def _number(self, x, power: int) -> Num:
+        """A table value as the Python number it stands for: on an exact map
+        x is an int over L*D**power."""
+        if self._den is None:
+            return _py(x)
+        map_den, den = self._den
+        return Fraction(x, map_den * den**power)
 
     @classmethod
     def initial(cls, d: DissimilarityMap) -> "BlockState":
@@ -174,21 +227,22 @@ class BlockState:
         return path_ends(self.blocks[r])
 
     def _row_sums(self) -> np.ndarray:
+        """The row sums of bb, in its units."""
         if self._rowsum is None:
             self._rowsum = self._bb.sum(axis=1)
-            self._total = _py(self._rowsum.sum()) / 2
+            self._total = self._number(self._rowsum.sum(), 2) / 2
         return self._rowsum
 
     def block_distance(self, r: int, s: int) -> Num:
         """delta(C_r, C_s) per the weighted double sum."""
-        return self._bb.item(r, s)
+        return self._number(self._bb.item(r, s), 2)
 
     def taxon_block_distance(self, x: int, t: int) -> Num:
         """delta(x, C_t) per the weighted single sum."""
-        return self._tb.item(x, t)
+        return self._number(self._tb.item(x, t), 1)
 
     def row_sum(self, r: int) -> Num:
-        return self._row_sums().item(r)
+        return self._number(self._row_sums().item(r), 2)
 
     def total_pair_sum(self) -> Num:
         """Sum of delta(C_t, C_u) over unordered block pairs."""
@@ -196,11 +250,11 @@ class BlockState:
         return self._total
 
     def with_mu(self, mu) -> "BlockState":
-        changed = {k for k, v in self.mu.items() if mu[k] != v}
-        stale = [t for t, block in enumerate(self.blocks) if not changed.isdisjoint(block)]
+        # a weight carried over unchanged is the same object: skip comparing it
+        changed = {k for k, v in self.mu.items() if mu[k] is not v and mu[k] != v}
         return self._successor(
             self.blocks, mu, self.parts, self.last_merge,
-            self._tb.copy(), self._bb.copy(), stale,
+            self._tb.copy(), self._bb.copy(), changed,
         )
 
     def to_pco(self):
@@ -218,7 +272,7 @@ def q_criterion(state: BlockState, r: int, s: int) -> Num:
 def _far_sum(state: BlockState, x: int, r: int, s: int) -> Num:
     """sum over blocks t other than r, s of delta(x, C_t)."""
     tb = state._tb
-    return _py(tb[x].sum()) - tb.item(x, r) - tb.item(x, s)
+    return state._number(tb[x].sum() - tb.item(x, r) - tb.item(x, s), 1)
 
 
 def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
@@ -269,11 +323,11 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     tb = np.delete(state._tb, hi, axis=1)
     tb[:, lo] = state._tb[:, r] + state._tb[:, s]
     row = np.delete(state._bb[r] + state._bb[s], hi)
-    row[lo] = state.scalar(0)
+    row[lo] = 0
     bb = np.delete(np.delete(state._bb, hi, axis=0), hi, axis=1)
     bb[lo, :] = row
     bb[:, lo] = row
-    return state._successor(blocks, state.mu, parts, info, tb, bb, [])
+    return state._successor(blocks, state.mu, parts, info, tb, bb)
 
 
 def _apply_original_bm(mu, compound_parts, junction, other_block, quarter, hlf):
@@ -395,7 +449,7 @@ def _select_pair(state: BlockState) -> tuple:
     q = (m - 2) * between - row_sums[rows] - row_sums[cols]
     near = _near_min(q, tol)
     k = near[_near_min(between[near], tol)[0]]
-    return (int(rows[k]), int(cols[k])), _py(q[k])
+    return (int(rows[k]), int(cols[k])), state._number(q[k], 2)
 
 
 def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:

@@ -3,12 +3,15 @@
 Taxa are integers 0..n-1 throughout. Distances may be float, int, or
 fractions.Fraction; exact (int/Fraction) inputs keep all derived
 quantities exact, which is what the brute-force oracle tests rely on.
+Exact sums are formed on Python-int numerators over one common denominator,
+which divides each result once: Fractions are made for results only.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -22,6 +25,24 @@ def is_exact_number(x) -> bool:
 
 
 _fractions = np.frompyfunc(lambda x: x if type(x) is Fraction else Fraction(x), 1, 1)
+_over = np.frompyfunc(Fraction, 2, 1)  # _over(numerators, den): the Fractions they stand for
+
+
+@lru_cache(maxsize=4)
+def upper_pairs(n: int) -> tuple:
+    """The pairs i < j of n taxa as read-only (rows, cols) index arrays, in
+    np.triu_indices(n, 1) order; the last few n asked for are cached."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def int_numerators(values) -> tuple:
+    """Exact numbers (ints or Fractions, any iterable) as (numerators, den):
+    a list of Python ints over den, the lcm of their denominators."""
+    values = list(values)
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class DissimilarityMap:
@@ -30,9 +51,14 @@ class DissimilarityMap:
 
     The array's dtype is the map's one exactness decision: an object array
     of Fractions when every input entry is exact (int or Fraction) or when
-    exact=True, float64 otherwise. Entries come back as Python numbers."""
+    exact=True, float64 otherwise. Entries come back as Python numbers.
 
-    __slots__ = ("array", "n")
+    An exact map's arithmetic runs on d.integer_form, built on first use:
+    the entries as an object array of Python-int numerators over one common
+    denominator. Fractions are made only where values leave the library:
+    d.array, d[i, j] and d.rows."""
+
+    __slots__ = ("array", "n", "_integer_form")
 
     def __init__(self, rows: Union[np.ndarray, Sequence[Sequence[Num]]], *, exact: bool = False):
         n = len(rows)
@@ -48,11 +74,16 @@ class DissimilarityMap:
             bad = np.argwhere(~np.isfinite(floats))
             if len(bad):
                 raise ValueError("non-finite entry at ({},{})".format(*bad[0]))
-        a = _fractions(a) if exact or all_exact else floats
-        _check_entries(a)
+        exact = exact or all_exact
+        if not exact:
+            a = floats
+        _check_entries(a)  # before any Fraction is made: comparing Python numbers is exact
+        if exact:
+            a = _fractions(a)
         a.flags.writeable = False
         self.array = a
         self.n = n
+        self._integer_form = None
 
     def __getitem__(self, ij) -> Num:
         return self.array.item(ij)
@@ -64,6 +95,20 @@ class DissimilarityMap:
     @property
     def is_exact(self) -> bool:
         return self.array.dtype == object
+
+    @property
+    def integer_form(self) -> tuple:
+        """(numerators, den) of an exact map: a read-only object array of
+        Python ints with numerators / den == d.array entry by entry, den the
+        lcm of the entries' denominators."""
+        if self._integer_form is None:
+            if not self.is_exact:
+                raise ValueError("a float map has no integer form")
+            numerators, den = int_numerators(self.array.flat)
+            numerators = np.array(numerators, dtype=object).reshape(self.n, self.n)
+            numerators.flags.writeable = False
+            self._integer_form = (numerators, den)
+        return self._integer_form
 
     def to_exact(self) -> "DissimilarityMap":
         return self if self.is_exact else DissimilarityMap(self.array, exact=True)
@@ -83,7 +128,7 @@ def _check_entries(a: np.ndarray) -> None:
     at row i the diagonal entry, then for each j > i symmetry before sign;
     then on entries above float max / n^2, whose sums would overflow."""
     n = len(a)
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = upper_pairs(n)
     upper = a[rows, cols]
     bad = np.zeros((n, n), dtype=bool)
     bad[rows, cols] = (upper != a[cols, rows]) | (upper < 0)
@@ -95,7 +140,7 @@ def _check_entries(a: np.ndarray) -> None:
         if a[i, j] != a[j, i]:
             raise ValueError(f"asymmetric entries at ({i},{j})")
         raise ValueError(f"negative entry at ({i},{j})")
-    limit = np.finfo(float).max / (n * n)
+    limit = float(np.finfo(float).max) / (n * n)  # a Python float compares exactly with any int
     if upper.max(initial=0) > limit:
         k = int(np.argmax(upper > limit))
         raise ValueError(f"entry at ({rows[k]},{cols[k]}) above {limit:.4g}: sums over the map would overflow")
@@ -158,7 +203,7 @@ def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
     separates: the pair x split incidence delta_S(i, j), one column at a time.
     Pairs i < j follow np.triu_indices(n, 1) order, (0,1), (0,2), ...,
     (0,n-1), (1,2), ..., which is the order of the DesignMatrix rows."""
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = upper_pairs(n)
     for s in splits:
         side = np.zeros(n, dtype=bool)
         side[list(s.block)] = True
@@ -166,14 +211,20 @@ def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
 
 
 def pair_sums(weights: Mapping[Split, Num], n: int, scalar: type = float) -> np.ndarray:
-    """sum_S w_S delta_S(i, j) for every pair, in split_masks order. Each
-    weight, converted to scalar (float or Fraction), is added over its mask in
-    the mapping's order, so a float sum is the one a loop over the pairs
-    would give, bit for bit. Weights may be negative."""
-    out = np.full(n * (n - 1) // 2, scalar(0), dtype=float if scalar is float else object)
-    for mask, w in zip(split_masks(weights, n), weights.values()):
-        out[mask] += scalar(w)
-    return out
+    """sum_S w_S delta_S(i, j) for every pair, in split_masks order, as
+    scalar (float or Fraction). Each weight is added over its mask in the
+    mapping's order: as a float, so a float sum is the one a loop over the
+    pairs would give, bit for bit; or, for Fraction, as its Python-int
+    numerator over the weights' common denominator, which divides each sum
+    once at the end. Weights may be negative."""
+    if scalar is float:
+        addends, den = map(float, weights.values()), None
+    else:
+        addends, den = int_numerators(map(Fraction, weights.values()))
+    out = np.zeros(n * (n - 1) // 2, dtype=float if den is None else object)
+    for mask, w in zip(split_masks(weights, n), addends):
+        out[mask] += w
+    return out if den is None else _over(out, den)
 
 
 class WeightedSplitSystem:
@@ -184,7 +235,7 @@ class WeightedSplitSystem:
     and `in` cover the positive splits only, and weight(s) is 0 for a split
     of n taxa outside the system. Duplicates collapse by canonical form."""
 
-    __slots__ = ("n", "_weights")
+    __slots__ = ("n", "_weights", "_exact")
 
     def __init__(self, n: int, weights: Mapping[Split, Num]):
         for s, w in weights.items():
@@ -196,6 +247,7 @@ class WeightedSplitSystem:
                 raise ValueError(f"negative weight for {s}")
         self.n = n
         self._weights = {s: w for s, w in weights.items() if w > 0}
+        self._exact = all(map(is_exact_number, weights.values()))
 
     @property
     def splits(self) -> frozenset:
@@ -220,7 +272,9 @@ class WeightedSplitSystem:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact_number(w) for w in self._weights.values())
+        """Whether every weight given was exact, the dropped zeros included,
+        so an all-zero float fit stays a float system."""
+        return self._exact
 
     def __repr__(self):
         return f"WeightedSplitSystem(n={self.n}, splits={len(self)})"
@@ -233,7 +287,7 @@ def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
     scalar = Fraction if sys.is_exact else float
     upper = pair_sums(dict(sys.items()), n, scalar)
     full = np.full((n, n), scalar(0), dtype=upper.dtype)
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = upper_pairs(n)
     full[rows, cols] = upper
     full[cols, rows] = upper
     return DissimilarityMap(full)
@@ -340,13 +394,16 @@ def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.nd
 
         D[a-1, b] + D[a, b+1] - D[a-1, b+1] - D[a, b]
 
-    summed in that order, in the map's arithmetic."""
+    summed in that order, in the map's arithmetic: on an exact map over its
+    integer form, with one division per entry at the end."""
     if ordering.n != d.n:
         raise ValueError("taxon count mismatch")
+    values, den = d.integer_form if d.is_exact else (d.array, None)
     x = list(ordering.order)
-    here = d.array[x][:, x]
+    here = values[x][:, x]
     before = np.roll(here, 1, axis=0)  # before[a, b] = D[a-1, b]
-    return before + np.roll(here, -1, axis=1) - np.roll(before, -1, axis=1) - here
+    out = before + np.roll(here, -1, axis=1) - np.roll(before, -1, axis=1) - here
+    return out if den is None else _over(out, den)
 
 
 def all_circular_splits(ordering: CircularOrdering) -> frozenset:

@@ -103,12 +103,15 @@ def balanced_length(d: DissimilarityMap, pco: PartialCircularOrdering) -> Num:
 def balanced_length_from_eta(d: DissimilarityMap, table: EtaTable) -> Num:
     """(1/2) sum_{i<j} (eta(i, j) / N) d(i, j). Distances are summed per
     distinct count, which enters as the exact ratio count / N: N passes the
-    float range (10^308) long before the length does."""
+    float range (10^308) long before the length does. An exact map's
+    distances are summed as the integer numerators of d.integer_form, and
+    its common denominator divides once at the end."""
+    values, den = d.integer_form if d.is_exact else (d.array, 1)
     sums: dict = defaultdict(int)
     for (i, j), count in table.counts.items():
-        sums[count] += d[i, j]
+        sums[count] += values.item(i, j)
     total = sum(Fraction(count, table.total_orderings) * s for count, s in sums.items())
-    return total / Fraction(2)
+    return total / Fraction(2 * den)
 
 
 def balanced_length_of_join_family(

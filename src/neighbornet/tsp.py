@@ -14,7 +14,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .agglomerate import BalancedTSP, WeightingScheme, run_neighbor_net
-from .core import CircularOrdering, DissimilarityMap, Num
+from .core import CircularOrdering, DissimilarityMap, Num, upper_pairs
 
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot's rounding, which np.hypot does not share
 _int = np.frompyfunc(int, 1, 1)  # Python ints: exact at any size
@@ -91,7 +91,7 @@ def read_tsplib_euc2d(text: str, rounding: str = "none") -> DissimilarityMap:
         if not all(map(math.isfinite, coords[-1])):
             raise ValueError(f"non-finite coordinate in line {line!r}")
     xy = np.array(coords).reshape(n, 2)
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = upper_pairs(n)
     with np.errstate(over="ignore"):  # an overflow is reported below
         upper = _hypot(*(xy[rows] - xy[cols]).T).astype(float)
     bad = np.flatnonzero(~np.isfinite(upper))

@@ -22,6 +22,7 @@ from .core import (
     pair_sums,
     sorted_splits,
     split_masks,
+    upper_pairs,
 )
 
 KKT_TOL = 1e-10
@@ -56,7 +57,7 @@ class DesignMatrix:
     @staticmethod
     def rhs(d: DissimilarityMap) -> np.ndarray:
         """The map's distances as floats, in the order of the rows."""
-        return d.array[np.triu_indices(d.n, 1)].astype(float)
+        return d.array[upper_pairs(d.n)].astype(float)
 
 
 def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
