@@ -27,8 +27,10 @@ The tables are never rebuilt whole. A merge leaves the weights alone, so it
 drops column hi and makes the merged column the sum of the two it joins; a
 weight change recomputes, from the original matrix, only the columns of the
 blocks whose weights changed, in O(n |block|) each. Every scheme changes
-weights inside the merged block alone, so a step costs O(n^2) with the
-vectorised Q, a run O(n^3), and float runs cannot accumulate drift.
+weights inside the merged block alone, so its new weights are the one value
+a step passes on: adjust_weights returns them, with_mu applies them and the
+step record keeps them. A step costs O(n^2) with the vectorised Q, a run
+O(n^3), and float runs cannot accumulate drift.
 """
 from __future__ import annotations
 
@@ -96,11 +98,10 @@ WeightingScheme = Union[BalancedTSP, TreeWeighting, OriginalBM]
 
 @dataclass(frozen=True)
 class MergeInfo:
-    """What the last merge did; consumed by adjust_weights."""
+    """What the last merge did; consumed by adjust_weights. The joined
+    blocks' taxa, r's then s's, are the merged state's parts[merged_index]."""
 
     merged_index: int
-    block_r: frozenset
-    block_s: frozenset
     parts_r: Optional[tuple]
     parts_s: Optional[tuple]
     i: int
@@ -115,7 +116,9 @@ class BlockState:
     changes. On an exact map the tables hold Python ints over L*D and
     L*D^2 (see the module docstring) and _w the weights as ints over D; on a
     float map the tables hold the distances and _w is mu itself. mu and
-    every accessor give the state's scalar: Fraction or float.
+    every accessor give the state's scalar: Fraction or float. Only the
+    constructor copies and normalises its input; a merge's successor shares
+    mu, which no state changes.
     """
 
     __slots__ = (
@@ -131,18 +134,15 @@ class BlockState:
             self._den, self._w = (map_den, 1), {}
         else:
             self._dm, self._den = d.array, None
-        self._set(blocks, mu, parts, last_merge)
+        self.blocks = tuple(tuple(b) for b in blocks)
+        self.mu = dict(mu)
+        self.parts = tuple(parts)
+        self.last_merge = last_merge
         self._take_weights(self.mu)
         m = len(self.blocks)
         self._tb = np.empty((d.n, m), dtype=self._dm.dtype)
         self._bb = np.empty((m, m), dtype=self._dm.dtype)
         self._refresh(range(m))
-
-    def _set(self, blocks, mu, parts, last_merge):
-        self.blocks = tuple(tuple(b) for b in blocks)
-        self.mu = dict(mu)
-        self.parts = tuple(parts)
-        self.last_merge = last_merge
 
     def _take_weights(self, changed) -> int:
         """Make _w the table weights of mu after the taxa in changed took new
@@ -166,10 +166,10 @@ class BlockState:
         """A state on the same map whose tables are tb and bb (which it now
         owns) after the taxa in changed took their weights in mu: the
         tables are scaled if D grew, and the columns of the blocks holding
-        a changed taxon recomputed."""
+        a changed taxon recomputed. blocks, mu and parts are taken as is."""
         new = object.__new__(BlockState)
         new.d, new.scalar, new._unit, new._dm = self.d, self.scalar, self._unit, self._dm
-        new._set(blocks, mu, parts, last_merge)
+        new.blocks, new.mu, new.parts, new.last_merge = blocks, mu, parts, last_merge
         new._den, new._w = self._den, self._w
         f = new._take_weights(changed)
         if f > 1:
@@ -250,11 +250,12 @@ class BlockState:
         return self._total
 
     def with_mu(self, mu) -> "BlockState":
-        # a weight carried over unchanged is the same object: skip comparing it
-        changed = {k for k, v in self.mu.items() if mu[k] is not v and mu[k] != v}
+        """This state with new weights for the taxa in mu, any subset (as
+        adjust_weights returns). Every taxon given counts as changed, so a
+        dict over all taxa works too and refreshes every block."""
         return self._successor(
-            self.blocks, mu, self.parts, self.last_merge,
-            self._tb.copy(), self._bb.copy(), changed,
+            self.blocks, {**self.mu, **mu}, self.parts, self.last_merge,
+            self._tb.copy(), self._bb.copy(), mu.keys(),
         )
 
     def to_pco(self):
@@ -311,8 +312,6 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     lo, hi = min(r, s), max(r, s)
     info = MergeInfo(
         merged_index=lo,
-        block_r=frozenset(state.blocks[r]),
-        block_s=frozenset(state.blocks[s]),
         parts_r=state.parts[r],
         parts_s=state.parts[s],
         i=i,
@@ -346,13 +345,16 @@ def _apply_original_bm(mu, compound_parts, junction, other_block, quarter, hlf):
 
 
 def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
-    """New node weights after the merge recorded in state.last_merge."""
+    """The merged path's new weights, in path order, after the merge recorded
+    in state.last_merge: no scheme changes any other weight. with_mu
+    applies them."""
     info = state.last_merge
     if info is None:
         raise ValueError("no merge has been performed on this state")
     one = state.scalar(1)
-    mu = dict(state.mu)
     merged_path = state.blocks[info.merged_index]
+    mu = {t: state.mu[t] for t in merged_path}
+    block_r, block_s = state.parts[info.merged_index]
     if isinstance(scheme, BalancedTSP):
         zero, h = 0 * one, one / 2
         for t in merged_path:
@@ -361,9 +363,9 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
         mu[merged_path[-1]] = h
     elif isinstance(scheme, TreeWeighting):
         alpha = state.scalar(scheme.alpha)
-        for t in info.block_r:
+        for t in block_r:
             mu[t] = alpha * mu[t]
-        for t in info.block_s:
+        for t in block_s:
             mu[t] = (one - alpha) * mu[t]
     elif isinstance(scheme, OriginalBM):
         quarter, h = one / 4, one / 2
@@ -375,18 +377,14 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
             for t in merged_path:
                 mu[t] = mu[t] * h
         elif r_compound and not s_compound:
-            _apply_original_bm(mu, info.parts_r, info.i, info.block_s, quarter, h)
+            _apply_original_bm(mu, info.parts_r, info.i, block_s, quarter, h)
         elif s_compound and not r_compound:
-            _apply_original_bm(mu, info.parts_s, info.j, info.block_r, quarter, h)
+            _apply_original_bm(mu, info.parts_s, info.j, block_r, quarter, h)
         else:
             # both compound: apply once per block, the block with the smaller
             # minimum taxon first (arbitrary but fixed order)
-            first_is_r = min(info.block_r) < min(info.block_s)
-            order = [
-                (info.parts_r, info.i, info.block_s),
-                (info.parts_s, info.j, info.block_r),
-            ]
-            if not first_is_r:
+            order = [(info.parts_r, info.i, block_s), (info.parts_s, info.j, block_r)]
+            if min(block_s) < min(block_r):
                 order.reverse()
             for parts, junction, other in order:
                 _apply_original_bm(mu, parts, junction, other, quarter, h)
@@ -397,9 +395,9 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One merge. mu holds the merged path's weights after the adjustment:
-    no scheme changes a weight outside it, so the records replayed over
-    all-ones weights rebuild every state's weights."""
+    """One merge. mu is what adjust_weights returned, the merged path's new
+    weights, so the records replayed over all-ones weights rebuild every
+    state's weights."""
 
     m: int
     pair: tuple
@@ -487,8 +485,6 @@ def run_neighbor_net(
             pair, q_val = _select_pair(state)
         r, s = pair
         (i, j), qh_val = _select_endpoints(state, r, s)
-        union = set(state.blocks[r]) | set(state.blocks[s])
-        split = Split.of(union, n) if len(union) < n else None
         state = merge_blocks(state, r, s, i, j)
         mu = adjust_weights(state, scheme)
         state = state.with_mu(mu)
@@ -500,9 +496,9 @@ def run_neighbor_net(
                 q_value=q_val,
                 endpoints=(i, j),
                 q_hat_value=qh_val,
-                split=split,
+                split=Split.of(merged, n) if len(merged) < n else None,
                 merged_block=merged,
-                mu={t: mu[t] for t in merged},
+                mu=mu,
             )
         )
     ordering = CircularOrdering(state.blocks[0]).canonical()

@@ -455,16 +455,13 @@ def path_ends(path: Sequence[int]) -> tuple:
     return (path[0],) if len(path) == 1 else (path[0], path[-1])
 
 
-def merged_at(items: Sequence, r: int, s: int, value) -> list:
+def merged_at(items: Sequence, r: int, s: int, value) -> tuple:
     """items after blocks r and s merge: value replaces item min(r, s) and
     item max(r, s) is deleted."""
     if r == s:
         raise ValueError("r and s must differ")
     lo, hi = min(r, s), max(r, s)
-    out = list(items)
-    out[lo] = value
-    del out[hi]
-    return out
+    return (*items[:lo], value, *items[lo + 1:hi], *items[hi + 1:])
 
 
 def join_paths(path_r: Sequence[int], path_s: Sequence[int], i: int, j: int) -> tuple:

@@ -172,9 +172,10 @@ def read_nexus_splits(text: str):
 
     Every MATRIX member and CYCLE entry must be a taxon in 1..ntax, named
     once; a split block must be nonempty and not the whole taxon set; a CYCLE
-    must list all ntax taxa; weights must be finite nonnegative numbers.
-    Anything else raises InputError. Lines of weight 0, which older versions
-    wrote, are read and left out of the system.
+    must list all ntax taxa; no split may be listed twice, from either side;
+    weights must be finite nonnegative numbers. Anything else raises
+    InputError. Lines of weight 0, which older versions wrote, are read and
+    left out of the system.
     """
     labels = []
     cycle = None
@@ -227,9 +228,12 @@ def read_nexus_splits(text: str):
                 raise InputError(f"non-numeric split weight {parts[0]!r}") from None
             members = _nexus_taxa(parts[1:], n, "a MATRIX line")
             try:
-                weights[Split.of(members, n)] = weight
+                split = Split.of(members, n)
             except ValueError as exc:  # an empty or full block, or n < 3
                 raise InputError(str(exc)) from None
+            if split in weights:
+                raise InputError(f"{split!r} listed twice in MATRIX")
+            weights[split] = weight
     if n is None:
         raise InputError("missing DIMENSIONS ntax")
     if labels and len(labels) != n:
@@ -251,14 +255,17 @@ def read_nexus_splits(text: str):
 
 # -- Newick ------------------------------------------------------------------
 
+def _newick_label(label: str) -> str:
+    """label, quoted with each ' doubled if it holds a Newick metacharacter."""
+    if not any(c in "()[]':;," for c in label):
+        return label
+    return "'" + label.replace("'", "''") + "'"
+
+
 def splits_to_newick(splits: Iterable[Split], labels: Sequence[str]) -> str:
     """Newick form of a pairwise compatible split set, rooted beside taxon 0;
     no branch lengths (the tree is combinatorial)."""
-    splits = list(splits)
-    if not splits:
-        members = ",".join(labels)
-        return f"({members});"
-    n = splits[0].n
+    labels = [_newick_label(label) for label in labels]
     blocks = {s.other for s in splits}
 
     def render(universe, available):
@@ -276,7 +283,7 @@ def splits_to_newick(splits: Iterable[Split], labels: Sequence[str]) -> str:
         children.sort()
         return "(" + ",".join(c for _, c in children) + ")"
 
-    return render(frozenset(range(n)), [b for b in blocks if len(b) > 1]) + ";"
+    return render(frozenset(range(len(labels))), [b for b in blocks if len(b) > 1]) + ";"
 
 
 # -- traces ------------------------------------------------------------------

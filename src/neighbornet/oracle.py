@@ -13,7 +13,6 @@ the closed forms and the agglomeration against these enumerations.
 """
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
@@ -36,7 +35,7 @@ from .core import (
 )
 from .kalmanson import _default_tol
 from .length import EtaTable, balanced_length_from_eta, count_consistent_orderings, join_extensions
-from .tsp import Tour, _int, tour_length
+from .tsp import Tour, tour_length
 from .weights import DesignMatrix
 
 DEFAULT_CAP = 10**6
@@ -278,10 +277,7 @@ def brute_force_tsp(d: DissimilarityMap) -> Tour:
     the entries' common denominator, which add far faster than Fractions."""
     if d.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force capped at n={BRUTE_FORCE_MAX_N}")
-    a, den = d.array, 1
-    if d.is_exact:
-        den = math.lcm(*(x.denominator for x in a.flat))
-        a = _int(a * den)
+    a, den = d.integer_form if d.is_exact else (d.array, 1)
     best_seq = best_len = None
     orderings = canonical_orderings(d.n)
     while batch := list(islice(orderings, _BATCH)):

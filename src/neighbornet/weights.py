@@ -85,7 +85,7 @@ def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
     return {s: v for s, v in lam.items() if v > 0}
 
 
-def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: float = KKT_TOL) -> np.ndarray:
+def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
     """Active-set non-negative least squares: min ||a x - b|| s.t. x >= 0.
 
     Lawson-Hanson run on the normal equations (Bro & De Jong 1997): grow the
@@ -111,7 +111,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: floa
     if max_iter is None:
         max_iter = max(10 * n, 30)
     c = a.T @ b
-    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    tol = KKT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     gram = np.empty((n, n))  # row r holds a^T a[:, entered[r]]; unwritten rows stay untouched
     entered = np.empty(n, dtype=np.intp)
     row_of = np.full(n, -1, dtype=np.intp)
@@ -120,7 +120,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: floa
     passive = np.zeros(n, dtype=bool)
     w = c
     iters = 0
-    while not passive.all() and np.any(w[~passive] > tol * scale):
+    while not passive.all() and np.any(w[~passive] > tol):
         j = int(np.argmax(np.where(passive, -np.inf, w)))
         if row_of[j] < 0:
             gram[count] = a.T @ a[:, j]
@@ -145,7 +145,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None, tol: floa
             ratios = x[mask] / (x[mask] - z[mask])
             alpha = ratios.min()
             x = x + alpha * (z - x)
-            passive &= x > tol * scale
+            passive &= x > tol
             x[~passive] = 0.0
         w = c - x[entered[:count]] @ gram[:count]
     del gram  # freed before the refinement allocates: together they would set the peak memory

@@ -231,6 +231,17 @@ class TestNewick:
         assert newick.endswith(";")
         assert newick.count("(") == newick.count(")")
 
+    def test_labels_with_metacharacters_are_quoted(self, tmp_path, capsys):
+        labels = ["a(b", "c,d", "e:f", "g;h"]
+        path = tmp_path / "meta.phy"
+        path.write_text(phylip_of([[0, 1, 4, 4], [1, 0, 4, 4], [4, 4, 0, 1], [4, 4, 1, 0]], labels))
+        assert main(["nj", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "('a(b','c,d',('e:f','g;h'));"
+        quoted = ["it's", "[x]", "p)q", "plain", "under_score"]
+        assert splits_to_newick([Split.of({0, 1}, 5)], quoted) == (
+            "('it''s','[x]',('p)q',plain,under_score));"
+        )
+
 
 class TestTrace:
     def test_records_schema(self, tmp_path):

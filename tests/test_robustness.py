@@ -130,6 +130,8 @@ def golden_nexus_with(old, new):
     ("CYCLE 1 2 3 4;", "CYCLE 1 2 3 5;", r"taxon 5 in CYCLE is outside 1\.\.4"),
     ("CYCLE 1 2 3 4;", "CYCLE 1 2 3 3;", "repeated taxon in CYCLE"),
     ("ntax=4 nsplits", "ntax=four nsplits", "bad taxon count"),
+    ("\t 3 4,", "\t 3 4,\n[2, size=2] \t 9.0 \t 3 4,", r"Split\(0,1\|2,3\) listed twice in MATRIX"),
+    ("\t 3 4,", "\t 3 4,\n[2, size=2] \t 9.0 \t 1 2,", r"Split\(0,1\|2,3\) listed twice in MATRIX"),
 ])
 def test_nexus_reader_rejects_malformed_documents(old, new, message):
     with pytest.raises(InputError, match=message):

@@ -91,6 +91,9 @@ def test_states_are_snapshots_matching_a_fresh_build(scheme):
         (i, j), _ = _select_endpoints(state, *pair)
         merged = merge_blocks(state, *pair, i, j)
         history.append((merged, table_values(merged)))
+        path = merged.blocks[merged.last_merge.merged_index]
+        for other in (*SCHEMES, TreeWeighting(0.3)):  # only the merged path's weights change
+            assert list(adjust_weights(merged, other)) == list(path)
         state = merged.with_mu(adjust_weights(merged, scheme))
     for old, values in history:
         assert table_values(old) == values
