@@ -179,22 +179,15 @@ def cmd_check(args) -> int:
             print("kalmanson conditions: PASS on the supplied ordering")
         else:
             taxa = ", ".join(labels[t] for t in violation["taxa"])
-            print(
-                f"kalmanson conditions: FAIL at ({taxa}); "
-                f"near {nio.fmt_num(violation['near_sum'])}, "
-                f"cross {nio.fmt_num(violation['cross_sum'])}, "
-                f"wrap {nio.fmt_num(violation['wrap_sum'])}"
-            )
+            print(f"kalmanson conditions: FAIL at ({taxa}); near {nio.fmt_num(violation['near_sum'])}, "
+                  f"cross {nio.fmt_num(violation['cross_sum'])}, wrap {nio.fmt_num(violation['wrap_sum'])}")
             return 0
     else:
         found = find_kalmanson_ordering(d, tol=tol)
         if found is None:
             print("kalmanson ordering: none found by agglomeration-and-verify")
         else:
-            print(
-                "kalmanson ordering found:",
-                " ".join(labels[t] for t in found.order),
-            )
+            print("kalmanson ordering found:", " ".join(labels[t] for t in found.order))
     return 0
 
 

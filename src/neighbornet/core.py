@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -198,15 +198,30 @@ def sorted_splits(splits) -> list:
     return sorted(splits, key=lambda s: (len(s.block), tuple(sorted(s.block))))
 
 
+def sides_of(splits: Iterable[Split], n: int) -> np.ndarray:
+    """The side matrix of the splits: an n x k bool array whose column c
+    marks split c's stored block, the side holding taxon 0."""
+    splits = list(splits)
+    sides = np.zeros((n, len(splits)), dtype=bool)
+    for c, s in enumerate(splits):
+        sides[list(s.block), c] = True
+    return sides
+
+
+def splits_of(sides: np.ndarray) -> list:
+    """The Split of each column of a side matrix."""
+    taxa = np.nonzero(sides.T)[1].tolist()  # column by column
+    ends = np.cumsum(sides.sum(axis=0)).tolist()
+    return [Split(len(sides), frozenset(taxa[a:b])) for a, b in zip([0, *ends], ends)]
+
+
 def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
     """For each split, in input order, the bool mask of the taxon pairs it
     separates: the pair x split incidence delta_S(i, j), one column at a time.
     Pairs i < j follow np.triu_indices(n, 1) order, (0,1), (0,2), ...,
     (0,n-1), (1,2), ..., which is the order of the DesignMatrix rows."""
     rows, cols = upper_pairs(n)
-    for s in splits:
-        side = np.zeros(n, dtype=bool)
-        side[list(s.block)] = True
+    for side in sides_of(splits, n).T:
         yield side[rows] != side[cols]
 
 
@@ -288,25 +303,20 @@ def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
     upper = pair_sums(dict(sys.items()), n, scalar)
     full = np.full((n, n), scalar(0), dtype=upper.dtype)
     rows, cols = upper_pairs(n)
-    full[rows, cols] = upper
-    full[cols, rows] = upper
+    full[rows, cols] = full[cols, rows] = upper
     return DissimilarityMap(full)
 
 
 def is_pairwise_compatible(splits: Iterable[Split]) -> bool:
-    """True iff every pair of distinct splits has an empty block intersection."""
+    """True iff every two splits are compatible: some side of one misses
+    some side of the other."""
     splits = list(splits)
-    if not splits:
-        return True
-    n = splits[0].n
+    n = splits[0].n if splits else 0
     if any(s.n != n for s in splits):
         raise ValueError("splits over different taxon sets")
-    universe = frozenset(range(n))
-    for s1, s2 in combinations(splits, 2):
-        a, b = s1.block, s2.block
-        if a & b and a - b and b - a and (a | b) != universe:
-            return False
-    return True
+    sides = sides_of(splits, n).astype(int)
+    meets = [x.T @ y for x in (sides, 1 - sides) for y in (sides, 1 - sides)]
+    return not (np.minimum.reduce(meets) > 0).any()
 
 
 def canonical_cycle(order: Sequence[int]) -> tuple:
@@ -376,16 +386,15 @@ def is_circular_split(s: Split, ordering: CircularOrdering) -> bool:
     return starts == 1
 
 
-def circular_arcs(ordering: CircularOrdering) -> Iterator[tuple]:
-    """Each of the n(n-1)/2 circular splits of the ordering once, as
-    (split, a, b): positions a..b (mod n) are the split's arc that contains
-    position n-1. Splits come in the order of their other arc,
-    order[s:s+length], by s and then length."""
-    n = ordering.n
-    order = ordering.order
-    for s in range(n - 1):
-        for length in range(1, n - s):
-            yield Split.of(order[s:s + length], n), s + length, (s - 1) % n
+def arc_sides(ordering: CircularOrdering) -> np.ndarray:
+    """The side matrix of the ordering's n(n-1)/2 circular splits by arc:
+    column c, for (s, e) the c-th pair of upper_pairs(n), is the split of
+    the arc order[s:e], which never holds position n-1."""
+    starts, ends = upper_pairs(ordering.n)
+    position = np.arange(ordering.n)[:, None]
+    inside = (starts <= position) & (position < ends)  # positions x arcs
+    inside ^= ~inside[ordering.order.index(0)]  # each arc's side that holds taxon 0
+    return inside[np.argsort(ordering.order)]
 
 
 def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
@@ -408,7 +417,7 @@ def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.nd
 
 def all_circular_splits(ordering: CircularOrdering) -> frozenset:
     """The n(n-1)/2 splits whose blocks are contiguous arcs of the ordering."""
-    return frozenset(split for split, _, _ in circular_arcs(ordering))
+    return frozenset(splits_of(arc_sides(ordering)))
 
 
 @dataclass(frozen=True)

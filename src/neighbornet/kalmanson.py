@@ -64,13 +64,8 @@ def first_kalmanson_violation(
     positions = tuple(sorted({(a - 1) % n, a, b, (b + 1) % n}))
     taxa = tuple(ordering.order[p] for p in positions)
     i, j, k, l = taxa
-    return {
-        "positions": positions,
-        "taxa": taxa,
-        "near_sum": d[i, j] + d[k, l],
-        "cross_sum": d[i, k] + d[j, l],
-        "wrap_sum": d[i, l] + d[j, k],
-    }
+    return {"positions": positions, "taxa": taxa, "near_sum": d[i, j] + d[k, l],
+            "cross_sum": d[i, k] + d[j, l], "wrap_sum": d[i, l] + d[j, k]}
 
 
 def is_kalmanson(d: DissimilarityMap, ordering: CircularOrdering, tol=None) -> bool:
@@ -107,15 +102,6 @@ def find_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularO
     return ordering if is_kalmanson(d, ordering, tol) else None
 
 
-def perturbed_map(system: WeightedSplitSystem, noise: Sequence[Sequence[Num]]) -> DissimilarityMap:
-    """metric_from_splits(system) + noise, validated symmetric with zero diagonal."""
-    base = metric_from_splits(system).array
-    noise = np.array(noise, dtype=object)  # added entry by entry as Python numbers
-    if noise.shape != base.shape:
-        raise ValueError("noise shape mismatch")
-    return DissimilarityMap(base + noise)
-
-
 def radius_perturbation_check(
     system: WeightedSplitSystem,
     noise: Sequence[Sequence[Num]],
@@ -125,14 +111,26 @@ def radius_perturbation_check(
     """Run the agglomeration on metric(system) + noise; True iff every split of
     the system is circular with respect to the output ordering.
 
-    With enforce_bound, require sup|noise| < min weight / 2, the radius inside
-    which recovery is guaranteed. Pass enforce_bound=False to probe beyond it.
+    With enforce_bound, require the system to hold all n(n-1)/2 circular
+    splits of one ordering and sup|noise| < min weight / 2, the radius inside
+    which recovery is guaranteed: each arc's lambda is its split's weight,
+    noise moves it by at most 2 sup|noise|, so every lambda stays positive
+    and the map Kalmanson. A missing split's lambda is 0, which noise may
+    push negative. Pass enforce_bound=False to probe beyond it.
     """
     if not system:
         raise ValueError("system has no splits")
     sup = max(abs(v) for row in noise for v in row)
-    if enforce_bound and not sup < min(w for _, w in system.items()) / 2:
-        raise ValueError("perturbation bound violated: sup|noise| must be < min weight / 2")
-    d = perturbed_map(system, noise)
-    result = run_neighbor_net(d, BalancedTSP())
+    clean = metric_from_splits(system)
+    if enforce_bound:
+        ordering = run_neighbor_net(clean, BalancedTSP()).ordering
+        full = system.n * (system.n - 1) // 2
+        if len(system) < full or not all(is_circular_split(s, ordering) for s in system):
+            raise ValueError("perturbation bound needs weight on every circular split of one ordering")
+        if not sup < min(w for _, w in system.items()) / 2:
+            raise ValueError("perturbation bound violated: sup|noise| must be < min weight / 2")
+    noise = np.array(noise, dtype=object)  # added entry by entry as Python numbers
+    if noise.shape != clean.array.shape:
+        raise ValueError("noise shape mismatch")
+    result = run_neighbor_net(DissimilarityMap(clean.array + noise), BalancedTSP())
     return all(is_circular_split(s, result.ordering) for s in system)

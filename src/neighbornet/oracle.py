@@ -100,9 +100,7 @@ def enumerate_consistent_orderings(
     seen = set()
     for perm in permutations(rest):
         arrangement = (first,) + perm
-        orient_choices = [
-            ((b, b[::-1]) if len(b) > 1 else (b,)) for b in arrangement
-        ]
+        orient_choices = [(b, b[::-1]) if len(b) > 1 else (b,) for b in arrangement]
         for oriented in product(*orient_choices):
             seq = [t for b in oriented for t in b]
             seen.add(canonical_cycle(seq))
@@ -143,10 +141,7 @@ def enumerated_join_family_length(
 def w_neighborliness(state: BlockState, r: int, s: int, t: int, u: int) -> Num:
     """Pairwise neighborliness w(C_r C_s : C_t C_u)."""
     bd = state.block_distance
-    val = (
-        bd(r, t) + bd(r, u) + bd(s, t) + bd(s, u) - 2 * bd(r, s) - 2 * bd(t, u)
-    )
-    return val / Fraction(2)
+    return (bd(r, t) + bd(r, u) + bd(s, t) + bd(s, u) - 2 * bd(r, s) - 2 * bd(t, u)) / Fraction(2)
 
 
 def z_from_w_sum(state: BlockState, r: int, s: int) -> Num:
@@ -173,12 +168,8 @@ def split_system_orderings(
         raise EnumerationCapExceeded(
             f"{count_distinct_orderings(n)} candidate orderings exceed cap {cap}"
         )
-    out = []
-    for seq in canonical_orderings(n):
-        o = CircularOrdering(seq)
-        if all(is_circular_split(s, o) for s in splits):
-            out.append(o)
-    return out
+    orderings = map(CircularOrdering, canonical_orderings(n))
+    return [o for o in orderings if all(is_circular_split(s, o) for s in splits)]
 
 
 def eta_for_splits(splits: Iterable[Split], n: int, cap: int = DEFAULT_CAP) -> EtaTable:
@@ -362,13 +353,12 @@ def strict_quartets(d: DissimilarityMap, ordering: CircularOrdering, tol=None) -
 
 def positive_split_quartets(system: WeightedSplitSystem) -> frozenset:
     """Quartets (ab;cd) separated by some split of positive weight."""
-    positive = [s for s, w in system.items() if w > 0]
     return frozenset(
         quartet(a, b, c, e)
         for i, j, k, l in combinations(range(system.n), 4)
         for a, b, c, e in ((i, j, k, l), (i, k, j, l), (i, l, j, k))
         if any(
             not s.separates(a, b) and not s.separates(c, e) and s.separates(a, c)
-            for s in positive
+            for s in system
         )
     )

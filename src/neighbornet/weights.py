@@ -15,13 +15,13 @@ from .core import (
     Num,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
-    circular_arcs,
+    arc_sides,
     corner_differences,
     is_circular_split,
     pair_sums,
+    sides_of,
     sorted_splits,
-    split_masks,
+    splits_of,
     upper_pairs,
 )
 
@@ -32,27 +32,33 @@ class NonConvergence(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """0/1 incidence of taxon pairs (rows, in split_masks order) against
-    splits (columns, in sorted_splits order)."""
+    """0/1 incidence of taxon pairs (rows, in split_masks order) against splits
+    (columns, in sorted_splits order), held as their side matrix, core.sides_of."""
 
     n: int
-    splits: tuple
+    sides: np.ndarray
 
     @classmethod
     def for_ordering(cls, ordering: CircularOrdering) -> "DesignMatrix":
-        return cls.for_splits(all_circular_splits(ordering), ordering.n)
+        """The ordering's circular splits from its arcs, with no Split made, in
+        sorted_splits order: by block size, then by the membership of taxa
+        0, 1, ..., members first, which orders blocks of one size as tuples."""
+        sides = arc_sides(ordering)
+        return cls(ordering.n, sides[:, np.lexsort((*~sides[::-1], sides.sum(axis=0)))])
 
     @classmethod
     def for_splits(cls, splits, n: int) -> "DesignMatrix":
-        return cls(n, tuple(sorted_splits(splits)))
+        return cls(n, sides_of(sorted_splits(splits), n))
+
+    @property
+    def splits(self) -> tuple:
+        return tuple(splits_of(self.sides))
 
     def as_array(self) -> np.ndarray:
-        a = np.zeros((self.n * (self.n - 1) // 2, len(self.splits)))
-        for col, mask in enumerate(split_masks(self.splits, self.n)):
-            a[mask, col] = 1.0  # a bool-to-float copy would need a cast buffer
-        return a
+        rows, cols = upper_pairs(self.n)
+        return (self.sides[rows] != self.sides[cols]).astype(float)
 
     @staticmethod
     def rhs(d: DissimilarityMap) -> np.ndarray:
@@ -74,9 +80,10 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
-    twice = corner_differences(d, ordering).tolist()
+    starts, ends = upper_pairs(d.n)  # the arc order[s:e] has corners at positions e and s-1
+    twice = corner_differences(d, ordering)[ends, (starts - 1) % d.n].tolist()
     h = Fraction(1, 2)  # an exact half of exact values; 0.5 times a float
-    return {split: h * twice[a][b] for split, a, b in circular_arcs(ordering)}
+    return {split: h * v for split, v in zip(splits_of(arc_sides(ordering)), twice)}
 
 
 def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
@@ -186,7 +193,10 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering, splits=None) -> We
     scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
     if viol > 10 * KKT_TOL * scale:
         raise NonConvergence(f"KKT violation {viol} above tolerance")
-    return WeightedSplitSystem(d.n, dict(zip(design.splits, (float(v) for v in x))))
+    positive = x > 0
+    fit = WeightedSplitSystem(d.n, dict(zip(splits_of(design.sides[:, positive]), x[positive].tolist())))
+    fit._exact = False  # a float fit, though no weight may be left to say so
+    return fit
 
 
 def reconstruction_residual(d: DissimilarityMap, lam: Mapping[Split, Num]) -> float:
