@@ -193,11 +193,12 @@ def _solve_normal_equations_exact(a, weights, y):
     The normal equations are always consistent, so a solution exists even when
     the design is rank-deficient.
     """
-    w = np.array([Fraction(v) for v in weights], dtype=object)
-    kept = w != 0  # rows of weight zero add nothing
-    wa = a[kept].T * w[kept]  # A^T W
-    aug = np.column_stack([wa @ a[kept], wa @ y[kept]]).tolist()
-    n = len(aug)
+    n = a.shape[1]
+    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]  # [A^T W A | A^T W y], over each row's nonzero columns
+    for row, wt in zip(np.column_stack([a, y]).tolist(), map(Fraction, weights)):
+        cols = [c for c in range(n) if row[c]] if wt else []  # a row of weight zero adds nothing
+        for i, j in product(cols, cols + [n]):
+            aug[i][j] += wt * row[i] * row[j]
     pivots = []
     rank_row = 0
     for col in range(n):

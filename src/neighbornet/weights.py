@@ -95,67 +95,81 @@ def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
 def nnls(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
     """Active-set non-negative least squares: min ||a x - b|| s.t. x >= 0.
 
-    Lawson-Hanson run on the normal equations (Bro & De Jong 1997): grow the
-    passive set P by the most positive coordinate of the gradient
-    c - G x (c = a^T b, G = a^T a), solve the k x k system G[P, P] z = c[P],
-    and step back along the segment when z leaves the feasible cone. c is
-    formed once, and the Gram row a^T a[:, j] once, when column j first
-    enters P; the rows are stored in order of entry, so the memory touched
-    grows as k x n, not n x n.
+    Lawson-Hanson on the normal equations (Bro & De Jong 1997): grow the
+    passive set P by the most positive coordinate of the gradient c - G x
+    (c = a^T b, G = a^T a), take z_P = inv(G[P, P]) c[P], and step back along
+    the segment when z leaves the feasible cone. The inverse is bordered when
+    a column enters and downdated by a rank-1 term per column that leaves,
+    O(k^2) each. c is formed once, and the Gram row a^T a[:, j] when j first
+    enters P, stored in order of entry: the memory touched grows as k x n.
 
     The normal equations square cond(a), so the final passive weights are
     refined by one least-squares solve of a[:, P] against b, kept when every
-    weight stays positive. A singular G[P, P] means dependent passive
-    columns, which the entry rule excludes; it raises NonConvergence rather
-    than switching solvers, as does running past max_iter. On a
+    weight stays positive. Non-finite a or b, or an overflowing a^T b, raises
+    ValueError. A pivot that is not positive and finite (dependent passive
+    columns, which the entry rule excludes), a non-finite z and running past
+    max_iter raise NonConvergence; there is no fallback solver. On a
     rank-deficient problem the minimiser need not be unique: any x returned
-    attains the minimum up to the KKT tolerance, but which one is returned
-    is a detail of the solver.
+    attains the minimum up to the KKT tolerance; which one is a solver detail.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    for name, arg in (("a", a), ("b", b)):
+        if not np.isfinite(arg).all():
+            raise ValueError(f"nnls: {name} holds a non-finite value")
     m, n = a.shape
     if max_iter is None:
         max_iter = max(10 * n, 30)
     c = a.T @ b
+    if not np.isfinite(c).all():  # the tolerance would be inf, and x = 0 would pass for optimal
+        raise ValueError("nnls: a^T b overflows")
     tol = KKT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     gram = np.empty((n, n))  # row r holds a^T a[:, entered[r]]; unwritten rows stay untouched
     entered = np.empty(n, dtype=np.intp)
     row_of = np.full(n, -1, dtype=np.intp)
     count = 0
+    inv = np.empty((n, n))  # inv[:k, :k] is the inverse of G[order, order]
+    order = np.empty(0, dtype=np.intp)  # the k passive columns, in the order of that inverse's rows
     x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
     w = c
     iters = 0
-    while not passive.all() and np.any(w[~passive] > tol):
+    while not (passive := x > 0).all() and np.any(w[~passive] > tol):
         j = int(np.argmax(np.where(passive, -np.inf, w)))
         if row_of[j] < 0:
             gram[count] = a.T @ a[:, j]
             entered[count] = j
             row_of[j] = count
             count += 1
-        passive[j] = True
+        k, g = order.size, gram[row_of[j], order]  # g = G[order, j]
+        u = inv[:k, :k] @ g
+        s = gram[row_of[j], j] - np.dot(g, u)
+        if not 0 < s < np.inf:
+            raise NonConvergence(f"NNLS passive block of {k + 1} columns is singular")
+        inv[:k, :k] += u[:, None] * (u / s)
+        inv[k, : k + 1] = inv[: k + 1, k] = np.concatenate((-u, [1.0])) / s
+        order, xp = np.concatenate((order, [j])), np.concatenate((x[order], [0.0]))
         while True:
             iters += 1
             if iters > max_iter:
                 raise NonConvergence(f"NNLS did not converge within {max_iter} iterations")
-            p = np.flatnonzero(passive)
-            z = np.zeros(n)
-            try:
-                z[p] = np.linalg.solve(gram[np.ix_(row_of[p], p)], c[p])
-            except np.linalg.LinAlgError as exc:
-                raise NonConvergence(f"NNLS passive block of {p.size} columns is singular") from exc
-            if z[p].min() > 0:
-                x = z
+            k = order.size
+            z = inv[:k, :k] @ c[order]
+            if z.min(initial=np.inf) > 0:  # empty when every column left: start again from x = 0
                 break
-            mask = passive & (z <= 0)
-            ratios = x[mask] / (x[mask] - z[mask])
-            alpha = ratios.min()
-            x = x + alpha * (z - x)
-            passive &= x > tol
-            x[~passive] = 0.0
+            neg = z <= 0
+            if not neg.any():
+                raise NonConvergence(f"NNLS passive solution over {k} columns is not finite")
+            alpha = (xp[neg] / (xp[neg] - z[neg])).min()
+            xp = xp + alpha * (z - xp)
+            keep = xp > tol
+            for q in np.flatnonzero(~keep):  # inv[:k, :k] becomes the inverse without column q
+                inv[:k, :k] -= inv[:k, q, None] * (inv[:k, q] / inv[q, q])
+            inv[: keep.sum(), : keep.sum()] = inv[:k, :k][keep][:, keep]
+            order, xp = order[keep], xp[keep]
+        x = np.zeros(n)
+        x[order] = z
         w = c - x[entered[:count]] @ gram[:count]
-    del gram  # freed before the refinement allocates: together they would set the peak memory
+    del gram, inv  # freed before the refinement allocates: together they would set the peak memory
     if passive.any():
         refined = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
         if refined.min() > 0:
@@ -191,7 +205,7 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering, splits=None) -> We
     x = nnls(a, b)
     viol = kkt_violation(a, b, x)
     scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
-    if viol > 10 * KKT_TOL * scale:
+    if not viol <= 10 * KKT_TOL * scale:  # a NaN violation fails too
         raise NonConvergence(f"KKT violation {viol} above tolerance")
     positive = x > 0
     fit = WeightedSplitSystem(d.n, dict(zip(splits_of(design.sides[:, positive]), x[positive].tolist())))

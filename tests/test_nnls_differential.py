@@ -10,6 +10,7 @@ import scipy.optimize
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
 from neighbornet.core import CircularOrdering, DissimilarityMap, all_circular_splits
+from neighbornet import weights
 from neighbornet.oracle import adjacency_counts
 from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, nnls, sorted_splits
 from conftest import random_circular_instance, random_dissimilarity
@@ -146,19 +147,21 @@ def test_one_least_squares_solve_per_fit(monkeypatch):
     assert (x > 0).sum() > 1 and len(calls) == 1
 
 
-def singular_solve(*args, **kwargs):
-    raise np.linalg.LinAlgError("Singular matrix")
+def nan_pivot(*args, **kwargs):
+    """Stands in for the dot product g . u of a column's pivot
+    G[j, j] - g . u, which turns the pivot NaN."""
+    return np.nan
 
 
 def test_singular_passive_block_raises_non_convergence(monkeypatch):
-    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    monkeypatch.setattr(np, "dot", nan_pivot)
     d, pi = noisy_circular_map(random.Random(44), 6)
     with pytest.raises(NonConvergence, match="passive block of 1 columns is singular"):
         nnls(*system_of(d, pi))
 
 
 def test_cli_exits_3_on_a_singular_passive_block(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    monkeypatch.setattr(np, "dot", nan_pivot)
     d, _ = noisy_circular_map(random.Random(45), 6)
     path = tmp_path / "map.phy"
     path.write_text(f"{d.n}\n" + "".join(
@@ -171,3 +174,83 @@ def test_iteration_cap_still_raises():
     d, pi = noisy_circular_map(random.Random(46), 8)
     with pytest.raises(NonConvergence, match="within 3 iterations"):
         nnls(*system_of(d, pi), max_iter=3)
+
+
+def assert_matches_scipy(a, b):
+    """The full circular design is square and invertible, so the minimiser is
+    unique: both solvers must find its support and its weights."""
+    x = nnls(a, b)
+    x_ref, _ = scipy.optimize.nnls(a, b)
+    assert ((x > 0) == (x_ref > 0)).all()
+    assert np.abs(x - x_ref).max() <= 1e-9 * scale_of(a, b)
+    return x
+
+
+@pytest.mark.parametrize("n", [18, 24, 28])
+def test_full_support_fits_at_large_k_against_scipy(n):
+    """k = 153, 276 and 378 passive columns: every entry borders the
+    inverse of the passive block, so its rounding errors add up over
+    hundreds of updates."""
+    d, pi = noisy_circular_map(random.Random(47 + n), n)
+    a, b = system_of(d, pi)
+    assert (assert_matches_scipy(a, b) > 0).all()
+
+
+def test_random_map_fit_where_columns_leave_against_scipy():
+    """A random map under its neighbor-net ordering. Without exits every
+    iteration ends in an entry, so the iterations would equal the final
+    support; the cap at the support size fails, so some column left the
+    passive set and its downdate ran."""
+    d = random_dissimilarity(random.Random(48), 20)
+    a, b = system_of(d, run_neighbor_net(d).ordering)
+    support = int((assert_matches_scipy(a, b) > 0).sum())
+    with pytest.raises(NonConvergence, match="within"):
+        nnls(a, b, max_iter=support)
+
+
+@pytest.mark.parametrize("arg,index,value", [("b", 3, np.nan), ("b", 0, np.inf), ("a", (2, 1), np.nan)])
+def test_non_finite_input_raises_value_error(arg, index, value):
+    d, pi = noisy_circular_map(random.Random(49), 6)
+    a, b = system_of(d, pi)
+    {"a": a, "b": b}[arg][index] = value
+    with pytest.raises(ValueError, match=f"nnls: {arg} holds a non-finite value"):
+        nnls(a, b)
+
+
+
+def test_an_overflowing_gradient_raises_value_error():
+    """a^T b = inf would set the tolerance to inf, and the all-zero x would
+    pass for optimal."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"nnls: a\^T b overflows"):
+        nnls(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([1e308, 1e308]))
+
+
+@pytest.mark.parametrize("a,b,message", [
+    # the second pivot is subnormal: its reciprocal overflows, the inverse holds infinities and z is NaN
+    ([[0.0, 1e-150], [1e-160, 1e-150], [1e-160, 1e-150]], [-2e154, 2e154, 2e154],
+     "passive solution over 2 columns is not finite"),
+    # z overflows to -inf and inf, every column leaves, and each restart from x = 0 overflows again
+    ([[1e-151, 0.0, 1e-145], [2e-151, 0.0, 1e-145], [2e-151, 0.0, 1e-145]], [-1e163, 1e163, 2e163],
+     "did not converge within 30 iterations"),
+])
+def test_overflow_raises_non_convergence(a, b, message):
+    """Finite inputs whose solution overflows: the solver must say it failed,
+    not crash on an empty reduction."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence, match=message):
+        nnls(np.array(a), np.array(b))
+
+
+def test_nnls_fit_rejects_a_nan_weight(monkeypatch):
+    """kkt_violation is NaN when a weight is; the gate must fail, not pass."""
+    d, pi = noisy_circular_map(random.Random(51), 6)
+
+    def nan_weight(a, b, max_iter=None):
+        x = np.zeros(a.shape[1])
+        x[0] = np.nan
+        return x
+
+    a, b = system_of(d, pi)
+    assert np.isnan(kkt_violation(a, b, nan_weight(a, b)))
+    monkeypatch.setattr(weights, "nnls", nan_weight)
+    with pytest.raises(NonConvergence, match="KKT violation nan above tolerance"):
+        weights.nnls_fit(d, pi)
