@@ -24,13 +24,13 @@ and f^2. Fractions appear only where values leave the engine: the
 accessors, Q-hat, the step records and mu.
 
 The tables are never rebuilt whole. A merge leaves the weights alone, so it
-drops column hi and makes the merged column the sum of the two it joins; a
-weight change recomputes, from the original matrix, only the columns of the
-blocks whose weights changed, in O(n |block|) each. Every scheme changes
-weights inside the merged block alone, so its new weights are the one value
-a step passes on: adjust_weights returns them, with_mu applies them and the
-step record keeps them. A step costs O(n^2) with the vectorised Q, a run
-O(n^3), and float runs cannot accumulate drift.
+drops column hi and makes the merged column the sum of the two it joins.
+Every scheme changes weights inside the merged block alone, so its new
+weights are the one value a step passes on: adjust_weights returns them,
+with_mu applies them and recomputes, from the original matrix, the merged
+block's column alone, in O(n |block|), and the step record keeps them. A
+step costs O(n^2) with the vectorised Q, a run O(n^3), and float runs cannot
+accumulate drift.
 """
 from __future__ import annotations
 
@@ -118,7 +118,8 @@ class BlockState:
     float map the tables hold the distances and _w is mu itself. mu and
     every accessor give the state's scalar: Fraction or float. Only the
     constructor copies and normalises its input; a merge's successor shares
-    mu, which no state changes.
+    mu, which no state changes. A transition refreshes only the block at
+    last_merge.merged_index, the one block whose weights a scheme changes.
     """
 
     __slots__ = (
@@ -162,11 +163,11 @@ class BlockState:
         self._den, self._w = (map_den, grown), w
         return f
 
-    def _successor(self, blocks, mu, parts, last_merge, tb, bb, changed=frozenset()) -> "BlockState":
+    def _successor(self, blocks, mu, parts, last_merge, tb, bb, changed=()) -> "BlockState":
         """A state on the same map whose tables are tb and bb (which it now
-        owns) after the taxa in changed took their weights in mu: the
-        tables are scaled if D grew, and the columns of the blocks holding
-        a changed taxon recomputed. blocks, mu and parts are taken as is."""
+        owns) after the taxa in changed, all in the last merged block, took
+        their weights in mu: the tables are scaled if D grew, and that
+        block's column recomputed. blocks, mu and parts are taken as is."""
         new = object.__new__(BlockState)
         new.d, new.scalar, new._unit, new._dm = self.d, self.scalar, self._unit, self._dm
         new.blocks, new.mu, new.parts, new.last_merge = blocks, mu, parts, last_merge
@@ -176,8 +177,7 @@ class BlockState:
             tb *= f
             bb *= f * f
         new._tb, new._bb = tb, bb
-        stale = [t for t, block in enumerate(new.blocks) if not changed.isdisjoint(block)] if changed else []
-        new._refresh(stale)
+        new._refresh([last_merge.merged_index] if changed else [])
         return new
 
     def _refresh(self, stale):
@@ -250,9 +250,13 @@ class BlockState:
         return self._total
 
     def with_mu(self, mu) -> "BlockState":
-        """This state with new weights for the taxa in mu, any subset (as
-        adjust_weights returns). Every taxon given counts as changed, so a
-        dict over all taxa works too and refreshes every block."""
+        """This state with new weights for the taxa in mu, which must lie in
+        the block the last merge made, as adjust_weights returns them. Every
+        taxon given counts as changed; the tables refresh that block alone."""
+        if self.last_merge is None:
+            raise ValueError("no merge has been performed on this state")
+        if not mu.keys() <= set(self.blocks[self.last_merge.merged_index]):
+            raise ValueError("new weights must lie in the last merged block")
         return self._successor(
             self.blocks, {**self.mu, **mu}, self.parts, self.last_merge,
             self._tb.copy(), self._bb.copy(), mu.keys(),
@@ -329,21 +333,6 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     return state._successor(blocks, state.mu, parts, info, tb, bb)
 
 
-def _apply_original_bm(mu, compound_parts, junction, other_block, quarter, hlf):
-    """One application of the historical update: the sub-block holding the
-    junction endpoint is halved, its sibling and the whole other block are
-    quartered."""
-    part_a, part_b = compound_parts
-    near = part_a if junction in part_a else part_b
-    far = part_b if near is part_a else part_a
-    for t in far:
-        mu[t] = mu[t] * quarter
-    for t in other_block:
-        mu[t] = mu[t] * quarter
-    for t in near:
-        mu[t] = mu[t] * hlf
-
-
 def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
     """The merged path's new weights, in path order, after the merge recorded
     in state.last_merge: no scheme changes any other weight. with_mu
@@ -368,26 +357,22 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
         for t in block_s:
             mu[t] = (one - alpha) * mu[t]
     elif isinstance(scheme, OriginalBM):
+        # once per compound block, the block with the smaller minimum taxon
+        # first (arbitrary but fixed): the sub-block holding the junction
+        # endpoint is halved, its sibling and the whole other block quartered
         quarter, h = one / 4, one / 2
-        r_compound = info.parts_r is not None
-        s_compound = info.parts_s is not None
-        if not r_compound and not s_compound:
-            # first-ever merge of two singletons: no sub-block structure to
-            # quarter, both survivors keep equal shares
+        sides = [(block_r, info.parts_r, info.i, block_s), (block_s, info.parts_s, info.j, block_r)]
+        compound = [side for side in sorted(sides, key=lambda side: min(side[0])) if side[1] is not None]
+        for _, (part_a, part_b), junction, other in compound:
+            near, far = (part_a, part_b) if junction in part_a else (part_b, part_a)
+            for t in (*far, *other):
+                mu[t] = mu[t] * quarter
+            for t in near:
+                mu[t] = mu[t] * h
+        if not compound:
+            # the first merge of two singletons: both keep equal shares
             for t in merged_path:
                 mu[t] = mu[t] * h
-        elif r_compound and not s_compound:
-            _apply_original_bm(mu, info.parts_r, info.i, block_s, quarter, h)
-        elif s_compound and not r_compound:
-            _apply_original_bm(mu, info.parts_s, info.j, block_r, quarter, h)
-        else:
-            # both compound: apply once per block, the block with the smaller
-            # minimum taxon first (arbitrary but fixed order)
-            order = [(info.parts_r, info.i, block_s), (info.parts_s, info.j, block_r)]
-            if min(block_s) < min(block_r):
-                order.reverse()
-            for parts, junction, other in order:
-                _apply_original_bm(mu, parts, junction, other, quarter, h)
     else:
         raise TypeError(f"unknown weighting scheme: {scheme!r}")
     return mu
@@ -442,12 +427,12 @@ def _select_pair(state: BlockState) -> tuple:
     Ties always occur at three blocks, where Q is the same for every pair.
     """
     m, tol, row_sums = state.m, state.tie_tol, state._row_sums()
-    rows, cols = np.triu_indices(m, 1)
-    between = state._bb[rows, cols]
-    q = (m - 2) * between - row_sums[rows] - row_sums[cols]
+    q = (m - 2) * state._bb - row_sums[:, None] - row_sums
+    q[np.tri(m, dtype=bool)] = np.inf  # row-major order over r < s is the pair order
+    q = q.ravel()
     near = _near_min(q, tol)
-    k = near[_near_min(between[near], tol)[0]]
-    return (int(rows[k]), int(cols[k])), state._number(q[k], 2)
+    k = near[_near_min(state._bb.ravel()[near], tol)[0]]
+    return divmod(int(k), m), state._number(q[k], 2)
 
 
 def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:

@@ -160,7 +160,7 @@ class Split:
             raise ValueError("stored block must contain taxon 0")
         if len(self.block) >= self.n:
             raise ValueError("block must be a proper subset")
-        if not all(0 <= t < self.n for t in self.block):
+        if not (0 <= min(self.block) and max(self.block) < self.n):
             raise ValueError("taxon out of range")
 
     @classmethod
@@ -169,6 +169,8 @@ class Split:
         block = frozenset(members)
         if not block or len(block) >= n:
             raise ValueError("block must be a nonempty proper subset")
+        if not (0 <= min(block) and max(block) < n):
+            raise ValueError("taxon out of range")
         if 0 not in block:
             block = frozenset(range(n)) - block
         return cls(n, block)

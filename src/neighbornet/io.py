@@ -131,7 +131,7 @@ def write_nexus(
     out.append(f"DIMENSIONS ntax={n};")
     out.append("TAXLABELS")
     for k, label in enumerate(labels, start=1):
-        out.append(f"[{k}] '{label}'")
+        out.append(f"[{k}] {_quoted(label)}")
     out.append(";")
     out.append("END; [Taxa]")
     out.append("")
@@ -211,7 +211,9 @@ def read_nexus_splits(text: str):
             label = line
             if "]" in label:
                 label = label.split("]", 1)[1].strip()
-            labels.append(label.strip("'\""))
+            if len(label) > 1 and label[0] == label[-1] in "'\"":
+                label = label[1:-1].replace(label[0] * 2, label[0])
+            labels.append(label)
             continue
         if mode == "matrix":
             body = line.rstrip(",")
@@ -255,11 +257,14 @@ def read_nexus_splits(text: str):
 
 # -- Newick ------------------------------------------------------------------
 
-def _newick_label(label: str) -> str:
-    """label, quoted with each ' doubled if it holds a Newick metacharacter."""
-    if not any(c in "()[]':;," for c in label):
-        return label
+def _quoted(label: str) -> str:
+    """label in single quotes, each ' inside doubled: the Nexus and Newick rule."""
     return "'" + label.replace("'", "''") + "'"
+
+
+def _newick_label(label: str) -> str:
+    """label, quoted if it holds a Newick metacharacter."""
+    return _quoted(label) if any(c in "()[]':;," for c in label) else label
 
 
 def splits_to_newick(splits: Iterable[Split], labels: Sequence[str]) -> str:

@@ -32,6 +32,7 @@ from .core import (
     canonical_orderings,
     count_distinct_orderings,
     is_circular_split,
+    upper_pairs,
 )
 from .kalmanson import _default_tol
 from .length import EtaTable, balanced_length_from_eta, count_consistent_orderings, join_extensions
@@ -235,7 +236,7 @@ def wls_split_weights(
     every split crosses exactly two edges of any consistent ordering.
     """
     design = DesignMatrix.for_splits(splits, d.n)
-    rows, cols = np.triu_indices(d.n, 1)  # the design's row order
+    rows, cols = upper_pairs(d.n)  # the design's row order
     w = [pair_weights.get(p, 0) for p in zip(rows.tolist(), cols.tolist())]
     if d.is_exact and all(not isinstance(v, float) for v in w):
         a = design.as_array().astype(int)

@@ -371,3 +371,18 @@ class TestOriginalBMDivergence:
         nj = set(scalar_engine.neighbor_joining(d))
         assert bm != nj
         assert is_pairwise_compatible(bm)
+
+
+class TestWithMu:
+    def test_requires_a_merge(self):
+        d = random_dissimilarity(random.Random(8), 4)
+        with pytest.raises(ValueError, match="no merge"):
+            BlockState.initial(d).with_mu({0: 0.5})
+
+    def test_rejects_a_weight_outside_the_merged_block(self):
+        d = random_dissimilarity(random.Random(9), 5, exact=True)
+        state = merge_blocks(BlockState.initial(d), 1, 3, 1, 3)
+        mu = adjust_weights(state, BalancedTSP())
+        with pytest.raises(ValueError, match="last merged block"):
+            state.with_mu({**mu, 0: Fraction(1, 2)})
+        assert state.with_mu(mu).mu == {0: 1, 1: Fraction(1, 2), 2: 1, 3: Fraction(1, 2), 4: 1}

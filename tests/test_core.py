@@ -297,3 +297,14 @@ class TestCounting:
         for fn in (count_nnet_outputs, count_associahedron_vertices, count_distinct_orderings):
             with pytest.raises(ValueError):
                 fn(2)
+
+
+class TestSplitRange:
+    @pytest.mark.parametrize("members", [[1, 5], [1, -2]])
+    def test_of_rejects_out_of_range_members_before_complementing(self, members):
+        with pytest.raises(ValueError, match="taxon out of range"):
+            Split.of(members, 4)
+
+    def test_constructor_rejects_out_of_range_block(self):
+        with pytest.raises(ValueError, match="taxon out of range"):
+            Split(4, frozenset({0, 7}))

@@ -390,3 +390,16 @@ class TestCliFlags:
         assert main(["nnet", str(path), "--estimate", "nnls", "--ols-weights", "eta"]) == 1
         assert main(["estimate", str(path), "--ols-weights", "uniform"]) == 1
         assert capsys.readouterr().err.count("unrecognized arguments: --ols-weights") == 2
+
+
+class TestNexusLabels:
+    LABELS = ["a'", "O'Brien", '"d"', "x y"]
+
+    def test_labels_round_trip(self):
+        text = write_nexus(WeightedSplitSystem(4, {}), self.LABELS)
+        assert "[2] 'O''Brien'" in text
+        assert read_nexus_splits(text)[0] == self.LABELS
+
+    def test_undoubled_quote_reads_as_before(self):
+        text = write_nexus(WeightedSplitSystem(4, {}), self.LABELS)
+        assert read_nexus_splits(text.replace("'O''Brien'", "'O'Brien'"))[0][1] == "O'Brien"
