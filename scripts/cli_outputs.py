@@ -11,7 +11,8 @@ every tree reads the same files: for each n in 4..MAX_N a random float map,
 a tie-heavy map of integers 1..3, a circular map with float weights and one
 with weights k/100; then the four 50-taxon maps of the benchmark's
 fit-sparse workload at seed 1. Each map gets nnet under every weighting and
-every --estimate, nj, tsp, check, estimate and length.
+every --estimate, nj, tsp, check, estimate (also over an --ordering of
+n-1 and of n+1 taxa, an input error) and length.
 
 OUTDIR/inputs holds the maps. OUTDIR/<map>/<call>.txt holds a call's exit
 code, stdout and stderr, with its Nexus (.nex) and trace (.jsonl) files
@@ -70,6 +71,8 @@ def calls(phy: str, n: int, fit_sparse: bool):
     for method in ("formula", "formula-clamped", "nnls"):
         yield f"estimate-{method}", ["estimate", phy, "--method", method], False, False
         yield f"estimate-{method}-identity", ["estimate", phy, "--method", method, "--ordering", ",".join(taxa)], True, False
+        for kind, wrong in (("short", taxa[:-1]), ("long", taxa + [str(n)])):  # n-1 and n+1 taxa: exit 1
+            yield f"estimate-{method}-{kind}", ["estimate", phy, "--method", method, "--ordering", ",".join(wrong)], False, False
     blocks = "|".join(",".join(taxa[k:k + 2]) for k in range(0, n, 2))
     yield "length", ["length", phy, "--blocks", blocks], False, False
     yield "length-rational", ["length", phy, "--blocks", blocks, "--rational"], False, False

@@ -9,7 +9,9 @@ Trace record schema (one JSON object per line, one line per merge step):
     q            Q value at the chosen pair
     join         [i, j] taxa joined by the new edge
     q_hat        endpoint criterion value at the chosen join
-    split_block  sorted taxa of the merged side, or null for the final merge
+    split_block  sorted taxa of the side of the step's split that holds
+                 taxon 0: the complement of merged_path, or merged_path
+                 itself when it holds taxon 0; null for the final merge
     merged_path  the merged block's path after the merge
     mu           taxon -> weight after the adjustment step, for the taxa of
                  merged_path; every other weight is as in the previous
@@ -120,11 +122,15 @@ def write_nexus(
 
     Each MATRIX line carries the weight of one split of the system (a
     positive one) and the 1-based members of the block not containing taxon
-    1. The CYCLE statement is included when an ordering is supplied.
+    1. The CYCLE statement is included when an ordering is supplied. A label
+    holding a line break raises ValueError: TAXLABELS are read line by line.
     """
     n = system.n
     if len(labels) != n:
         raise ValueError("label count mismatch")
+    broken = next((label for label in labels if "".join(label.splitlines()) != label), None)
+    if broken is not None:
+        raise ValueError(f"taxon label {broken!r} holds a line break")
     splits = sorted_splits(system.splits)
     out = ["#nexus", ""]
     out.append("BEGIN Taxa;")

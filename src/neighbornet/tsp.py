@@ -79,15 +79,19 @@ def read_tsplib_euc2d(text: str, rounding: str = "none") -> DissimilarityMap:
     weight_type = header.get("EDGE_WEIGHT_TYPE", "").upper()
     if weight_type != "EUC_2D":
         raise ValueError(f"unsupported EDGE_WEIGHT_TYPE {weight_type or '(none)'}")
-    n = int(header["DIMENSION"])
+    try:
+        n = int(header["DIMENSION"])
+    except ValueError:
+        raise ValueError(f"bad DIMENSION {header['DIMENSION']!r}") from None
     if len(coord_lines) != n:
         raise ValueError(f"coordinate count mismatch: expected {n}, got {len(coord_lines)}")
     coords = []
     for line in coord_lines:
         parts = line.split()
-        if len(parts) < 3:
-            raise ValueError(f"bad coordinate line: {line!r}")
-        coords.append((float(parts[1]), float(parts[2])))
+        try:
+            coords.append((float(parts[1]), float(parts[2])))
+        except (IndexError, ValueError):  # a short line or a non-numeric coordinate
+            raise ValueError(f"bad coordinate line: {line!r}") from None
         if not all(map(math.isfinite, coords[-1])):
             raise ValueError(f"non-finite coordinate in line {line!r}")
     xy = np.array(coords).reshape(n, 2)

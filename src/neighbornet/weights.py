@@ -17,7 +17,6 @@ from .core import (
     WeightedSplitSystem,
     arc_sides,
     corner_differences,
-    is_circular_split,
     pair_sums,
     sides_of,
     sorted_splits,
@@ -186,21 +185,17 @@ def kkt_violation(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     return float(np.where(x > 0, np.abs(grad), -grad).max(initial=0.0))
 
 
-def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering, splits=None) -> WeightedSplitSystem:
-    """Nonnegative weights over the circular splits of the ordering minimizing
-    the squared reconstruction error; the system holds the splits whose
-    weight is positive. Passing splits restricts the basis to a subset of
-    the ordering's circular splits.
+def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSystem:
+    """Nonnegative weights over the ordering's n(n-1)/2 circular splits
+    minimizing the squared reconstruction error; the system holds the splits
+    whose weight is positive. A fit over a subset of splits is
+    nnls(DesignMatrix.for_splits(splits, n).as_array(), DesignMatrix.rhs(d)).
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
-    if splits is None:
-        design = DesignMatrix.for_ordering(ordering)
-    else:
-        splits = list(splits)
-        if any(not is_circular_split(s, ordering) for s in splits):
-            raise ValueError("splits must be circular with respect to the ordering")
-        design = DesignMatrix.for_splits(splits, d.n)
+    if ordering.n != d.n:
+        raise ValueError("taxon count mismatch")
+    design = DesignMatrix.for_ordering(ordering)
     a, b = design.as_array(), design.rhs(d)
     x = nnls(a, b)
     viol = kkt_violation(a, b, x)

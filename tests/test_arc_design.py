@@ -1,6 +1,5 @@
 """The circular design built straight from an ordering's arcs, the split
-objects a fit makes, the exactness of a fit whatever its basis, and the
-hypothesis of the radius-1/2 guarantee."""
+objects a fit makes, and the hypothesis of the radius-1/2 guarantee."""
 import random
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from neighbornet.core import (
     Split,
     WeightedSplitSystem,
     all_circular_splits,
-    metric_from_splits,
     sorted_splits,
 )
 from neighbornet.kalmanson import radius_perturbation_check
@@ -66,13 +64,6 @@ def test_a_fit_makes_one_split_per_positive_weight(split_count):
     fit = nnls_fit(d, pi)
     assert 0 < len(fit) < 12 * 11 // 2
     assert len(split_count) == len(fit)
-
-
-def test_an_empty_basis_gives_a_float_fit():
-    d = random_dissimilarity(random.Random(9), 6)
-    fit = nnls_fit(d, random_ordering(random.Random(9), 6), splits=[])
-    assert len(fit) == 0 and not fit.is_exact
-    assert metric_from_splits(fit).array.dtype == float
 
 
 # n=5, ordering (0 1 2 3 4): six of the ten circular splits, each of weight 1.

@@ -1,8 +1,10 @@
 """Inputs at the edges of the command line: balanced lengths past any
-enumeration are answered, two taxa and non-finite TSPLIB coordinates are
-input errors (exit 1), and seeded mutations of PHYLIP and TSPLIB files never
-reach an internal error."""
+enumeration are answered; two taxa, malformed or non-finite TSPLIB numbers
+and an --ordering over the wrong number of taxa are input errors (exit 1);
+and seeded mutations of PHYLIP and TSPLIB files never reach an internal
+error."""
 import random
+import re
 
 import pytest
 
@@ -91,6 +93,29 @@ def test_non_finite_coordinates_are_input_errors(tmp_path, capsys, rounding, x, 
     code, err = run(capsys, ["tsp", str(path), "--round", rounding])
     assert code == 1 and f"error: non-finite coordinate in line '{line}'" in err
     assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("DIMENSION: 6", "DIMENSION: 3x", "bad DIMENSION '3x'"),
+    ("2 3 1", "2 a 0", "bad coordinate line: '2 a 0'"),
+    ("2 3 1", "2 3", "bad coordinate line: '2 3'"),
+])
+def test_malformed_tsplib_numbers_are_input_errors(tmp_path, capsys, old, new, message):
+    text = TSPLIB.replace(old, new)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_tsplib_euc2d(text)
+    path = tmp_path / "bad.tsp"
+    path.write_text(text)
+    assert run(capsys, ["tsp", str(path)]) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("method", ["nnls", "formula", "formula-clamped"])
+@pytest.mark.parametrize("ordering", ["A,B,C,D", "A,B,C,D,E,5"])
+def test_an_ordering_over_other_taxa_is_an_input_error(tmp_path, capsys, method, ordering):
+    path = tmp_path / "m.phy"
+    path.write_text(PHYLIP)
+    code, err = run(capsys, ["estimate", str(path), "--method", method, "--ordering", ordering])
+    assert (code, err) == (1, "error: taxon count mismatch\n")
 
 
 @pytest.mark.parametrize("rounding", ["none", "tsplib"])

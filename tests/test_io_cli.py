@@ -1,6 +1,7 @@
 """File formats and the command-line surface."""
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -403,3 +404,13 @@ class TestNexusLabels:
     def test_undoubled_quote_reads_as_before(self):
         text = write_nexus(WeightedSplitSystem(4, {}), self.LABELS)
         assert read_nexus_splits(text.replace("'O''Brien'", "'O'Brien'"))[0][1] == "O'Brien"
+
+    def test_brackets_round_trip(self):
+        labels = ["a]", "[b] c", "'q']", ""]
+        assert read_nexus_splits(write_nexus(WeightedSplitSystem(4, {}), labels))[0] == labels
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\u2028b", "a\r", "\x85"])
+    def test_a_label_holding_a_line_break_is_refused(self, label):
+        labels = ["A", label, "C", "D"]
+        with pytest.raises(ValueError, match="^taxon label " + re.escape(repr(label)) + " holds a line break$"):
+            write_nexus(WeightedSplitSystem(4, {}), labels)

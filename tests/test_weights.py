@@ -166,9 +166,21 @@ class TestNNLS:
             full = nnls_fit(d, pi)
             splits = sorted_splits(all_circular_splits(pi))
             subset = rng.sample(splits, rng.randint(2, len(splits) - 1))
-            partial = nnls_fit(d, pi, splits=subset)
+            design = DesignMatrix.for_splits(subset, n)
+            partial = dict(zip(design.splits, nnls(design.as_array(), DesignMatrix.rhs(d)).tolist()))
             assert reconstruction_residual(d, dict(full.items())) <= \
-                reconstruction_residual(d, dict(partial.items())) + 1e-9
+                reconstruction_residual(d, partial) + 1e-9
+
+    def test_the_basis_is_the_orderings_arcs_and_nothing_else(self):
+        d = random_dissimilarity(random.Random(9), 6)
+        with pytest.raises(TypeError):
+            nnls_fit(d, CircularOrdering(range(6)), splits=[])
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_an_ordering_over_other_taxa_is_refused(self, k):
+        d = random_dissimilarity(random.Random(10), 6)
+        with pytest.raises(ValueError, match="^taxon count mismatch$"):
+            nnls_fit(d, CircularOrdering(range(k)))
 
     def test_output_satisfies_system_invariants(self):
         rng = random.Random(7)
