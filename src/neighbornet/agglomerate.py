@@ -11,26 +11,27 @@ the mu-weighted sums over the original matrix:
     delta(C_r, C_s) = sum_{i in C_r, j in C_s} mu(i) mu(j) d(i, j)
     delta(x, C_r)   = sum_{i in C_r} mu(i) d(x, i)
 
-Each BlockState holds them in two numpy tables, tb (n x m, taxon to block)
-and bb (m x m, block to block), and one code path serves both arithmetics.
-A float map's tables are float64. An exact map's are object arrays of
-Python ints: with L the map's common denominator (d.integer_form) and D a
-common denominator of the node weights, tb holds its values times L*D and
-bb its values times L*D^2, so Q and the tie rule compare integers and no
-Fraction is formed per table entry. D only grows: when new weights bring in
-a denominator D does not divide (1/2 and 1/4 under the dyadic schemes,
-alpha's under TreeWeighting), both tables are scaled up by the factor, f
-and f^2. Fractions appear only where values leave the engine: the
-accessors, Q-hat, the step records and mu.
+Q reads only delta(C_r, C_s), which each BlockState holds in one numpy
+table, bb (m x m); delta(x, C_r) is summed on demand over the original
+matrix when Q-hat needs it, at the far ends of a candidate join. One code
+path serves both arithmetics. A float map's arrays are float64. An exact
+map's are object arrays of Python ints: with L the map's common denominator
+(d.integer_form) and D a common denominator of the node weights, bb holds
+its values times L*D^2 and delta(x, C_r) comes out times L*D, so Q and the
+tie rule compare integers and no Fraction is formed per table entry. D only
+grows: when new weights bring in a denominator D does not divide (1/2 and
+1/4 under the dyadic schemes, alpha's under TreeWeighting), the weights are
+scaled up by the factor, f, and bb by f^2. Fractions appear only where
+values leave the engine: the accessors, Q-hat, the step records and mu.
 
-The tables are never rebuilt whole. A merge leaves the weights alone, so it
-drops column hi and makes the merged column the sum of the two it joins.
-Every scheme changes weights inside the merged block alone, so its new
-weights are the one value a step passes on: adjust_weights returns them,
-with_mu applies them and recomputes, from the original matrix, the merged
-block's column alone, in O(n |block|), and the step record keeps them. A
-step costs O(n^2) with the vectorised Q, a run O(n^3), and float runs cannot
-accumulate drift.
+The table is never rebuilt whole. A merge leaves the weights alone, so it
+drops row and column hi and makes the merged row the sum of the two it
+joins. Every scheme changes weights inside the merged block alone, so its
+new weights are the one value a step passes on: adjust_weights returns
+them, with_mu applies them and recomputes, from the original matrix, the
+merged block's row alone, in O(n |block|), and the step record keeps them.
+A step costs O(n^2) with the vectorised Q, a run O(n^3), and float runs
+cannot accumulate drift.
 """
 from __future__ import annotations
 
@@ -111,20 +112,21 @@ class MergeInfo:
 class BlockState:
     """Immutable snapshot of the agglomeration: paths, weights, distances.
 
-    The distance tables are private arrays that belong to one state; a
-    transition builds its successor on copies, so a state handed out never
-    changes. On an exact map the tables hold Python ints over L*D and
-    L*D^2 (see the module docstring) and _w the weights as ints over D; on a
-    float map the tables hold the distances and _w is mu itself. mu and
-    every accessor give the state's scalar: Fraction or float. Only the
-    constructor copies and normalises its input; a merge's successor shares
-    mu, which no state changes. A transition refreshes only the block at
-    last_merge.merged_index, the one block whose weights a scheme changes.
+    The arrays are private and belong to one state; a transition builds its
+    successor on copies of those it changes, so a state handed out never
+    changes. Beside the block table _bb, _w holds each taxon's table weight
+    and _block its block index. On an exact map _w holds the weights as
+    ints over D and _bb ints over L*D^2 (see the module docstring); on a
+    float map they hold mu and the distances. mu and every accessor give the
+    state's scalar: Fraction or float. Only the constructor copies and normalises its input; a
+    merge's successor shares mu and _w, which no state changes. A transition
+    refreshes only the block at last_merge.merged_index, the one block whose
+    weights a scheme changes.
     """
 
     __slots__ = (
         "d", "blocks", "mu", "parts", "last_merge", "scalar",
-        "_unit", "_dm", "_den", "_w", "_tb", "_bb", "_rowsum", "_total",
+        "_unit", "_dm", "_den", "_w", "_block", "_bb", "_rowsum", "_total",
     )
 
     def __init__(self, d, blocks, mu, parts, last_merge=None):
@@ -132,70 +134,69 @@ class BlockState:
         self.scalar, self._unit = _arithmetic(d)
         if self.scalar is Fraction:
             self._dm, map_den = d.integer_form
-            self._den, self._w = (map_den, 1), {}
+            self._den = (map_den, 1)
         else:
             self._dm, self._den = d.array, None
         self.blocks = tuple(tuple(b) for b in blocks)
         self.mu = dict(mu)
         self.parts = tuple(parts)
         self.last_merge = last_merge
+        self._w = np.zeros(d.n, dtype=self._dm.dtype)
         self._take_weights(self.mu)
         m = len(self.blocks)
-        self._tb = np.empty((d.n, m), dtype=self._dm.dtype)
+        self._block = np.empty(d.n, dtype=np.intp)
+        for t, b in enumerate(self.blocks):
+            self._block[list(b)] = t
         self._bb = np.empty((m, m), dtype=self._dm.dtype)
         self._refresh(range(m))
 
     def _take_weights(self, changed) -> int:
-        """Make _w the table weights of mu after the taxa in changed took new
-        weights; returns the factor by which D grew (1 on a float map)."""
-        if self._den is None:
-            self._w = self.mu
-            return 1
-        if not changed:
-            return 1
-        map_den, den = self._den
-        grown = math.lcm(den, *(self.mu[k].denominator for k in changed))
-        f = grown // den
-        w = {k: v * f for k, v in self._w.items()} if f > 1 else dict(self._w)
-        for k in changed:
-            v = self.mu[k]
-            w[k] = v.numerator * (grown // v.denominator)
-        self._den, self._w = (map_den, grown), w
+        """Make _w, on a copy, the table weights of mu after the taxa in
+        changed took new weights; returns the factor by which D grew."""
+        new = [self.mu[k] for k in changed]
+        f = 1
+        if self._den is not None:
+            map_den, den = self._den
+            grown = math.lcm(den, *(v.denominator for v in new))
+            f = grown // den
+            new = [v.numerator * (grown // v.denominator) for v in new]
+            self._den = (map_den, grown)
+        self._w = self._w * f
+        self._w[list(changed)] = new
         return f
 
-    def _successor(self, blocks, mu, parts, last_merge, tb, bb, changed=()) -> "BlockState":
-        """A state on the same map whose tables are tb and bb (which it now
-        owns) after the taxa in changed, all in the last merged block, took
-        their weights in mu: the tables are scaled if D grew, and that
-        block's column recomputed. blocks, mu and parts are taken as is."""
+    def _successor(self, blocks, mu, parts, last_merge, bb, block, changed=()) -> "BlockState":
+        """A state on the same map whose block table is bb (which it now owns)
+        and taxon-to-block index block, after the taxa in changed, all in the
+        last merged block, took their weights in mu: bb is scaled if D grew,
+        and that block's row recomputed. The other arguments are taken as is."""
         new = object.__new__(BlockState)
         new.d, new.scalar, new._unit, new._dm = self.d, self.scalar, self._unit, self._dm
         new.blocks, new.mu, new.parts, new.last_merge = blocks, mu, parts, last_merge
-        new._den, new._w = self._den, self._w
-        f = new._take_weights(changed)
-        if f > 1:
-            tb *= f
+        new._den, new._w, new._block, new._bb = self._den, self._w, block, bb
+        if changed and (f := new._take_weights(changed)) > 1:
             bb *= f * f
-        new._tb, new._bb = tb, bb
         new._refresh([last_merge.merged_index] if changed else [])
         return new
 
     def _refresh(self, stale):
-        """Recompute delta(., C_t) and delta(C_t, .) for each block t in stale
-        from the original matrix; zero weights are skipped."""
-        dm, tb, bb, w_of = self._dm, self._tb, self._bb, self._w
-        weighted = []
+        """Recompute delta(C_t, .) for each block t in stale from the original
+        matrix: v = delta(., C_t) over every taxon, then the weighted sum of v
+        per block; zero weights are skipped."""
+        dm, w, bb = self._dm, self._w, self._bb
         for t in stale:
-            idx = [k for k in self.blocks[t] if w_of[k] != 0]
-            w = np.array([w_of[k] for k in idx], dtype=dm.dtype)
-            tb[:, t] = dm[:, idx] @ w
-            weighted.append((t, idx, w))
-        for t, idx, w in weighted:
-            row = w @ tb[idx, :]
+            idx = [k for k in self.blocks[t] if w[k] != 0]
+            v = w[idx] @ dm[idx, :]
+            row = np.zeros(len(bb), dtype=dm.dtype)
+            np.add.at(row, self._block, w * v)
             row[t] = 0
             bb[t, :] = row
             bb[:, t] = row
         self._rowsum = None
+
+    def _taxa_sum(self, x: int, mask: np.ndarray) -> Num:
+        """The sum of mu(k) d(x, k) over the taxa k that mask selects."""
+        return self._number((self._w * mask) @ self._dm[x], 1)
 
     def _number(self, x, power: int) -> Num:
         """A table value as the Python number it stands for: on an exact map
@@ -238,8 +239,8 @@ class BlockState:
         return self._number(self._bb.item(r, s), 2)
 
     def taxon_block_distance(self, x: int, t: int) -> Num:
-        """delta(x, C_t) per the weighted single sum."""
-        return self._number(self._tb.item(x, t), 1)
+        """delta(x, C_t) per the weighted single sum, summed on demand."""
+        return self._taxa_sum(x, self._block == t)
 
     def row_sum(self, r: int) -> Num:
         return self._number(self._row_sums().item(r), 2)
@@ -252,14 +253,14 @@ class BlockState:
     def with_mu(self, mu) -> "BlockState":
         """This state with new weights for the taxa in mu, which must lie in
         the block the last merge made, as adjust_weights returns them. Every
-        taxon given counts as changed; the tables refresh that block alone."""
+        taxon given counts as changed; bb refreshes that block alone."""
         if self.last_merge is None:
             raise ValueError("no merge has been performed on this state")
         if not mu.keys() <= set(self.blocks[self.last_merge.merged_index]):
             raise ValueError("new weights must lie in the last merged block")
         return self._successor(
             self.blocks, {**self.mu, **mu}, self.parts, self.last_merge,
-            self._tb.copy(), self._bb.copy(), mu.keys(),
+            self._bb.copy(), self._block, mu.keys(),
         )
 
     def to_pco(self):
@@ -272,12 +273,6 @@ def q_criterion(state: BlockState, r: int, s: int) -> Num:
         raise ValueError("r and s must differ")
     m = state.m
     return (m - 2) * state.block_distance(r, s) - state.row_sum(r) - state.row_sum(s)
-
-
-def _far_sum(state: BlockState, x: int, r: int, s: int) -> Num:
-    """sum over blocks t other than r, s of delta(x, C_t)."""
-    tb = state._tb
-    return state._number(tb[x].sum() - tb.item(x, r) - tb.item(x, s), 1)
 
 
 def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
@@ -301,7 +296,8 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
         return (dm.item(i, j) + dm.item(i2, j2)) / 2 - state.block_distance(r, s)
     p_total = state.total_pair_sum()
     across = p_total - state.row_sum(r) - state.row_sum(s) + state.block_distance(r, s)
-    far_sum = _far_sum(state, i2, r, s) + _far_sum(state, j2, r, s)
+    far = (state._block != r) & (state._block != s)  # the taxa outside blocks r and s
+    far_sum = state._taxa_sum(i2, far) + state._taxa_sum(j2, far)
     return dm.item(i, j) / 2 + (across + far_sum / 2) / (m - 2) - p_total / (m - 1)
 
 
@@ -323,14 +319,17 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     )
     # weights are unchanged, so the union's distances are the sums of the two
     # blocks' distances
-    tb = np.delete(state._tb, hi, axis=1)
-    tb[:, lo] = state._tb[:, r] + state._tb[:, s]
-    row = np.delete(state._bb[r] + state._bb[s], hi)
+    old, m = state._bb, state.m
+    bb = np.empty((m - 1, m - 1), dtype=old.dtype)
+    bb[:hi, :hi], bb[:hi, hi:] = old[:hi, :hi], old[:hi, hi + 1:]
+    bb[hi:, :hi], bb[hi:, hi:] = old[hi + 1:, :hi], old[hi + 1:, hi + 1:]
+    row = np.delete(old[r] + old[s], hi)
     row[lo] = 0
-    bb = np.delete(np.delete(state._bb, hi, axis=0), hi, axis=1)
     bb[lo, :] = row
     bb[:, lo] = row
-    return state._successor(blocks, state.mu, parts, info, tb, bb)
+    block = np.where(state._block == hi, lo, state._block)
+    block -= block > hi
+    return state._successor(blocks, state.mu, parts, info, bb, block)
 
 
 def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:

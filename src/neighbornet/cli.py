@@ -77,6 +77,8 @@ def _read_distances(path: str, rational: bool = False, tsplib_rounding=None):
     if tsplib_rounding is not None and "NODE_COORD_SECTION" in text:
         d = read_tsplib_euc2d(text, rounding=tsplib_rounding)
         labels = [str(k + 1) for k in range(d.n)]
+    elif tsplib_rounding == "tsplib":
+        raise nio.InputError("--round tsplib needs TSPLIB EUC_2D input")
     else:
         d, labels = nio.read_phylip_distances(text)
     if rational:

@@ -13,6 +13,7 @@ map and FLOAT_TOL * max|d| on a float map, so scale changes no verdict.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,8 +24,9 @@ from .core import (
     DissimilarityMap,
     Num,
     WeightedSplitSystem,
+    all_circular_splits,
     corner_differences,
-    is_circular_split,
+    is_exact_number,
     metric_from_splits,
 )
 
@@ -116,21 +118,23 @@ def radius_perturbation_check(
     which recovery is guaranteed: each arc's lambda is its split's weight,
     noise moves it by at most 2 sup|noise|, so every lambda stays positive
     and the map Kalmanson. A missing split's lambda is 0, which noise may
-    push negative. Pass enforce_bound=False to probe beyond it.
+    push negative. Pass enforce_bound=False to probe beyond it. Either way
+    noise must be an n x n array of finite numbers, checked before any run.
     """
     if not system:
         raise ValueError("system has no splits")
-    sup = max(abs(v) for row in noise for v in row)
+    noise = np.array(noise, dtype=object)  # added entry by entry as Python numbers
+    if noise.shape != (system.n, system.n):
+        raise ValueError("noise shape mismatch")
+    for (i, j), v in np.ndenumerate(noise):
+        if not (is_exact_number(v) or math.isfinite(v)):
+            raise ValueError(f"non-finite noise entry at ({i},{j})")
     clean = metric_from_splits(system)
     if enforce_bound:
         ordering = run_neighbor_net(clean, BalancedTSP()).ordering
-        full = system.n * (system.n - 1) // 2
-        if len(system) < full or not all(is_circular_split(s, ordering) for s in system):
+        if system.splits != all_circular_splits(ordering):
             raise ValueError("perturbation bound needs weight on every circular split of one ordering")
-        if not sup < min(w for _, w in system.items()) / 2:
+        if not max(abs(v) for v in noise.flat) < min(w for _, w in system.items()) / 2:
             raise ValueError("perturbation bound violated: sup|noise| must be < min weight / 2")
-    noise = np.array(noise, dtype=object)  # added entry by entry as Python numbers
-    if noise.shape != clean.array.shape:
-        raise ValueError("noise shape mismatch")
     result = run_neighbor_net(DissimilarityMap(clean.array + noise), BalancedTSP())
-    return all(is_circular_split(s, result.ordering) for s in system)
+    return system.splits <= all_circular_splits(result.ordering)

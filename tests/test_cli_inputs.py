@@ -1,7 +1,7 @@
 """Inputs at the edges of the command line: balanced lengths past any
-enumeration are answered; two taxa, malformed or non-finite TSPLIB numbers
-and an --ordering over the wrong number of taxa are input errors (exit 1);
-and seeded mutations of PHYLIP and TSPLIB files never reach an internal
+enumeration are answered; two taxa, malformed or non-finite TSPLIB numbers,
+--round tsplib on a PHYLIP file and an --ordering over the wrong number of
+taxa are input errors (exit 1); and seeded mutations of PHYLIP and TSPLIB files never reach an internal
 error."""
 import random
 import re
@@ -107,6 +107,16 @@ def test_malformed_tsplib_numbers_are_input_errors(tmp_path, capsys, old, new, m
     path = tmp_path / "bad.tsp"
     path.write_text(text)
     assert run(capsys, ["tsp", str(path)]) == (1, f"error: {message}\n")
+
+
+def test_tsplib_rounding_needs_tsplib_input(tmp_path, capsys):
+    phy = tmp_path / "m.phy"
+    phy.write_text(PHYLIP)
+    assert run(capsys, ["tsp", str(phy), "--round", "tsplib"]) == (1, "error: --round tsplib needs TSPLIB EUC_2D input\n")
+    assert run(capsys, ["tsp", str(phy), "--round", "none"]) == (0, "")
+    tsp = tmp_path / "toy.tsp"
+    tsp.write_text(TSPLIB)
+    assert run(capsys, ["tsp", str(tsp), "--round", "tsplib"]) == (0, "")
 
 
 @pytest.mark.parametrize("method", ["nnls", "formula", "formula-clamped"])

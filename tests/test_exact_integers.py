@@ -183,6 +183,42 @@ def test_rescaled_states_match_a_fresh_build():
         assert all(type(x) is int for x in state._bb.flat)
 
 
+def accessor_values(state):
+    """Every delta(C_r, C_s), delta(x, C_t), row sum and the total pair sum."""
+    m, n = state.m, state.d.n
+    return (
+        [[state.block_distance(r, s) for s in range(m) if s != r] for r in range(m)],
+        [[state.taxon_block_distance(x, t) for t in range(m)] for x in range(n)],
+        [state.row_sum(r) for r in range(m)],
+        state.total_pair_sum(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_every_state_matches_the_scalar_engines_sums(name):
+    # the scalar engine sums every table entry over Fractions from the
+    # definition, so this checks the block table and the on-demand
+    # delta(x, C) at every state of exact runs, merged and reweighted
+    def check(state):
+        values = accessor_values(state)
+        assert all(type(v) is Fraction for v in (*values[1][0], *values[2], values[3]))
+        expected = accessor_values(reference.BlockState(d, state.blocks, state.mu, state.parts))
+        assert values == expected, (k, state.m)
+
+    scheme = SCHEMES[name][0]
+    for k, (n, kind) in enumerate([(5, "ties"), (8, "mixed"), (12, "ties"), (12, "mixed")]):
+        d = rational_map(random.Random(f"states/{k}"), n, kind)
+        state = engine.BlockState.initial(d)
+        check(state)
+        while state.m > 1:
+            pair = (0, 1) if state.m == 2 else engine._select_pair(state)[0]
+            (i, j), _ = engine._select_endpoints(state, *pair)
+            merged = engine.merge_blocks(state, *pair, i, j)
+            check(merged)
+            state = merged.with_mu(engine.adjust_weights(merged, scheme))
+            check(state)
+
+
 @seed(91)
 @settings(max_examples=12, deadline=None, database=None)
 @given(

@@ -310,3 +310,35 @@ class TestRadiusPerturbation:
                 v = rng.choice([-1.0, 1.0]) * 1.0
                 noise[i][j] = noise[j][i] = v
         assert not radius_perturbation_check(system, noise, enforce_bound=False)
+
+    @pytest.mark.parametrize("enforce_bound", [True, False])
+    @pytest.mark.parametrize("noise, message", [
+        ([], "noise shape mismatch"),
+        ([[0.0] * 5] * 4, "noise shape mismatch"),
+        ([[0.0] * 4] * 5, "noise shape mismatch"),
+        ([[0.0] * 6] * 6, "noise shape mismatch"),
+        ([[0.0] * 5 for _ in range(4)] + [[0.0] * 4 + [float("nan")]], r"non-finite noise entry at \(4,4\)"),
+        ([[0.0] * 5 for _ in range(2)] + [[0.0, float("inf")] + [0.0] * 3] + [[0.0] * 5] * 2,
+         r"non-finite noise entry at \(2,1\)"),
+        ([[0.0] * 5 for _ in range(2)] + [[0.0, Fraction(1, 10), float("-inf"), 0, 0]] + [[0.0] * 5] * 2,
+         r"non-finite noise entry at \(2,2\)"),
+    ])
+    def test_bad_noise_is_refused_before_any_agglomeration(self, monkeypatch, enforce_bound, noise, message):
+        import neighbornet.kalmanson as kalmanson
+
+        _, system, _ = random_circular_instance(random.Random(15), 5)
+
+        def no_run(*args):
+            raise AssertionError("the agglomeration ran")
+
+        monkeypatch.setattr(kalmanson, "run_neighbor_net", no_run)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            radius_perturbation_check(system, noise, enforce_bound=enforce_bound)
+
+    def test_huge_exact_noise_is_finite(self):
+        # an int too large for a float is still a finite noise entry
+        _, system, _ = random_circular_instance(random.Random(16), 5)
+        noise = [[0] * 5 for _ in range(5)]
+        noise[0][1] = noise[1][0] = 10**400
+        with pytest.raises(ValueError, match="perturbation bound violated"):
+            radius_perturbation_check(system, noise)

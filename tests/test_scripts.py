@@ -1,8 +1,10 @@
 """Smoke tests for scripts/: each runs in a fresh interpreter, exits 0 and
 prints its key lines."""
+import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +14,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def script_process(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = script_process(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     return proc.stdout
@@ -67,3 +73,44 @@ def test_cli_outputs_at_the_smallest_size(tmp_path):
     assert first[Path("circular-4/nnet-nnls.nex")].startswith("#nexus")
     assert len(first[Path("ties-4/nnet-original.jsonl")].splitlines()) == 3
     assert first[Path("random-4/estimate-formula.txt")].startswith("exit 1\n")  # a negative lambda
+
+
+def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
+    run_script("cli_outputs.py", str(ROOT), str(tmp_path / "a"), "--max-n", "4", "--no-fit-sparse")
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    def compare(other=b):
+        proc = script_process("compare_outputs.py", str(a), str(other))
+        assert "Traceback" not in proc.stderr
+        return proc.returncode, proc.stdout + proc.stderr
+
+    def edited(name, edit):
+        shutil.rmtree(b, ignore_errors=True)
+        shutil.copytree(a, b)
+        path = b / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = edit(lines[1])
+        path.write_text("".join(lines))
+
+    def record_edit(key, change):
+        def edit(line):
+            record = json.loads(line)
+            record[key] = change(record[key])
+            return json.dumps(record) + "\n"
+        return edit
+
+    code, out = compare(a)
+    assert code == 0 and re.fullmatch(r"\d+ files agree; 0 q/q_hat values differ, largest relative difference 0\n", out)
+    edited("random-4/nnet-tree.jsonl", record_edit("q", lambda q: q * (1 + 1e-13)))
+    code, out = compare()
+    assert code == 0 and re.fullmatch(r"\d+ files agree; 1 q/q_hat values differ, largest relative difference [0-9.e-]+\n", out)
+    edited("random-4/nnet-tree.nex", lambda line: line.rstrip("\n") + " \n")
+    assert compare() == (1, "differ: random-4/nnet-tree.nex: bytes differ\n")
+    edited("random-4/nnet-tree.jsonl", record_edit("join", lambda join: join[::-1]))
+    code, out = compare()
+    assert code == 1 and out.startswith("differ: random-4/nnet-tree.jsonl: record 1: join ")
+    edited("random-4/nnet-tree.jsonl", record_edit("q_hat", lambda q: q * (1 + 1e-11)))
+    code, out = compare()
+    assert code == 1 and out.startswith("differ: random-4/nnet-tree.jsonl: record 1: q_hat ")
+    (b / "random-4" / "nnet-tree.jsonl").unlink()
+    assert compare() == (1, f"differ: random-4/nnet-tree.jsonl: in {a} only\n")
