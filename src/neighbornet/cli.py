@@ -1,7 +1,7 @@
 """Command-line surface: nnet, nj, tsp, check, estimate, length, enumerate.
 
 Exit codes: 0 success, 1 input error (bad files or flags), 2 internal
-invariant failure, 3 the NNLS solver did not converge.
+invariant failure, 3 the NNLS solver did not converge, 4 out of memory.
 """
 from __future__ import annotations
 
@@ -303,6 +303,9 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
     except Exception as exc:  # invariant failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -79,10 +79,16 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
-    starts, ends = upper_pairs(d.n)  # the arc order[s:e] has corners at positions e and s-1
-    twice = corner_differences(d, ordering)[ends, (starts - 1) % d.n].tolist()
+    twice = _twice_lambda(d, ordering).tolist()
     h = Fraction(1, 2)  # an exact half of exact values; 0.5 times a float
     return {split: h * v for split, v in zip(splits_of(arc_sides(ordering)), twice)}
+
+
+def _twice_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
+    """Twice the lambda of each arc, in the map's arithmetic, in core.arc_sides
+    column order: the arc order[s:e] has its corners at positions e and s-1."""
+    starts, ends = upper_pairs(d.n)
+    return corner_differences(d, ordering)[ends, (starts - 1) % d.n]
 
 
 def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
@@ -190,6 +196,13 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
     minimizing the squared reconstruction error; the system holds the splits
     whose weight is positive. A fit over a subset of splits is
     nnls(DesignMatrix.for_splits(splits, n).as_array(), DesignMatrix.rhs(d)).
+
+    The full design is square and invertible, and lambda_formula is its
+    inverse. So when every lambda is positive, the lambdas are feasible with
+    zero gradient: the unique optimum, with every split passive. The fit then
+    runs only the least-squares solve over all columns that nnls would end
+    with, and keeps it when every weight is positive. Otherwise, or when
+    that solve is not positive, nnls runs its active set from x = 0.
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
@@ -197,7 +210,11 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
         raise ValueError("taxon count mismatch")
     design = DesignMatrix.for_ordering(ordering)
     a, b = design.as_array(), design.rhs(d)
-    x = nnls(a, b)
+    x = None
+    if (_twice_lambda(d, ordering) > 0).all():
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if x is None or not x.min() > 0:  # a NaN weight fails too
+        x = nnls(a, b)
     viol = kkt_violation(a, b, x)
     scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
     if not viol <= 10 * KKT_TOL * scale:  # a NaN violation fails too

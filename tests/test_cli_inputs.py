@@ -1,13 +1,15 @@
 """Inputs at the edges of the command line: balanced lengths past any
 enumeration are answered; two taxa, malformed or non-finite TSPLIB numbers,
 --round tsplib on a PHYLIP file and an --ordering over the wrong number of
-taxa are input errors (exit 1); and seeded mutations of PHYLIP and TSPLIB files never reach an internal
+taxa are input errors (exit 1); a run out of memory exits 4, not as an internal
+error; and seeded mutations of PHYLIP and TSPLIB files never reach an internal
 error."""
 import random
 import re
 
 import pytest
 
+from neighbornet import cli
 from neighbornet.cli import main
 from neighbornet.tsp import read_tsplib_euc2d
 
@@ -126,6 +128,19 @@ def test_an_ordering_over_other_taxa_is_an_input_error(tmp_path, capsys, method,
     path.write_text(PHYLIP)
     code, err = run(capsys, ["estimate", str(path), "--method", method, "--ordering", ordering])
     assert (code, err) == (1, "error: taxon count mismatch\n")
+
+
+@pytest.mark.parametrize("command", [["nnet", "--estimate", "nnls"], ["estimate", "--method", "nnls"]])
+def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, command):
+    def allocate(d, ordering):
+        raise MemoryError("Unable to allocate 1.87 GiB for an array with shape (44850, 44850) and data type bool")
+
+    monkeypatch.setattr(cli, "nnls_fit", allocate)
+    path = tmp_path / "m.phy"
+    path.write_text(PHYLIP)
+    code, err = run(capsys, [command[0], str(path), *command[1:]])
+    assert (code, err) == (4, "error: out of memory: Unable to allocate 1.87 GiB for an array with shape "
+                              "(44850, 44850) and data type bool\n")
 
 
 @pytest.mark.parametrize("rounding", ["none", "tsplib"])

@@ -1,6 +1,7 @@
 """The Gram-space NNLS against two oracles: the solver it replaced, which runs
 one least-squares solve of the design per step (tests/lstsq_nnls.py), and
-scipy.optimize.nnls on rank-deficient problems."""
+scipy.optimize.nnls on rank-deficient problems. Then nnls_fit's start from
+lambda against the active set it skips."""
 import random
 
 import numpy as np
@@ -12,7 +13,7 @@ from neighbornet.cli import main
 from neighbornet.core import CircularOrdering, DissimilarityMap, all_circular_splits
 from neighbornet import weights
 from neighbornet.oracle import adjacency_counts
-from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, nnls, sorted_splits
+from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, lambda_formula, nnls, sorted_splits
 from conftest import random_circular_instance, random_dissimilarity
 import lstsq_nnls
 
@@ -46,6 +47,15 @@ def noisy_circular_map(rng, n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = float(base[i, j]) + rng.uniform(-radius, radius)
     return DissimilarityMap(rows), pi
+
+
+def map_off_the_lambda_path(rng, n):
+    """A random map under its neighbor-net ordering, on which some lambda is
+    not positive, so nnls_fit runs the active set."""
+    d = random_dissimilarity(rng, n)
+    pi = run_neighbor_net(d).ordering
+    assert min(lambda_formula(d, pi).values()) <= 0
+    return d, pi
 
 
 def case(label, a, b):
@@ -162,7 +172,7 @@ def test_singular_passive_block_raises_non_convergence(monkeypatch):
 
 def test_cli_exits_3_on_a_singular_passive_block(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "dot", nan_pivot)
-    d, _ = noisy_circular_map(random.Random(45), 6)
+    d, _ = map_off_the_lambda_path(random.Random(45), 6)
     path = tmp_path / "map.phy"
     path.write_text(f"{d.n}\n" + "".join(
         f"t{i} " + " ".join(repr(float(d[i, j])) for j in range(d.n)) + "\n" for i in range(d.n)))
@@ -242,7 +252,7 @@ def test_overflow_raises_non_convergence(a, b, message):
 
 def test_nnls_fit_rejects_a_nan_weight(monkeypatch):
     """kkt_violation is NaN when a weight is; the gate must fail, not pass."""
-    d, pi = noisy_circular_map(random.Random(51), 6)
+    d, pi = map_off_the_lambda_path(random.Random(51), 6)
 
     def nan_weight(a, b, max_iter=None):
         x = np.zeros(a.shape[1])
@@ -254,3 +264,80 @@ def test_nnls_fit_rejects_a_nan_weight(monkeypatch):
     monkeypatch.setattr(weights, "nnls", nan_weight)
     with pytest.raises(NonConvergence, match="KKT violation nan above tolerance"):
         weights.nnls_fit(d, pi)
+
+
+def fit_weights(d, pi):
+    """nnls_fit's weights in the order of the design's columns, 0 for a split
+    the fit leaves out."""
+    fit = weights.nnls_fit(d, pi)
+    return np.array([float(fit.weight(s)) for s in DesignMatrix.for_ordering(pi).splits])
+
+
+def spy_on_nnls(monkeypatch):
+    """Records each call of weights.nnls from nnls_fit."""
+    calls = []
+    solver = weights.nnls
+    monkeypatch.setattr(weights, "nnls", lambda a, b: calls.append(1) or solver(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 17, 24])
+def test_full_support_fits_skip_the_active_set_with_the_same_bits(n, monkeypatch):
+    """Every lambda is positive on a circular map plus noise below half its
+    smallest weight, so the fit is the one least-squares solve that ends
+    nnls(a, b) on the full design: the weights match bit for bit."""
+    d, pi = noisy_circular_map(random.Random(60 + n), n)
+    x = nnls(*system_of(d, pi))
+    calls = spy_on_nnls(monkeypatch)
+    assert (x > 0).all() and (fit_weights(d, pi) == x).all()
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fits_with_a_nonpositive_lambda_run_the_active_set(seed, monkeypatch):
+    d, pi = map_off_the_lambda_path(random.Random(70 + seed), random.Random(seed).randint(6, 20))
+    x = nnls(*system_of(d, pi))
+    calls = spy_on_nnls(monkeypatch)
+    assert (fit_weights(d, pi) == x).all()
+    assert calls == [1]
+
+
+def test_an_exact_circular_map_takes_the_lambda_path_and_passes_the_kkt_gate(monkeypatch):
+    pi, system, d = random_circular_instance(random.Random(80), 12, exact=True)
+    assert d.is_exact and min(lambda_formula(d, pi).values()) > 0
+    calls = spy_on_nnls(monkeypatch)
+    fit = weights.nnls_fit(d, pi)  # raises NonConvergence if the gate fails
+    assert calls == [] and fit.splits == system.splits
+    assert max(abs(fit.weight(s) - float(w)) for s, w in system.items()) <= 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+def test_a_nonpositive_refinement_falls_back_to_the_active_set(value, monkeypatch):
+    """The lambda path's one solve returns a weight that is NaN or not
+    positive: nnls(a, b) runs from x = 0, and its result is the fit."""
+    d, pi = noisy_circular_map(random.Random(81), 10)
+    x = nnls(*system_of(d, pi))
+    lstsq, spoiled = np.linalg.lstsq, []
+
+    def spoil_the_first_solve(*args, **kwargs):
+        out = lstsq(*args, **kwargs)
+        if not spoiled:
+            spoiled.append(1)
+            out[0][3] = value
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", spoil_the_first_solve)
+    calls = spy_on_nnls(monkeypatch)
+    assert (fit_weights(d, pi) == x).all()
+    assert calls == [1]
+
+
+def test_the_kkt_gate_rejects_a_bad_lambda_path_result(monkeypatch):
+    """A positive but wrong solve on the lambda path is kept, so the gate
+    must catch it."""
+    d, pi = noisy_circular_map(random.Random(82), 8)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.ones(a.shape[1]),))
+    calls = spy_on_nnls(monkeypatch)
+    with pytest.raises(NonConvergence, match="KKT violation .* above tolerance"):
+        weights.nnls_fit(d, pi)
+    assert calls == []
