@@ -42,10 +42,9 @@ class DesignMatrix:
     @classmethod
     def for_ordering(cls, ordering: CircularOrdering) -> "DesignMatrix":
         """The ordering's circular splits from its arcs, with no Split made, in
-        sorted_splits order: by block size, then by the membership of taxa
-        0, 1, ..., members first, which orders blocks of one size as tuples."""
+        sorted_splits order."""
         sides = arc_sides(ordering)
-        return cls(ordering.n, sides[:, np.lexsort((*~sides[::-1], sides.sum(axis=0)))])
+        return cls(ordering.n, sides[:, _sorted_arcs(sides)])
 
     @classmethod
     def for_splits(cls, splits, n: int) -> "DesignMatrix":
@@ -63,6 +62,12 @@ class DesignMatrix:
     def rhs(d: DissimilarityMap) -> np.ndarray:
         """The map's distances as floats, in the order of the rows."""
         return d.array[upper_pairs(d.n)].astype(float)
+
+
+def _sorted_arcs(sides: np.ndarray) -> np.ndarray:
+    """The permutation of core.arc_sides columns into sorted_splits order: by block
+    size, then by the membership of taxa 0, 1, ..., members first."""
+    return np.lexsort((*~sides[::-1], sides.sum(axis=0)))
 
 
 def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
@@ -197,24 +202,19 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
     whose weight is positive. A fit over a subset of splits is
     nnls(DesignMatrix.for_splits(splits, n).as_array(), DesignMatrix.rhs(d)).
 
-    The full design is square and invertible, and lambda_formula is its
-    inverse. So when every lambda is positive, the lambdas are feasible with
-    zero gradient: the unique optimum, with every split passive. The fit then
-    runs only the least-squares solve over all columns that nnls would end
-    with, and keeps it when every weight is positive. Otherwise, or when
-    that solve is not positive, nnls runs its active set from x = 0.
+    The full design is square and invertible with lambda_formula as its
+    inverse, so when every lambda is >= 0 it is the unique optimum, and the
+    fit is lambda, read in the map's arithmetic and rounded once to float.
+    Otherwise nnls runs its active set from x = 0. The KKT gate checks both.
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
-    if ordering.n != d.n:
-        raise ValueError("taxon count mismatch")
-    design = DesignMatrix.for_ordering(ordering)
+    sides = arc_sides(ordering)
+    columns = _sorted_arcs(sides)
+    twice = _twice_lambda(d, ordering)[columns]  # raises on a taxon count mismatch
+    design = DesignMatrix(d.n, sides[:, columns])
     a, b = design.as_array(), design.rhs(d)
-    x = None
-    if (_twice_lambda(d, ordering) > 0).all():
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
-    if x is None or not x.min() > 0:  # a NaN weight fails too
-        x = nnls(a, b)
+    x = 0.5 * twice.astype(float) if (twice >= 0).all() else nnls(a, b)
     viol = kkt_violation(a, b, x)
     scale = max(1.0, float(np.abs(a.T @ b).max(initial=0.0)))
     if not viol <= 10 * KKT_TOL * scale:  # a NaN violation fails too

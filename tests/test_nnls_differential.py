@@ -1,8 +1,9 @@
 """The Gram-space NNLS against two oracles: the solver it replaced, which runs
 one least-squares solve of the design per step (tests/lstsq_nnls.py), and
-scipy.optimize.nnls on rank-deficient problems. Then nnls_fit's start from
-lambda against the active set it skips."""
+scipy.optimize.nnls on rank-deficient problems. Then nnls_fit's lambda path:
+its weights, their accuracy, and the active set it skips."""
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ import scipy.optimize
 
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
-from neighbornet.core import CircularOrdering, DissimilarityMap, all_circular_splits
+from neighbornet.core import (
+    CircularOrdering,
+    DissimilarityMap,
+    WeightedSplitSystem,
+    all_circular_splits,
+    metric_from_splits,
+)
+from neighbornet.io import format_phylip
 from neighbornet import weights
 from neighbornet.oracle import adjacency_counts
 from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, lambda_formula, nnls, sorted_splits
@@ -47,6 +55,21 @@ def noisy_circular_map(rng, n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = float(base[i, j]) + rng.uniform(-radius, radius)
     return DissimilarityMap(rows), pi
+
+
+def circular_map_with_zero_lambdas(rng, n):
+    """The metric of about half an ordering's circular splits, with integer
+    weights, the system and the ordering: lambda is 0 on the other arcs, in
+    exact and in float arithmetic."""
+    pi = CircularOrdering(rng.sample(range(n), n))
+    splits = sorted_splits(all_circular_splits(pi))
+    system = WeightedSplitSystem(n, {s: rng.randint(1, 200) for s in splits if rng.random() < 0.5})
+    return metric_from_splits(system), system, pi
+
+
+def write_map(path, d):
+    path.write_text(format_phylip(d, [f"t{k}" for k in range(d.n)]))
+    return str(path)
 
 
 def map_off_the_lambda_path(rng, n):
@@ -173,10 +196,7 @@ def test_singular_passive_block_raises_non_convergence(monkeypatch):
 def test_cli_exits_3_on_a_singular_passive_block(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "dot", nan_pivot)
     d, _ = map_off_the_lambda_path(random.Random(45), 6)
-    path = tmp_path / "map.phy"
-    path.write_text(f"{d.n}\n" + "".join(
-        f"t{i} " + " ".join(repr(float(d[i, j])) for j in range(d.n)) + "\n" for i in range(d.n)))
-    assert main(["nnet", str(path), "--estimate", "nnls"]) == 3
+    assert main(["nnet", write_map(tmp_path / "map.phy", d), "--estimate", "nnls"]) == 3
     assert "error: solver did not converge: NNLS passive block" in capsys.readouterr().err
 
 
@@ -282,14 +302,14 @@ def spy_on_nnls(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [5, 8, 12, 17, 24])
-def test_full_support_fits_skip_the_active_set_with_the_same_bits(n, monkeypatch):
+def test_full_support_fits_are_lambda_bit_for_bit(n, monkeypatch):
     """Every lambda is positive on a circular map plus noise below half its
-    smallest weight, so the fit is the one least-squares solve that ends
-    nnls(a, b) on the full design: the weights match bit for bit."""
+    smallest weight, so the fit is lambda itself and nnls never runs."""
     d, pi = noisy_circular_map(random.Random(60 + n), n)
-    x = nnls(*system_of(d, pi))
+    lam = lambda_formula(d, pi)
+    lam = np.array([float(lam[s]) for s in DesignMatrix.for_ordering(pi).splits])
     calls = spy_on_nnls(monkeypatch)
-    assert (x > 0).all() and (fit_weights(d, pi) == x).all()
+    assert (lam > 0).all() and (fit_weights(d, pi) == lam).all()
     assert calls == []
 
 
@@ -308,35 +328,57 @@ def test_an_exact_circular_map_takes_the_lambda_path_and_passes_the_kkt_gate(mon
     calls = spy_on_nnls(monkeypatch)
     fit = weights.nnls_fit(d, pi)  # raises NonConvergence if the gate fails
     assert calls == [] and fit.splits == system.splits
-    assert max(abs(fit.weight(s) - float(w)) for s, w in system.items()) <= 1e-12
+    assert all(fit.weight(s) == float(w) for s, w in system.items())
 
 
-@pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
-def test_a_nonpositive_refinement_falls_back_to_the_active_set(value, monkeypatch):
-    """The lambda path's one solve returns a weight that is NaN or not
-    positive: nnls(a, b) runs from x = 0, and its result is the fit."""
-    d, pi = noisy_circular_map(random.Random(81), 10)
-    x = nnls(*system_of(d, pi))
-    lstsq, spoiled = np.linalg.lstsq, []
-
-    def spoil_the_first_solve(*args, **kwargs):
-        out = lstsq(*args, **kwargs)
-        if not spoiled:
-            spoiled.append(1)
-            out[0][3] = value
-        return out
-
-    monkeypatch.setattr(np.linalg, "lstsq", spoil_the_first_solve)
+def test_a_zero_lambda_stays_on_the_lambda_path(monkeypatch):
+    """lambda >= 0 is the rule: splits left out of an exact circular system
+    have lambda exactly 0, and the fit leaves them out too."""
+    d, system, pi = circular_map_with_zero_lambdas(random.Random(83), 12)
+    assert min(lambda_formula(d, pi).values()) == 0
     calls = spy_on_nnls(monkeypatch)
-    assert (fit_weights(d, pi) == x).all()
-    assert calls == [1]
+    fit = weights.nnls_fit(d, pi)
+    assert calls == [] and fit.splits == system.splits
+    assert all(fit.weight(s) == float(w) for s, w in system.items())
+
+
+@pytest.mark.parametrize("n", [12, 24, 40])
+def test_the_fit_is_within_2_eps_max_d_of_the_exact_optimum(n):
+    """On a float map the optimum is the lambda of the map's exact values;
+    the fit reads lambda in floats, a few roundings of entries up to max|d|."""
+    d, pi = noisy_circular_map(random.Random(90 + n), n)
+    exact = lambda_formula(d.to_exact(), pi)
+    assert min(exact.values()) > 0
+    fit = weights.nnls_fit(d, pi)
+    bound = 2 * np.finfo(float).eps * float(np.abs(d.array).max())
+    assert max(abs(Fraction(fit.weight(s)) - v) for s, v in exact.items()) <= bound
+
+
+def formula_maps():
+    """Float maps whose every lambda under the neighbor-net ordering is >= 0:
+    seeded circular maps, and one with integer weights where some lambda is 0."""
+    rng = random.Random(84)
+    for n in (5, 7, 9, 12, 16, 20):
+        yield pytest.param(random_circular_instance(rng, n)[2], id=f"circular-{n}")
+    d, _, _ = circular_map_with_zero_lambdas(rng, 10)
+    d = DissimilarityMap(d.array.astype(float))
+    assert min(lambda_formula(d, run_neighbor_net(d).ordering).values()) == 0
+    yield pytest.param(d, id="zero-lambda-10")
+
+
+@pytest.mark.parametrize("d", formula_maps())
+def test_nnls_writes_the_formula_nexus_when_no_lambda_is_negative(d, tmp_path):
+    path = write_map(tmp_path / "map.phy", d)
+    for method in ("formula", "nnls"):
+        assert main(["nnet", path, "--estimate", method, "--nexus", str(tmp_path / f"{method}.nex")]) == 0
+    assert (tmp_path / "formula.nex").read_bytes() == (tmp_path / "nnls.nex").read_bytes()
 
 
 def test_the_kkt_gate_rejects_a_bad_lambda_path_result(monkeypatch):
-    """A positive but wrong solve on the lambda path is kept, so the gate
-    must catch it."""
+    """A nonnegative but wrong lambda is kept, so the gate must catch it."""
     d, pi = noisy_circular_map(random.Random(82), 8)
-    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.ones(a.shape[1]),))
+    twice = weights._twice_lambda
+    monkeypatch.setattr(weights, "_twice_lambda", lambda d, o: 2 * twice(d, o))
     calls = spy_on_nnls(monkeypatch)
     with pytest.raises(NonConvergence, match="KKT violation .* above tolerance"):
         weights.nnls_fit(d, pi)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from neighbornet import core, weights
+from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
 from neighbornet.core import DissimilarityMap
 from neighbornet.io import InputError, read_nexus_splits
@@ -83,12 +84,26 @@ def test_cli_rejects_nan_on_the_diagonal(tmp_path, capsys):
     assert "nonzero diagonal for t2" in capsys.readouterr().err
 
 
+# Some lambda is negative under this map's neighbor-net ordering, so an nnls
+# fit of it runs the active set.
+NEGATIVE_LAMBDA_ROWS = [
+    [0, 6, 3, 6, 3],
+    [6, 0, 4, 3, 2],
+    [3, 4, 0, 6, 4],
+    [6, 3, 6, 0, 6],
+    [3, 2, 4, 6, 0],
+]
+
+
 def test_cli_reports_solver_non_convergence(tmp_path, capsys, monkeypatch):
-    def diverge(a, b, max_iter=None, tol=weights.KKT_TOL):
+    d = DissimilarityMap(NEGATIVE_LAMBDA_ROWS)
+    assert min(weights.lambda_formula(d, run_neighbor_net(d).ordering).values()) < 0
+
+    def diverge(a, b, max_iter=None):
         raise weights.NonConvergence("NNLS did not converge within 3 iterations")
 
     monkeypatch.setattr(weights, "nnls", diverge)
-    path = write_phylip(tmp_path / "map.phy", ROWS)
+    path = write_phylip(tmp_path / "map.phy", NEGATIVE_LAMBDA_ROWS)
     assert main(["nnet", path, "--estimate", "nnls"]) == 3
     err = capsys.readouterr().err
     assert "error: solver did not converge: NNLS did not converge within 3 iterations" in err
