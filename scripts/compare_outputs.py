@@ -7,9 +7,10 @@ Both trees must hold the same files. Every file but a trace (.jsonl) must be
 byte-identical. A trace must hold as many records as its twin, and each
 record the same fields with equal values, except q and q_hat, the criterion
 values, whose float sums may associate differently: they must agree within
-1e-12 relative, or 1e-12 absolute near zero. Exits 1 with the first
-difference; otherwise prints how many files it compared, how many q/q_hat
-values differ and the largest relative difference.
+1e-12 relative, or 1e-12 absolute near zero. Prints one line per differing
+file (one held by a single tree, or whose contents differ), naming its first
+difference, and exits 1; otherwise prints how many files it compared, how
+many q/q_hat values differ and the largest relative difference.
 """
 import argparse
 import json
@@ -49,21 +50,22 @@ def trace_difference(a: bytes, b: bytes, rounded: list):
 
 
 def compare(a: Path, b: Path) -> tuple:
-    """(first difference or None, files compared, rounded differences)."""
-    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    if files_a != files_b:
-        only = sorted(set(files_a) ^ set(files_b))[0]
-        return f"{only}: in {a if (a / only).is_file() else b} only", 0, []
-    rounded = []
-    for name in files_a:
+    """(one difference per differing file, in name order; files compared;
+    rounded differences)."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    differences, rounded = [], []
+    for name in sorted(files_a | files_b):
+        if name not in files_a or name not in files_b:
+            differences.append(f"{name}: in {a if name in files_a else b} only")
+            continue
         x, y = (a / name).read_bytes(), (b / name).read_bytes()
         if x == y:
             continue
         what = trace_difference(x, y, rounded) if name.suffix == ".jsonl" else "bytes differ"
         if what:
-            return f"{name}: {what}", len(files_a), rounded
-    return None, len(files_a), rounded
+            differences.append(f"{name}: {what}")
+    return differences, len(files_a & files_b), rounded
 
 
 def main():
@@ -71,9 +73,11 @@ def main():
     parser.add_argument("a", type=Path)
     parser.add_argument("b", type=Path)
     args = parser.parse_args()
-    what, count, rounded = compare(args.a, args.b)
-    if what:
-        sys.exit(f"differ: {what}")
+    differences, count, rounded = compare(args.a, args.b)
+    for what in differences:
+        print(f"differ: {what}", file=sys.stderr)
+    if differences:
+        sys.exit(1)
     print(f"{count} files agree; {len(rounded)} q/q_hat values differ, largest relative difference {max(rounded, default=0.0):.3g}")
 
 

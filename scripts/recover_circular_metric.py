@@ -17,7 +17,8 @@ from neighbornet.core import (
 )
 from neighbornet.io import splits_to_newick
 from neighbornet.kalmanson import is_kalmanson
-from neighbornet.weights import clamp_nonnegative, lambda_formula, nnls_fit, reconstruction_residual
+from neighbornet.oracle import reconstruction_residual
+from neighbornet.weights import clamp_nonnegative, lambda_formula, nnls_fit
 
 
 def main():

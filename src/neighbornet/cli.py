@@ -125,7 +125,7 @@ def _estimated_system(d, ordering, method: str) -> WeightedSplitSystem:
         if negatives:
             raise nio.InputError(
                 f"{negatives} negative weights from the closed formula; "
-                "use --method formula-clamped or nnls"
+                "estimate with formula-clamped or nnls instead"
             )
         return WeightedSplitSystem(d.n, lam)
     if method == "formula-clamped":

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -188,13 +187,6 @@ class Split:
         return f"Split({a}|{b})"
 
 
-def split_metric(s: Split, i: int, j: int) -> int:
-    """0 if i and j lie in the same block of s, else 1."""
-    if not (0 <= i < s.n and 0 <= j < s.n):
-        raise IndexError("taxon index out of range")
-    return 1 if s.separates(i, j) else 0
-
-
 def sorted_splits(splits) -> list:
     """The one split order: by block size, then block contents."""
     return sorted(splits, key=lambda s: (len(s.block), tuple(sorted(s.block))))
@@ -309,18 +301,6 @@ def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
     return DissimilarityMap(full)
 
 
-def is_pairwise_compatible(splits: Iterable[Split]) -> bool:
-    """True iff every two splits are compatible: some side of one misses
-    some side of the other."""
-    splits = list(splits)
-    n = splits[0].n if splits else 0
-    if any(s.n != n for s in splits):
-        raise ValueError("splits over different taxon sets")
-    sides = sides_of(splits, n).astype(int)
-    meets = [x.T @ y for x in (sides, 1 - sides) for y in (sides, 1 - sides)]
-    return not (np.minimum.reduce(meets) > 0).any()
-
-
 def canonical_cycle(order: Sequence[int]) -> tuple:
     """Dihedral canonical form: taxon 0 first, then the smaller of the two directions."""
     seq = list(order)
@@ -366,26 +346,6 @@ class CircularOrdering:
 
     def __repr__(self):
         return f"CircularOrdering({self.order})"
-
-
-def canonical_orderings(n: int) -> Iterator[tuple]:
-    """All (n-1)!/2 canonical cycles on 0..n-1, in lexicographic order."""
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    for rest in permutations(range(1, n)):
-        if rest[0] < rest[-1]:
-            yield (0,) + rest
-
-
-def is_circular_split(s: Split, ordering: CircularOrdering) -> bool:
-    """True iff one block of s is a contiguous arc of the ordering."""
-    if s.n != ordering.n:
-        raise ValueError("taxon count mismatch")
-    pos = ordering.positions()
-    block_pos = {pos[t] for t in s.block}
-    n = ordering.n
-    starts = sum(1 for p in block_pos if (p - 1) % n not in block_pos)
-    return starts == 1
 
 
 def arc_sides(ordering: CircularOrdering) -> np.ndarray:

@@ -42,8 +42,8 @@ class InputError(ValueError):
     """Malformed user input (file contents, flags); maps to exit code 1."""
 
 
-def fmt_num(x, sig: int = 6) -> str:
-    return f"{float(x):.{sig}g}"
+def fmt_num(x) -> str:
+    return f"{float(x):.6g}"
 
 
 # -- PHYLIP ------------------------------------------------------------------

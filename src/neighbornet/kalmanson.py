@@ -92,10 +92,6 @@ def first_four_point_violation(d: DissimilarityMap, tol=None) -> Optional[dict]:
     return None
 
 
-def satisfies_four_point(d: DissimilarityMap, tol=None) -> bool:
-    return first_four_point_violation(d, tol) is None
-
-
 def find_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularOrdering]:
     """The agglomeration's ordering when d is Kalmanson with respect to it, else
     None: sound, but it may miss an ordering on non-generic inputs (the

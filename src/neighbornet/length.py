@@ -1,5 +1,5 @@
-"""Balanced length of dissimilarity maps over partial circular orderings,
-adjacency counts, and the Z-criterion, all in closed form.
+"""Balanced length of dissimilarity maps over partial circular orderings, and
+the adjacency counts behind it, in closed form.
 
 The balanced length of a map d over a partial circular ordering C averages
 half the tour length over the N circular orderings consistent with C:
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .agglomerate import BlockState, q_criterion
-from .core import DissimilarityMap, Num, PartialCircularOrdering, join_paths, merged_at
+from .core import DissimilarityMap, Num, PartialCircularOrdering
 
 
 @dataclass(frozen=True)
@@ -64,15 +63,6 @@ def count_consistent_orderings(pco: PartialCircularOrdering) -> int:
     for r in range(m):
         prod *= len(pco.endpoints(r))
     return math.factorial(m - 1) * prod // 2
-
-
-def join_extensions(pco: PartialCircularOrdering, r: int, s: int):
-    """((i, j), the single-edge extension joining block r at endpoint i to
-    block s at endpoint j) for every endpoint choice."""
-    for i in pco.endpoints(r):
-        for j in pco.endpoints(s):
-            merged = join_paths(pco.blocks[r], pco.blocks[s], i, j)
-            yield (i, j), PartialCircularOrdering(merged_at(pco.blocks, r, s, merged))
 
 
 def eta_table(pco: PartialCircularOrdering) -> EtaTable:
@@ -112,33 +102,3 @@ def balanced_length_from_eta(d: DissimilarityMap, table: EtaTable) -> Num:
         sums[count] += values.item(i, j)
     total = sum(Fraction(count, table.total_orderings) * s for count, s in sums.items())
     return total / Fraction(2 * den)
-
-
-def balanced_length_of_join_family(
-    d: DissimilarityMap, pco: PartialCircularOrdering, r: int, s: int
-) -> Num:
-    """l(d, C_{r,s}): balanced length over the union of the endpoint joinings,
-    the mean over the joinings, whose families are disjoint and of equal size
-    for m >= 3 (for m = 2 each cycle recurs equally often)."""
-    lengths = [balanced_length(d, joined) for _, joined in join_extensions(pco, r, s)]
-    return sum(lengths) / Fraction(len(lengths))
-
-
-def z_criterion(state: BlockState, r: int, s: int) -> Num:
-    """Balanced-length decrease achieved by joining blocks r and s:
-
-        Z(r, s) = l(d, C) - l(d, C_{r,s})
-                = -P / ((m-1)(m-2)) - Q(r, s) / (2 (m-2))
-
-    with P the sum of block distances over unordered pairs. Equivalently
-    Z = sum_{t<u not in {r,s}} w(C_r C_s : C_t C_u) / ((m-1)(m-2)). Requires
-    m >= 3 blocks.
-    """
-    if r == s:
-        raise ValueError("r and s must differ")
-    m = state.m
-    if m < 3:
-        raise ValueError("Z-criterion requires at least 3 blocks")
-    p_total = state.total_pair_sum()
-    q = q_criterion(state, r, s)
-    return -p_total / Fraction((m - 1) * (m - 2)) - q / Fraction(2 * (m - 2))

@@ -2,8 +2,12 @@
 ordering or a split system and the lengths averaged over them, the
 neighborliness sum behind the Z-criterion, the eta-weighted least-squares
 length identity, exact minimum tours, the four-deep Kalmanson scan, the
-quartet sets and an exhaustive Kalmanson search; and the node-weighting
-axioms, which the tests check along agglomeration steps.
+quartet sets and an exhaustive Kalmanson search; the node-weighting
+axioms, which the tests check along agglomeration steps; and the readings
+of the paper's identities that only the tests use: the split metric
+delta_S, split compatibility and circularity, the canonical orderings, Z as
+the balanced-length drop over the join family, the four-point condition
+and the residual of a split weighting.
 
 A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
 over taxa, so quartet sets from different orderings compare directly.
@@ -16,11 +20,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .agglomerate import BlockState
+from .agglomerate import BlockState, q_criterion
 from .core import (
     CircularOrdering,
     DissimilarityMap,
@@ -29,13 +33,15 @@ from .core import (
     Split,
     WeightedSplitSystem,
     canonical_cycle,
-    canonical_orderings,
     count_distinct_orderings,
-    is_circular_split,
+    join_paths,
+    merged_at,
+    pair_sums,
+    sides_of,
     upper_pairs,
 )
-from .kalmanson import _default_tol
-from .length import EtaTable, balanced_length_from_eta, count_consistent_orderings, join_extensions
+from .kalmanson import _default_tol, first_four_point_violation
+from .length import EtaTable, balanced_length, balanced_length_from_eta, count_consistent_orderings
 from .tsp import Tour, tour_length
 from .weights import DesignMatrix
 
@@ -88,6 +94,45 @@ def adjacency_counts(orderings: Iterable[CircularOrdering]) -> dict:
 def _mean_half_tour(d: DissimilarityMap, orderings: list) -> Num:
     """Average half tour length over the orderings (sequences or orderings)."""
     return sum(tour_length(d, o) for o in orderings) / Fraction(2 * len(orderings))
+
+
+def join_extensions(pco: PartialCircularOrdering, r: int, s: int):
+    """((i, j), the single-edge extension joining block r at endpoint i to
+    block s at endpoint j) for every endpoint choice."""
+    for i in pco.endpoints(r):
+        for j in pco.endpoints(s):
+            merged = join_paths(pco.blocks[r], pco.blocks[s], i, j)
+            yield (i, j), PartialCircularOrdering(merged_at(pco.blocks, r, s, merged))
+
+
+def balanced_length_of_join_family(
+    d: DissimilarityMap, pco: PartialCircularOrdering, r: int, s: int
+) -> Num:
+    """l(d, C_{r,s}): balanced length over the union of the endpoint joinings,
+    the mean over the joinings, whose families are disjoint and of equal size
+    for m >= 3 (for m = 2 each cycle recurs equally often)."""
+    lengths = [balanced_length(d, joined) for _, joined in join_extensions(pco, r, s)]
+    return sum(lengths) / Fraction(len(lengths))
+
+
+def z_criterion(state: BlockState, r: int, s: int) -> Num:
+    """Balanced-length decrease achieved by joining blocks r and s:
+
+        Z(r, s) = l(d, C) - l(d, C_{r,s})
+                = -P / ((m-1)(m-2)) - Q(r, s) / (2 (m-2))
+
+    with P the sum of block distances over unordered pairs. Equivalently
+    Z = sum_{t<u not in {r,s}} w(C_r C_s : C_t C_u) / ((m-1)(m-2)). Requires
+    m >= 3 blocks.
+    """
+    if r == s:
+        raise ValueError("r and s must differ")
+    m = state.m
+    if m < 3:
+        raise ValueError("Z-criterion requires at least 3 blocks")
+    p_total = state.total_pair_sum()
+    q = q_criterion(state, r, s)
+    return -p_total / Fraction((m - 1) * (m - 2)) - q / Fraction(2 * (m - 2))
 
 
 def enumerate_consistent_orderings(
@@ -156,6 +201,45 @@ def z_from_w_sum(state: BlockState, r: int, s: int) -> Num:
         for b in range(a + 1, len(others)):
             total += w_neighborliness(state, r, s, others[a], others[b])
     return total / Fraction((m - 1) * (m - 2))
+
+
+def split_metric(s: Split, i: int, j: int) -> int:
+    """0 if i and j lie in the same block of s, else 1."""
+    if not (0 <= i < s.n and 0 <= j < s.n):
+        raise IndexError("taxon index out of range")
+    return 1 if s.separates(i, j) else 0
+
+
+def is_pairwise_compatible(splits: Iterable[Split]) -> bool:
+    """True iff every two splits are compatible: some side of one misses
+    some side of the other."""
+    splits = list(splits)
+    n = splits[0].n if splits else 0
+    if any(s.n != n for s in splits):
+        raise ValueError("splits over different taxon sets")
+    sides = sides_of(splits, n).astype(int)
+    meets = [x.T @ y for x in (sides, 1 - sides) for y in (sides, 1 - sides)]
+    return not (np.minimum.reduce(meets) > 0).any()
+
+
+def canonical_orderings(n: int) -> Iterator[tuple]:
+    """All (n-1)!/2 canonical cycles on 0..n-1, in lexicographic order."""
+    if n < 3:
+        raise ValueError("n >= 3 required")
+    for rest in permutations(range(1, n)):
+        if rest[0] < rest[-1]:
+            yield (0,) + rest
+
+
+def is_circular_split(s: Split, ordering: CircularOrdering) -> bool:
+    """True iff one block of s is a contiguous arc of the ordering."""
+    if s.n != ordering.n:
+        raise ValueError("taxon count mismatch")
+    pos = ordering.positions()
+    block_pos = {pos[t] for t in s.block}
+    n = ordering.n
+    starts = sum(1 for p in block_pos if (p - 1) % n not in block_pos)
+    return starts == 1
 
 
 def split_system_orderings(
@@ -263,6 +347,13 @@ def wls_length_identity_check(
     return lhs, rhs
 
 
+def reconstruction_residual(d: DissimilarityMap, lam: Mapping[Split, Num]) -> float:
+    """Sum of squared errors between d and the metric of lam, whose weights
+    may be negative."""
+    errors = DesignMatrix.rhs(d) - pair_sums(lam, d.n)
+    return float(np.sum(errors**2))
+
+
 def brute_force_tsp(d: DissimilarityMap) -> Tour:
     """Exact minimum over all (n-1)!/2 canonical cycles; ties resolve to the
     lexicographically least canonical ordering. Cycles are scored in batches,
@@ -281,6 +372,10 @@ def brute_force_tsp(d: DissimilarityMap) -> Tour:
             best_len = lengths.item(k)
             best_seq = tuple(perms[k].tolist())
     return Tour(CircularOrdering(best_seq), Fraction(best_len, den) if d.is_exact else best_len)
+
+
+def satisfies_four_point(d: DissimilarityMap, tol=None) -> bool:
+    return first_four_point_violation(d, tol) is None
 
 
 def brute_force_kalmanson_violation(

@@ -17,7 +17,6 @@ from .core import (
     WeightedSplitSystem,
     arc_sides,
     corner_differences,
-    pair_sums,
     sides_of,
     sorted_splits,
     splits_of,
@@ -223,10 +222,3 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
     fit = WeightedSplitSystem(d.n, dict(zip(splits_of(design.sides[:, positive]), x[positive].tolist())))
     fit._exact = False  # a float fit, though no weight may be left to say so
     return fit
-
-
-def reconstruction_residual(d: DissimilarityMap, lam: Mapping[Split, Num]) -> float:
-    """Sum of squared errors between d and the metric of lam, whose weights
-    may be negative."""
-    errors = DesignMatrix.rhs(d) - pair_sums(lam, d.n)
-    return float(np.sum(errors**2))

@@ -27,27 +27,29 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     canonical_cycle,
-    canonical_orderings,
     count_distinct_orderings,
     count_nnet_outputs,
     metric_from_splits,
 )
-from neighbornet.kalmanson import is_kalmanson, radius_perturbation_check, satisfies_four_point
-from neighbornet.length import join_extensions, z_criterion
+from neighbornet.kalmanson import is_kalmanson, radius_perturbation_check
 from neighbornet.oracle import (
     brute_force_tsp,
+    canonical_orderings,
     enumerated_balanced_length,
     enumerated_join_family_length,
+    join_extensions,
     positive_split_quartets,
+    reconstruction_residual,
+    satisfies_four_point,
     strict_quartets,
     wls_length_identity_check,
+    z_criterion,
 )
 from neighbornet.tsp import greedy_tsp, read_tsplib_euc2d
 from neighbornet.weights import (
     clamp_nonnegative,
     lambda_formula,
     nnls_fit,
-    reconstruction_residual,
 )
 import scalar_engine
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance

@@ -24,11 +24,13 @@ from neighbornet.core import (
     CircularOrdering,
     DissimilarityMap,
     Split,
+)
+from neighbornet.oracle import (
+    enumerated_balanced_length,
     is_circular_split,
     is_pairwise_compatible,
+    join_extensions,
 )
-from neighbornet.length import join_extensions
-from neighbornet.oracle import enumerated_balanced_length
 import scalar_engine
 from conftest import (
     permute_map,

@@ -9,8 +9,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from neighbornet.core import CircularOrdering, DissimilarityMap, canonical_orderings
-from neighbornet.oracle import brute_force_tsp
+from neighbornet.core import CircularOrdering, DissimilarityMap
+from neighbornet.oracle import brute_force_tsp, canonical_orderings
 from neighbornet.tsp import read_tsplib_euc2d, tour_length
 from neighbornet.weights import DesignMatrix
 from conftest import random_dissimilarity

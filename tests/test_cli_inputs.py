@@ -1,17 +1,22 @@
 """Inputs at the edges of the command line: balanced lengths past any
 enumeration are answered; two taxa, malformed or non-finite TSPLIB numbers,
 --round tsplib on a PHYLIP file and an --ordering over the wrong number of
-taxa are input errors (exit 1); a run out of memory exits 4, not as an internal
-error; and seeded mutations of PHYLIP and TSPLIB files never reach an internal
-error."""
+taxa are input errors (exit 1); so is a negative lambda under the formula
+estimate, in words that name no flag the command lacks; a run out of memory
+exits 4, not as an internal error; and seeded mutations of PHYLIP and TSPLIB
+files never reach an internal error."""
 import random
 import re
 
 import pytest
 
 from neighbornet import cli
+from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
+from neighbornet.io import format_phylip, read_phylip_distances
 from neighbornet.tsp import read_tsplib_euc2d
+from neighbornet.weights import lambda_formula
+from conftest import random_dissimilarity
 
 PHYLIP = """5
 A 0 3 4 5 4
@@ -128,6 +133,19 @@ def test_an_ordering_over_other_taxa_is_an_input_error(tmp_path, capsys, method,
     path.write_text(PHYLIP)
     code, err = run(capsys, ["estimate", str(path), "--method", method, "--ordering", ordering])
     assert (code, err) == (1, "error: taxon count mismatch\n")
+
+
+@pytest.mark.parametrize("command", [["nnet", "--estimate", "formula"], ["estimate", "--method", "formula"]])
+def test_a_negative_lambda_refusal_names_no_flag_the_command_lacks(tmp_path, capsys, command):
+    path = tmp_path / "m.phy"
+    path.write_text(format_phylip(random_dissimilarity(random.Random(3), 6), list("ABCDEF")))
+    d, _ = read_phylip_distances(path.read_text())
+    negatives = sum(v < 0 for v in lambda_formula(d, run_neighbor_net(d).ordering).values())
+    assert negatives > 0
+    code, err = run(capsys, [command[0], str(path), *command[1:]])
+    assert code == 1 and err.startswith(f"error: {negatives} negative weights from the closed formula; ")
+    assert "formula-clamped or nnls" in err
+    assert set(re.findall(r"--[a-z-]+", err)) <= {command[1]}
 
 
 @pytest.mark.parametrize("command", [["nnet", "--estimate", "nnls"], ["estimate", "--method", "nnls"]])

@@ -16,18 +16,20 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     canonical_cycle,
-    canonical_orderings,
     count_associahedron_vertices,
     count_distinct_orderings,
     count_nnet_outputs,
-    is_circular_split,
-    is_pairwise_compatible,
     join_paths,
     metric_from_splits,
-    split_metric,
 )
 from neighbornet.agglomerate import BalancedTSP, BlockState, OriginalBM, TreeWeighting, adjust_weights, merge_blocks
-from neighbornet.oracle import NodeWeighting
+from neighbornet.oracle import (
+    NodeWeighting,
+    canonical_orderings,
+    is_circular_split,
+    is_pairwise_compatible,
+    split_metric,
+)
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 
 

@@ -14,9 +14,9 @@ from neighbornet.core import (
     all_circular_splits,
     metric_from_splits,
     split_masks,
-    split_metric,
 )
-from neighbornet.weights import DesignMatrix, lambda_formula, reconstruction_residual
+from neighbornet.oracle import reconstruction_residual, split_metric
+from neighbornet.weights import DesignMatrix, lambda_formula
 from conftest import random_circular_instance, random_dissimilarity
 
 

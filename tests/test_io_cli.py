@@ -15,7 +15,6 @@ from neighbornet.core import (
     CircularOrdering,
     Split,
     WeightedSplitSystem,
-    is_circular_split,
     metric_from_splits,
     sorted_splits,
 )
@@ -30,6 +29,7 @@ from neighbornet.io import (
     write_nexus,
     write_trace_jsonl,
 )
+from neighbornet.oracle import is_circular_split
 from neighbornet.weights import nnls_fit
 from conftest import permute_map, random_circular_instance, random_dissimilarity
 

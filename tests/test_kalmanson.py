@@ -12,7 +12,6 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     metric_from_splits,
-    split_metric,
 )
 from neighbornet.kalmanson import (
     _default_tol,
@@ -21,7 +20,6 @@ from neighbornet.kalmanson import (
     first_kalmanson_violation,
     is_kalmanson,
     radius_perturbation_check,
-    satisfies_four_point,
 )
 from neighbornet.oracle import (
     brute_force_kalmanson_ordering,
@@ -29,6 +27,8 @@ from neighbornet.oracle import (
     positive_split_quartets,
     quartet,
     quartets_of_ordering,
+    satisfies_four_point,
+    split_metric,
     strict_quartets,
 )
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance

@@ -26,22 +26,22 @@ from neighbornet.core import (
 from neighbornet.length import (
     balanced_length,
     balanced_length_from_eta,
-    balanced_length_of_join_family,
     count_consistent_orderings,
     eta_table,
-    join_extensions,
-    z_criterion,
 )
 from neighbornet.oracle import (
     EnumerationCapExceeded,
     adjacency_counts,
+    balanced_length_of_join_family,
     enumerate_consistent_orderings,
     enumerated_balanced_length,
     enumerated_eta_table,
     enumerated_join_family_length,
     eta_for_splits,
+    join_extensions,
     split_system_length,
     split_system_orderings,
+    z_criterion,
     z_from_w_sum,
 )
 from conftest import random_dissimilarity

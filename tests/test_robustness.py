@@ -1,5 +1,7 @@
 """Bad input and solver failure: non-finite entries are rejected with a clear
-message and exit code 1, and a solver that does not converge exits with 3."""
+message and exit code 1, and a solver that does not converge exits with 3.
+The test-only oracles stay out of the production modules."""
+import ast
 import math
 import os
 import subprocess
@@ -160,3 +162,26 @@ def test_library_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False False"
+
+
+def oracle_imports(tree):
+    """Line numbers of the imports of neighbornet.oracle anywhere in a module,
+    inside functions too, absolute or relative."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = node.module if node.level == 0 else ".".join(filter(None, ["neighbornet", node.module]))
+            names = [package] + [f"{package}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "neighbornet.oracle" or name.startswith("neighbornet.oracle.") for name in names):
+            yield node.lineno
+
+
+def test_no_production_module_imports_the_oracle():
+    package = Path(core.__file__).resolve().parent
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "oracle.py"]
+    assert len(modules) > 5
+    found = {p.name: lines for p in modules if (lines := list(oracle_imports(ast.parse(p.read_text()))))}
+    assert found == {}

@@ -84,9 +84,10 @@ def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
         assert "Traceback" not in proc.stderr
         return proc.returncode, proc.stdout + proc.stderr
 
-    def edited(name, edit):
-        shutil.rmtree(b, ignore_errors=True)
-        shutil.copytree(a, b)
+    def edited(name, edit, fresh=True):
+        if fresh:
+            shutil.rmtree(b, ignore_errors=True)
+            shutil.copytree(a, b)
         path = b / name
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = edit(lines[1])
@@ -114,3 +115,10 @@ def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
     assert code == 1 and out.startswith("differ: random-4/nnet-tree.jsonl: record 1: q_hat ")
     (b / "random-4" / "nnet-tree.jsonl").unlink()
     assert compare() == (1, f"differ: random-4/nnet-tree.jsonl: in {a} only\n")
+    edited("random-4/nnet-tree.nex", lambda line: line.rstrip("\n") + " \n")
+    edited("random-4/nnet-tree.jsonl", record_edit("join", lambda join: join[::-1]), fresh=False)
+    code, out = compare()
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 2
+    assert lines[0].startswith("differ: random-4/nnet-tree.jsonl: record 1: join ")
+    assert lines[1] == "differ: random-4/nnet-tree.nex: bytes differ"

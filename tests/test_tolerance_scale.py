@@ -13,9 +13,8 @@ from neighbornet.kalmanson import (
     first_four_point_violation,
     first_kalmanson_violation,
     is_kalmanson,
-    satisfies_four_point,
 )
-from neighbornet.oracle import strict_quartets
+from neighbornet.oracle import satisfies_four_point, strict_quartets
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 
 SCALES = [10.0**k for k in range(-15, 16)]

@@ -22,10 +22,9 @@ from neighbornet.weights import (
     lambda_formula,
     nnls,
     nnls_fit,
-    reconstruction_residual,
     sorted_splits,
 )
-from neighbornet.oracle import wls_length_identity_check, wls_split_weights
+from neighbornet.oracle import reconstruction_residual, wls_length_identity_check, wls_split_weights
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
 
 
