@@ -9,14 +9,19 @@ SRC is a checkout holding src/neighbornet, or a directory holding
 neighbornet. The inputs come from this checkout's benchmarks/gen.py, so
 every tree reads the same files: for each n in 4..MAX_N a random float map,
 a tie-heavy map of integers 1..3, a circular map with float weights and one
-with weights k/100; then the four 50-taxon maps of the benchmark's
-fit-sparse workload at seed 1. Each map gets nnet under every weighting and
-every --estimate, nj, tsp, check, estimate (also over an --ordering of
-n-1 and of n+1 taxa, an input error) and length.
+with weights k/100. Each of these gets nnet under every weighting and every
+--estimate, nj, tsp, check, estimate (also over an --ordering of n-1 and of
+n+1 taxa, an input error) and length.
 
-OUTDIR/inputs holds the maps. OUTDIR/<map>/<call>.txt holds a call's exit
-code, stdout and stderr, with its Nexus (.nex) and trace (.jsonl) files
-beside it. Calls run in-process from OUTDIR with relative paths, so the
+Then come the benchmark's inputs at seed 1, which --no-fit-sparse skips:
+the four 50-taxon maps of the fit-sparse workload, each through nnet
+--estimate nnls; the agglomerate workload's 120-taxon map, through nnet
+under each weighting with --nexus and --trace; and its 120-city EUC_2D
+instance, through tsp and tsp --round tsplib, which runs the exact engine.
+
+OUTDIR/inputs holds the input files. OUTDIR/<map>/<call>.txt holds a
+call's exit code, stdout and stderr, with its Nexus (.nex) and trace
+(.jsonl) files beside it. Calls run in-process from OUTDIR with relative paths, so the
 printed paths match between trees.
 """
 import argparse
@@ -33,7 +38,8 @@ import gen  # noqa: E402
 
 
 def maps(max_n: int, fit_sparse: bool):
-    """(name, rows) for every input map, in a fixed order."""
+    """(name, rows) for every PHYLIP input map, or (name, points) for the
+    EUC_2D instance, in a fixed order."""
     for n in range(4, max_n + 1):
         rng = random.Random(f"cli-outputs/{n}")
         yield f"random-{n}", gen.random_map(rng, n)
@@ -48,12 +54,23 @@ def maps(max_n: int, fit_sparse: bool):
     if fit_sparse:
         for k in range(4):  # as benchmarks/workloads.py builds them at seed 1
             yield f"fit-sparse-{k}", gen.random_map(random.Random(f"1/sparse{k}/50"), 50)
+        yield "agglomerate-map", gen.random_map(random.Random("1/map/120"), 120)
+        yield "agglomerate-points", gen.euc2d_points(random.Random("1/points/120"), 120)
 
 
-def calls(phy: str, n: int, fit_sparse: bool):
-    """(call name, argv, whether it takes --nexus, whether it takes --trace)."""
-    if fit_sparse:
+def calls(phy: str, n: int, name: str):
+    """(call name, argv, whether it takes --nexus, whether it takes --trace)
+    for the input file phy of map name."""
+    if name.startswith("fit-sparse"):
         yield "nnet-nnls", ["nnet", phy, "--estimate", "nnls"], True, False
+        return
+    if name == "agglomerate-map":
+        for weighting in ("balanced-tsp", "tree", "original"):
+            yield f"nnet-{weighting}", ["nnet", phy, "--weighting", weighting], True, True
+        return
+    if name == "agglomerate-points":
+        yield "tsp", ["tsp", phy], False, False
+        yield "tsp-tsplib", ["tsp", phy, "--round", "tsplib"], False, False
         return
     taxa = [f"t{k}" for k in range(n)]
     for weighting in ("balanced-tsp", "tree", "original"):
@@ -98,10 +115,11 @@ def main():
     os.chdir(args.outdir)
     count = 0
     for name, rows in maps(args.max_n, not args.no_fit_sparse):
-        phy = f"inputs/{name}.phy"
-        Path(phy).write_text(gen.phylip_text(rows))
+        points = name == "agglomerate-points"
+        path = f"inputs/{name}.tsp" if points else f"inputs/{name}.phy"
+        Path(path).write_text(gen.tsplib_text(rows) if points else gen.phylip_text(rows))
         Path(name).mkdir(exist_ok=True)
-        for call, argv, nexus, trace in calls(phy, len(rows), name.startswith("fit-sparse")):
+        for call, argv, nexus, trace in calls(path, len(rows), name):
             stem = f"{name}/{call}"
             argv = argv + (["--nexus", f"{stem}.nex"] if nexus else []) + (["--trace", f"{stem}.jsonl"] if trace else [])
             out, err = io.StringIO(), io.StringIO()

@@ -24,14 +24,22 @@ grows: when new weights bring in a denominator D does not divide (1/2 and
 scaled up by the factor, f, and bb by f^2. Fractions appear only where
 values leave the engine: the accessors, Q-hat, the step records and mu.
 
-The table is never rebuilt whole. A merge leaves the weights alone, so it
-drops row and column hi and makes the merged row the sum of the two it
-joins. Every scheme changes weights inside the merged block alone, so its
-new weights are the one value a step passes on: adjust_weights returns
-them, with_mu applies them and recomputes, from the original matrix, the
-merged block's row alone, in O(n |block|), and the step record keeps them.
-A step costs O(n^2) with the vectorised Q, a run O(n^3), and float runs
-cannot accumulate drift.
+bb is the top-left m x m of one buffer, built in one pass and never
+rebuilt. A merge leaves the weights alone, so it adds row hi into row lo,
+the merged row, and closes the gap at hi by moving the later rows up and
+the later columns left, which keeps the block order the tie rule reads.
+Every scheme changes weights inside the merged block alone, so its new
+weights are the one value a step passes on: adjust_weights returns them,
+with_mu applies them and recomputes, from the original matrix, the merged
+block's row alone, in O(n |block|), and the step record keeps them. A step
+costs O(n^2), a run O(n^3), and float runs cannot accumulate drift.
+
+Ownership: the step API (merge_blocks, with_mu) copies a state once and
+changes the copy, so every state it hands out is a snapshot.
+run_neighbor_net owns the one state it drives, and the same kernels change
+that state in place, so its steps copy nothing. Q is computed into memory
+the state keeps, Q-hat's shared terms once per step, and the splits after
+the loop.
 """
 from __future__ import annotations
 
@@ -110,23 +118,29 @@ class MergeInfo:
 
 
 class BlockState:
-    """Immutable snapshot of the agglomeration: paths, weights, distances.
+    """Snapshot of the agglomeration: paths, weights, distances.
 
-    The arrays are private and belong to one state; a transition builds its
-    successor on copies of those it changes, so a state handed out never
-    changes. Beside the block table _bb, _w holds each taxon's table weight
-    and _block its block index. On an exact map _w holds the weights as
-    ints over D and _bb ints over L*D^2 (see the module docstring); on a
-    float map they hold mu and the distances. mu and every accessor give the
-    state's scalar: Fraction or float. Only the constructor copies and normalises its input; a
-    merge's successor shares mu and _w, which no state changes. A transition
+    _bb is the block table, the top-left m x m view of the buffer _buf;
+    _w holds each taxon's table weight and _block its block index. On an
+    exact map _w holds the weights as ints over D and _bb ints over L*D^2
+    (see the module docstring); on a float map they hold mu and the
+    distances. mu and every accessor give the state's scalar: Fraction or
+    float.
+
+    A state the step API hands out never changes: merge_blocks and with_mu
+    copy its arrays once and run their kernel, _merge or _reweight, on the
+    copy. The one state run_neighbor_net drives is its own (_in_place), and
+    the same kernels change that state's arrays in place. A reweight
     refreshes only the block at last_merge.merged_index, the one block whose
-    weights a scheme changes.
+    weights a scheme changes. The values read off the table (row sums, the
+    taxa of nonzero weight, the shared Q-hat terms of one join) are cached
+    until the next transition.
     """
 
     __slots__ = (
         "d", "blocks", "mu", "parts", "last_merge", "scalar",
-        "_unit", "_dm", "_den", "_w", "_block", "_bb", "_rowsum", "_total",
+        "_unit", "_dm", "_den", "_w", "_block", "_buf", "_bb", "_in_place",
+        "_scratch", "_rowsum", "_total", "_nonzero", "_terms",
     )
 
     def __init__(self, d, blocks, mu, parts, last_merge=None):
@@ -143,16 +157,30 @@ class BlockState:
         self.last_merge = last_merge
         self._w = np.zeros(d.n, dtype=self._dm.dtype)
         self._take_weights(self.mu)
-        m = len(self.blocks)
         self._block = np.empty(d.n, dtype=np.intp)
         for t, b in enumerate(self.blocks):
             self._block[list(b)] = t
-        self._bb = np.empty((m, m), dtype=self._dm.dtype)
-        self._refresh(range(m))
+        self._buf = self._bb = self._table()
+        self._in_place, self._scratch = False, None
+        self._stale()
+
+    def _table(self) -> np.ndarray:
+        """The block table in one pass over the original matrix: the entries
+        mu(i) d(i, j) mu(j), summed per block over rows, then over columns."""
+        taxa = [k for b in self.blocks for k in b]
+        w = self._w[taxa]
+        bb = self._dm[np.ix_(taxa, taxa)]
+        bb *= w[:, None]
+        bb *= w
+        starts = np.cumsum([0, *(len(b) for b in self.blocks[:-1])])
+        bb = np.add.reduceat(np.add.reduceat(bb, starts, axis=0), starts, axis=1)
+        np.copyto(bb, bb.T.copy(), where=np.tri(len(bb), k=-1, dtype=bool))  # Q reads (s, r) as (r, s)
+        np.fill_diagonal(bb, 0)
+        return bb
 
     def _take_weights(self, changed) -> int:
-        """Make _w, on a copy, the table weights of mu after the taxa in
-        changed took new weights; returns the factor by which D grew."""
+        """Make _w the table weights of mu after the taxa in changed took new
+        weights; returns the factor by which D grew."""
         new = [self.mu[k] for k in changed]
         f = 1
         if self._den is not None:
@@ -161,42 +189,124 @@ class BlockState:
             f = grown // den
             new = [v.numerator * (grown // v.denominator) for v in new]
             self._den = (map_den, grown)
-        self._w = self._w * f
+        if f > 1:
+            self._w *= f
         self._w[list(changed)] = new
         return f
 
-    def _successor(self, blocks, mu, parts, last_merge, bb, block, changed=()) -> "BlockState":
-        """A state on the same map whose block table is bb (which it now owns)
-        and taxon-to-block index block, after the taxa in changed, all in the
-        last merged block, took their weights in mu: bb is scaled if D grew,
-        and that block's row recomputed. The other arguments are taken as is."""
+    def _stale(self):
+        """Drop every value cached from the table or the weights."""
+        self._rowsum = self._nonzero = self._terms = None
+
+    def _copy(self) -> "BlockState":
+        """This state on arrays of its own, for one transition to change."""
         new = object.__new__(BlockState)
-        new.d, new.scalar, new._unit, new._dm = self.d, self.scalar, self._unit, self._dm
-        new.blocks, new.mu, new.parts, new.last_merge = blocks, mu, parts, last_merge
-        new._den, new._w, new._block, new._bb = self._den, self._w, block, bb
-        if changed and (f := new._take_weights(changed)) > 1:
-            bb *= f * f
-        new._refresh([last_merge.merged_index] if changed else [])
+        new.d, new.scalar, new._unit, new._dm, new._den = self.d, self.scalar, self._unit, self._dm, self._den
+        new.blocks, new.parts, new.last_merge = self.blocks, self.parts, self.last_merge
+        new.mu, new._w, new._block = dict(self.mu), self._w.copy(), self._block.copy()
+        new._buf = new._bb = self._bb.copy()
+        new._in_place, new._scratch = False, None
+        new._stale()
         return new
 
-    def _refresh(self, stale):
-        """Recompute delta(C_t, .) for each block t in stale from the original
-        matrix: v = delta(., C_t) over every taxon, then the weighted sum of v
-        per block; zero weights are skipped."""
-        dm, w, bb = self._dm, self._w, self._bb
-        for t in stale:
-            idx = [k for k in self.blocks[t] if w[k] != 0]
-            v = w[idx] @ dm[idx, :]
-            row = np.zeros(len(bb), dtype=dm.dtype)
-            np.add.at(row, self._block, w * v)
-            row[t] = 0
-            bb[t, :] = row
-            bb[:, t] = row
-        self._rowsum = None
+    def _target(self) -> "BlockState":
+        """The state a transition changes: this one if the run owns it,
+        otherwise a copy."""
+        return self if self._in_place else self._copy()
 
-    def _taxa_sum(self, x: int, mask: np.ndarray) -> Num:
-        """The sum of mu(k) d(x, k) over the taxa k that mask selects."""
-        return self._number((self._w * mask) @ self._dm[x], 1)
+    def _check_pair(self, r: int, s: int):
+        m = len(self.blocks)
+        if not (0 <= r < m and 0 <= s < m):
+            raise ValueError(f"block indices must lie in 0..{m - 1}")
+        if r == s:
+            raise ValueError("r and s must differ")
+
+    def _merge(self, r: int, s: int, i: int, j: int) -> "BlockState":
+        """Join block r's path at endpoint i to block s's at j, in place. The
+        weights are unchanged, so the union's row is the sum of the two rows;
+        the later rows and columns then move up and left over row and column
+        hi, which keeps the block order."""
+        blocks, m = self.blocks, len(self.blocks)
+        lo, hi = min(r, s), max(r, s)
+        joined = join_paths(blocks[r], blocks[s], i, j)
+        self.last_merge = MergeInfo(lo, self.parts[r], self.parts[s], i, j)
+        self.parts = merged_at(self.parts, r, s, (frozenset(blocks[r]), frozenset(blocks[s])))
+        self.blocks = merged_at(blocks, r, s, joined)
+        bb = self._bb
+        bb[lo] += bb[hi]
+        bb[lo, lo] = 0
+        bb[:, lo] = bb[lo]
+        bb[hi:m - 1] = bb[hi + 1:]
+        bb[:, hi:m - 1] = bb[:, hi + 1:]
+        self._bb = self._buf[:m - 1, :m - 1]
+        block = self._block
+        block[list(blocks[hi])] = lo
+        block -= block > hi
+        self._stale()
+        return self
+
+    def _reweight(self, mu) -> "BlockState":
+        """Give the taxa in mu, all in the last merged block, their new
+        weights, in place: bb is scaled if D grew, and that block's row
+        recomputed."""
+        self.mu.update(mu)
+        if mu:
+            if (f := self._take_weights(mu)) > 1:
+                self._bb *= f * f
+            self._stale()
+            self._refresh(self.last_merge.merged_index)
+        return self
+
+    def _refresh(self, t: int):
+        """Recompute delta(C_t, .) from the original matrix: v = delta(., C_t)
+        over every taxon, then the weighted sum of v per block; zero weights
+        are skipped."""
+        dm, w, mu = self._dm, self._w, self.mu
+        idx = [k for k in self.blocks[t] if mu[k]]
+        v = w[idx] @ dm[idx, :]
+        taxa, weights, owner = self._weighted()
+        row = self._bb[t]
+        row[:] = 0
+        np.add.at(row, owner, weights * v[taxa])
+        row[t] = 0
+        self._bb[:, t] = row
+
+    def _weighted(self) -> tuple:
+        """The taxa of nonzero weight, in increasing order, with their table
+        weights and their blocks."""
+        if self._nonzero is None:
+            taxa = np.flatnonzero(self._w)
+            self._nonzero = (taxa, self._w[taxa], self._block[taxa])
+        return self._nonzero
+
+    def _join_terms(self, r: int, s: int) -> tuple:
+        """What every Q-hat of joining blocks r and s shares: the distance
+        across the join, P / (m - 1) with P the total pair sum, and
+        delta(x, far) for each endpoint x of the two blocks, where far holds
+        the taxa of nonzero weight outside blocks r and s."""
+        if self._terms is None or self._terms[0] != (r, s):
+            p_total = self.total_pair_sum()
+            across = p_total - self.row_sum(r) - self.row_sum(s) + self.block_distance(r, s)
+            taxa, weights, owner = self._weighted()
+            far = (owner != r) & (owner != s)
+            ends = [*self.endpoints(r), *self.endpoints(s)]
+            sums = self._dm.take(ends, 0).take(taxa[far], 1) @ weights[far]
+            far_sums = {x: self._number(v, 1) for x, v in zip(ends, sums)}
+            self._terms = ((r, s), across, p_total / (len(self.blocks) - 1), far_sums)
+        return self._terms[1:]
+
+    def _pairs(self) -> tuple:
+        """The block pairs r < s of an m-block table, read as the entries
+        (s, r) of its lower triangle in row-major order, so that the pairs
+        of every smaller table come first: the mask of that triangle, each
+        pair's r, and how many pairs each s has. Built once per state."""
+        if self._scratch is None:
+            size = len(self._buf)
+            lower = np.tri(size, k=-1, dtype=bool)
+            self._scratch = (lower, np.tril_indices(size, -1)[1], np.arange(size))
+        m = len(self.blocks)
+        lower, rows, per_s = self._scratch
+        return lower[:m, :m], rows[:m * (m - 1) // 2], per_s[:m]
 
     def _number(self, x, power: int) -> Num:
         """A table value as the Python number it stands for: on an exact map
@@ -240,7 +350,7 @@ class BlockState:
 
     def taxon_block_distance(self, x: int, t: int) -> Num:
         """delta(x, C_t) per the weighted single sum, summed on demand."""
-        return self._taxa_sum(x, self._block == t)
+        return self._number((self._w * (self._block == t)) @ self._dm[x], 1)
 
     def row_sum(self, r: int) -> Num:
         return self._number(self._row_sums().item(r), 2)
@@ -258,10 +368,7 @@ class BlockState:
             raise ValueError("no merge has been performed on this state")
         if not mu.keys() <= set(self.blocks[self.last_merge.merged_index]):
             raise ValueError("new weights must lie in the last merged block")
-        return self._successor(
-            self.blocks, {**self.mu, **mu}, self.parts, self.last_merge,
-            self._bb.copy(), self._block, mu.keys(),
-        )
+        return self._target()._reweight(mu)
 
     def to_pco(self):
         return PartialCircularOrdering(self.blocks)
@@ -269,8 +376,7 @@ class BlockState:
 
 def q_criterion(state: BlockState, r: int, s: int) -> Num:
     """(m-2) delta(C_r,C_s) - sum_t delta(C_r,C_t) - sum_t delta(C_t,C_s)."""
-    if r == s:
-        raise ValueError("r and s must differ")
+    state._check_pair(r, s)
     m = state.m
     return (m - 2) * state.block_distance(r, s) - state.row_sum(r) - state.row_sum(s)
 
@@ -284,21 +390,19 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
     the enumerated quantity l(d, C') - l(d, C) exactly, so minimizing it picks
     the join of minimal balanced length among the endpoint candidates.
     """
-    if i not in state.endpoints(r) or j not in state.endpoints(s):
-        raise ValueError("i and j must be endpoints of the selected blocks")
-    m = state.m
-    dm = state.d.array
+    state._check_pair(r, s)
     path_r, path_s = state.blocks[r], state.blocks[s]
+    if i not in (path_r[0], path_r[-1]) or j not in (path_s[0], path_s[-1]):
+        raise ValueError("i and j must be endpoints of the selected blocks")
+    m = len(state.blocks)
+    dm = state.d.array
     i2 = path_r[0] if path_r[-1] == i else path_r[-1]
     j2 = path_s[0] if path_s[-1] == j else path_s[-1]
     if m == 2:
         # closing the cycle: the two new edges are (i, j) and the far ends
         return (dm.item(i, j) + dm.item(i2, j2)) / 2 - state.block_distance(r, s)
-    p_total = state.total_pair_sum()
-    across = p_total - state.row_sum(r) - state.row_sum(s) + state.block_distance(r, s)
-    far = (state._block != r) & (state._block != s)  # the taxa outside blocks r and s
-    far_sum = state._taxa_sum(i2, far) + state._taxa_sum(j2, far)
-    return dm.item(i, j) / 2 + (across + far_sum / 2) / (m - 2) - p_total / (m - 1)
+    across, p_share, far = state._join_terms(r, s)
+    return dm.item(i, j) / 2 + (across + (far[i2] + far[j2]) / 2) / (m - 2) - p_share
 
 
 def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockState:
@@ -307,29 +411,8 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     The merged path sits at index min(r, s); node weights are carried over
     unchanged (adjust_weights produces the new ones).
     """
-    blocks = merged_at(state.blocks, r, s, join_paths(state.blocks[r], state.blocks[s], i, j))
-    parts = merged_at(state.parts, r, s, (frozenset(state.blocks[r]), frozenset(state.blocks[s])))
-    lo, hi = min(r, s), max(r, s)
-    info = MergeInfo(
-        merged_index=lo,
-        parts_r=state.parts[r],
-        parts_s=state.parts[s],
-        i=i,
-        j=j,
-    )
-    # weights are unchanged, so the union's distances are the sums of the two
-    # blocks' distances
-    old, m = state._bb, state.m
-    bb = np.empty((m - 1, m - 1), dtype=old.dtype)
-    bb[:hi, :hi], bb[:hi, hi:] = old[:hi, :hi], old[:hi, hi + 1:]
-    bb[hi:, :hi], bb[hi:, hi:] = old[hi + 1:, :hi], old[hi + 1:, hi + 1:]
-    row = np.delete(old[r] + old[s], hi)
-    row[lo] = 0
-    bb[lo, :] = row
-    bb[:, lo] = row
-    block = np.where(state._block == hi, lo, state._block)
-    block -= block > hi
-    return state._successor(blocks, state.mu, parts, info, bb, block)
+    state._check_pair(r, s)
+    return state._target()._merge(r, s, i, j)
 
 
 def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
@@ -341,15 +424,13 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
         raise ValueError("no merge has been performed on this state")
     one = state.scalar(1)
     merged_path = state.blocks[info.merged_index]
+    if isinstance(scheme, BalancedTSP):
+        mu = dict.fromkeys(merged_path, 0 * one)
+        mu[merged_path[0]] = mu[merged_path[-1]] = one / 2
+        return mu
     mu = {t: state.mu[t] for t in merged_path}
     block_r, block_s = state.parts[info.merged_index]
-    if isinstance(scheme, BalancedTSP):
-        zero, h = 0 * one, one / 2
-        for t in merged_path:
-            mu[t] = zero
-        mu[merged_path[0]] = h
-        mu[merged_path[-1]] = h
-    elif isinstance(scheme, TreeWeighting):
+    if isinstance(scheme, TreeWeighting):
         alpha = state.scalar(scheme.alpha)
         for t in block_r:
             mu[t] = alpha * mu[t]
@@ -410,7 +491,7 @@ class NeighborNetResult:
 
 def _near_min(values: np.ndarray, tol: Num) -> np.ndarray:
     """Indices, in increasing order, of the values within tol of the minimum."""
-    return np.flatnonzero(values <= values.min() + tol)
+    return (values <= values.min() + tol).nonzero()[0]
 
 
 def _select_pair(state: BlockState) -> tuple:
@@ -426,24 +507,43 @@ def _select_pair(state: BlockState) -> tuple:
     Ties always occur at three blocks, where Q is the same for every pair.
     """
     m, tol, row_sums = state.m, state.tie_tol, state._row_sums()
-    q = (m - 2) * state._bb - row_sums[:, None] - row_sums
-    q[np.tri(m, dtype=bool)] = np.inf  # row-major order over r < s is the pair order
-    q = q.ravel()
+    lower, rows, per_s = state._pairs()
+    q = state._bb[lower]  # the table is symmetric: entry (s, r) is delta(C_r, C_s)
+    q *= m - 2
+    q -= row_sums.take(rows)
+    q -= np.repeat(row_sums, per_s)
     near = _near_min(q, tol)
-    k = near[_near_min(state._bb.ravel()[near], tol)[0]]
-    return divmod(int(k), m), state._number(q[k], 2)
+    k = int(near[0])
+    if len(near) > 1:
+        near = near[_near_min(state._bb[lower][near], tol)]
+        k = int(near[np.argmin(rows[near] * len(q) + near)])  # the first (r, s)
+    s = (1 + math.isqrt(8 * k + 1)) // 2  # k = s (s - 1) / 2 + r
+    return (int(rows[k]), s), state._number(q[k], 2)
 
 
 def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:
     """Argmin of Q-hat over the endpoint joins (i, j), as ((i, j), Q-hat
     value): values within state.tie_tol of the minimum tie, and ties go to
     the lexicographically first (i, j)."""
+    state._check_pair(r, s)
     candidates = sorted(
         (i, j) for i in state.endpoints(r) for j in state.endpoints(s)
     )
     values = [q_hat_criterion(state, r, s, i, j) for i, j in candidates]
-    k = _near_min(np.array(values), state.tie_tol)[0]
+    bound = min(values) + state.tie_tol
+    k = next(k for k, v in enumerate(values) if v <= bound)
     return candidates[k], values[k]
+
+
+def _splits(blocks: list, n: int) -> list:
+    """The split of each merged block, None for the final one holding all n
+    taxa; each split stores the side that holds taxon 0."""
+    taxa = frozenset(range(n))
+    out = []
+    for block in blocks:
+        side = frozenset(block)
+        out.append(None if len(side) == n else Split(n, side if 0 in side else taxa - side))
+    return out
 
 
 def run_neighbor_net(
@@ -453,13 +553,16 @@ def run_neighbor_net(
 
     Returns the canonical circular ordering, the n-2 recorded splits with a
     nonempty complement (the final degenerate one is dropped), and the
-    per-step trace.
+    per-step trace. The run owns its state, so every merge and reweight
+    changes that state's arrays in place; the splits are built after the
+    loop.
     """
     n = d.n
     if n < 3:
         raise ValueError("n >= 3 required")
     state = BlockState.initial(d)
-    records = []
+    state._in_place = True
+    steps = []
     while state.m > 1:
         m = state.m
         if m == 2:
@@ -472,22 +575,16 @@ def run_neighbor_net(
         state = merge_blocks(state, r, s, i, j)
         mu = adjust_weights(state, scheme)
         state = state.with_mu(mu)
-        merged = state.blocks[min(r, s)]
-        records.append(
-            StepRecord(
-                m=m,
-                pair=pair,
-                q_value=q_val,
-                endpoints=(i, j),
-                q_hat_value=qh_val,
-                split=Split.of(merged, n) if len(merged) < n else None,
-                merged_block=merged,
-                mu=mu,
-            )
-        )
+        steps.append((m, pair, q_val, (i, j), qh_val, state.blocks[min(r, s)], mu))
     ordering = CircularOrdering(state.blocks[0]).canonical()
+    del state  # its table goes before the splits are built
+    merged = [step[5] for step in steps]
+    records = tuple(
+        StepRecord(m, pair, q_val, ends, qh_val, split, block, mu)
+        for (m, pair, q_val, ends, qh_val, block, mu), split in zip(steps, _splits(merged, n))
+    )
     tree_splits = tuple(rec.split for rec in records if rec.split is not None)
-    return NeighborNetResult(ordering, tree_splits, AgglomerationTrace(tuple(records)))
+    return NeighborNetResult(ordering, tree_splits, AgglomerationTrace(records))
 
 
 def neighbor_joining(d: DissimilarityMap, alpha: Union[float, Fraction] = Fraction(1, 2)) -> frozenset:

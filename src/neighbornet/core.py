@@ -431,8 +431,10 @@ def merged_at(items: Sequence, r: int, s: int, value) -> tuple:
     item max(r, s) is deleted."""
     if r == s:
         raise ValueError("r and s must differ")
-    lo, hi = min(r, s), max(r, s)
-    return (*items[:lo], value, *items[lo + 1:hi], *items[hi + 1:])
+    out = list(items)
+    out[min(r, s)] = value
+    del out[max(r, s)]
+    return tuple(out)
 
 
 def join_paths(path_r: Sequence[int], path_s: Sequence[int], i: int, j: int) -> tuple:
