@@ -10,16 +10,21 @@ values, whose float sums may associate differently: they must agree within
 1e-12 relative, or 1e-12 absolute near zero. Prints one line per differing
 file (one held by a single tree, or whose contents differ), naming its first
 difference, and exits 1; otherwise prints how many files it compared, how
-many q/q_hat values differ and the largest relative difference.
+many q/q_hat values differ and the largest relative difference. A differing
+Nexus (.nex) pair that matches line for line apart from its MATRIX weights
+still differs; its line names the largest weight difference relative to the
+largest weight of the pair.
 """
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 ROUNDED = ("q", "q_hat")
 TOL = 1e-12
+MATRIX_LINE = re.compile(r"(\[\d+, size=\d+\] \t )(\S+)( \t .*)")  # index and size, weight, members
 
 
 def record_difference(a: dict, b: dict, rounded: list):
@@ -49,6 +54,26 @@ def trace_difference(a: bytes, b: bytes, rounded: list):
     return None
 
 
+def nexus_difference(a: bytes, b: bytes) -> str:
+    """What differs between two Nexus files: the size of the weight change
+    when only MATRIX weights differ, else that the bytes differ."""
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    if len(lines_a) != len(lines_b):
+        return "bytes differ"
+    largest = change = 0.0
+    for x, y in zip(lines_a, lines_b):
+        match_x, match_y = MATRIX_LINE.fullmatch(x), MATRIX_LINE.fullmatch(y)
+        if not (match_x and match_y):
+            if x != y:
+                return "bytes differ"
+            continue
+        if match_x.group(1, 3) != match_y.group(1, 3):
+            return "bytes differ"
+        wx, wy = float(match_x[2]), float(match_y[2])
+        largest, change = max(largest, abs(wx), abs(wy)), max(change, abs(wx - wy))
+    return f"only MATRIX weights differ, by at most {change / (largest or 1.0):.3g} of the largest weight"
+
+
 def compare(a: Path, b: Path) -> tuple:
     """(one difference per differing file, in name order; files compared;
     rounded differences)."""
@@ -62,7 +87,12 @@ def compare(a: Path, b: Path) -> tuple:
         x, y = (a / name).read_bytes(), (b / name).read_bytes()
         if x == y:
             continue
-        what = trace_difference(x, y, rounded) if name.suffix == ".jsonl" else "bytes differ"
+        if name.suffix == ".jsonl":
+            what = trace_difference(x, y, rounded)
+        elif name.suffix == ".nex":
+            what = nexus_difference(x, y)
+        else:
+            what = "bytes differ"
         if what:
             differences.append(f"{name}: {what}")
     return differences, len(files_a & files_b), rounded

@@ -6,6 +6,7 @@ invariant failure, 3 the NNLS solver did not converge, 4 out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -236,7 +237,11 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process, built on the first call: argparse's
+    objects hold reference cycles, which a parser per main call would leave
+    to the cyclic collector."""
     parser = _Parser(prog="neighbornet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

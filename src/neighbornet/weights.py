@@ -34,9 +34,9 @@ class NonConvergence(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """0/1 incidence of taxon pairs (rows, in split_masks order) against splits
-    (columns, in sorted_splits order), held as their n x k side matrix S,
-    core.sides_of, and read as an operator over it: nnls and kkt_violation
-    take it in place of the pairs x k array, which only as_array forms.
+    (columns), held as their n x k side matrix S, core.sides_of, and read as
+    an operator over it: nnls and kkt_violation take it in place of the
+    pairs x k array, which only as_array forms.
 
     - gram_column(j) is A^T A[:, j]. The pairs that splits A and B both
       separate number |A&B| |A'&B'| + |A&B'| |A'&B|, with ' the complement, so
@@ -57,12 +57,12 @@ class DesignMatrix:
     @classmethod
     def for_ordering(cls, ordering: CircularOrdering) -> "DesignMatrix":
         """The ordering's circular splits from its arcs, with no Split made, in
-        sorted_splits order."""
-        sides = arc_sides(ordering)
-        return cls(ordering.n, sides[:, _sorted_arcs(sides)])
+        core.arc_sides column order, the key order of lambda_formula."""
+        return cls(ordering.n, arc_sides(ordering))
 
     @classmethod
     def for_splits(cls, splits, n: int) -> "DesignMatrix":
+        """The splits' design, with its columns in sorted_splits order."""
         return cls(n, sides_of(sorted_splits(splits), n))
 
     @property
@@ -133,12 +133,6 @@ class _Dense:
 def _operator(a):
     """a itself if it is a DesignMatrix, else a as a float array behind the same methods."""
     return a if isinstance(a, DesignMatrix) else _Dense(np.asarray(a, dtype=float))
-
-
-def _sorted_arcs(sides: np.ndarray) -> np.ndarray:
-    """The permutation of core.arc_sides columns into sorted_splits order: by block
-    size, then by the membership of taxa 0, 1, ..., members first."""
-    return np.lexsort((*~sides[::-1], sides.sum(axis=0)))
 
 
 def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
@@ -287,15 +281,14 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
     inverse, so when every lambda is >= 0 it is the unique optimum, and the
     fit is lambda, read in the map's arithmetic and rounded once to float.
     Otherwise nnls runs its active set from x = 0. The KKT gate checks both.
-    Both read the design as an operator: the pairs x splits array is never
-    formed, only the passive columns of nnls's refinement.
+    Both read the design, DesignMatrix.for_ordering, as an operator: the
+    pairs x splits array is never formed, only the passive columns of nnls's
+    refinement.
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
-    sides = arc_sides(ordering)
-    columns = _sorted_arcs(sides)
-    twice = _twice_lambda(d, ordering)[columns]  # raises on a taxon count mismatch
-    design = DesignMatrix(d.n, sides[:, columns])
+    twice = _twice_lambda(d, ordering)  # raises on a taxon count mismatch
+    design = DesignMatrix.for_ordering(ordering)
     b = design.rhs(d)
     x = 0.5 * twice.astype(float) if (twice >= 0).all() else nnls(design, b)
     viol = kkt_violation(design, b, x)

@@ -216,6 +216,12 @@ class TestAdjustWeights:
         with pytest.raises(ValueError):
             adjust_weights(BlockState.initial(d), BalancedTSP())
 
+    @pytest.mark.parametrize("scheme", [None, "balanced-tsp", 0.5, TreeWeighting])
+    def test_an_unknown_scheme_is_a_type_error(self, scheme):
+        state = merge_blocks(BlockState.initial(random_dissimilarity(random.Random(8), 4)), 0, 1, 0, 1)
+        with pytest.raises(TypeError, match="unknown weighting scheme"):
+            adjust_weights(state, scheme)
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             TreeWeighting(1.5)

@@ -16,7 +16,7 @@ from neighbornet.core import (
     sorted_splits,
 )
 from neighbornet.kalmanson import radius_perturbation_check
-from neighbornet.weights import DesignMatrix, nnls_fit
+from neighbornet.weights import DesignMatrix, lambda_formula, nnls_fit
 from conftest import random_circular_instance, random_dissimilarity
 
 
@@ -39,17 +39,22 @@ def split_count(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(4, 16))
-def test_arc_columns_come_in_sorted_splits_order(n):
-    pi = random_ordering(random.Random(n), n)
-    assert DesignMatrix.for_ordering(pi).splits == tuple(sorted_splits(all_circular_splits(pi)))
+def test_arc_columns_come_in_the_lambda_formula_key_order(n):
+    rng = random.Random(n)
+    pi = random_ordering(rng, n)
+    assert DesignMatrix.for_ordering(pi).splits == tuple(lambda_formula(random_dissimilarity(rng, n), pi))
 
 
 @pytest.mark.parametrize("n", range(4, 16))
-def test_arc_design_equals_the_split_design(n):
+def test_arc_design_equals_the_split_design_split_by_split(n):
     pi = random_ordering(random.Random(100 + n), n)
-    arcs = DesignMatrix.for_ordering(pi).as_array()
+    design = DesignMatrix.for_ordering(pi)
+    arcs = design.as_array()
     assert arcs.dtype == np.float64 and arcs.flags.c_contiguous
-    assert np.array_equal(arcs, DesignMatrix.for_splits(all_circular_splits(pi), n).as_array())
+    by_split = DesignMatrix.for_splits(all_circular_splits(pi), n)
+    column = {s: c for c, s in enumerate(by_split.splits)}
+    assert len(column) == arcs.shape[1]
+    assert np.array_equal(arcs, by_split.as_array()[:, [column[s] for s in design.splits]])
 
 
 def test_the_arc_design_makes_no_split(split_count):

@@ -3,17 +3,24 @@ enumeration are answered; two taxa, malformed or non-finite TSPLIB numbers,
 --round tsplib on a PHYLIP file and an --ordering over the wrong number of
 taxa are input errors (exit 1); so is a negative lambda under the formula
 estimate, in words that name no flag the command lacks; a run out of memory
-exits 4, not as an internal error; and seeded mutations of PHYLIP and TSPLIB
+exits 4, not as an internal error, and any other exception a command
+raises exits 2 as one; an --n below 3 and an unknown taxon label are input
+errors; estimate --nexus writes the file in place of the split list; main
+builds one parser per process; and seeded mutations of PHYLIP and TSPLIB
 files never reach an internal error."""
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 from neighbornet import cli
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
-from neighbornet.io import format_phylip, read_phylip_distances
+from neighbornet.core import CircularOrdering
+from neighbornet.io import format_phylip, read_nexus_splits, read_phylip_distances
 from neighbornet.tsp import read_tsplib_euc2d
 from neighbornet.weights import lambda_formula
 from conftest import random_dissimilarity
@@ -159,6 +166,60 @@ def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, command):
     code, err = run(capsys, [command[0], str(path), *command[1:]])
     assert (code, err) == (4, "error: out of memory: Unable to allocate 1.87 GiB for an array with shape "
                               "(44850, 44850) and data type bool\n")
+
+
+@pytest.mark.parametrize("failure", [RuntimeError("a broken invariant"), AssertionError("a broken invariant")])
+@pytest.mark.parametrize("argv", [["nnet"], ["estimate"], ["check"]])
+def test_an_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch, failure, argv):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "run_neighbor_net", fail)
+    monkeypatch.setattr(cli, "find_kalmanson_ordering", fail)
+    path = tmp_path / "m.phy"
+    path.write_text(PHYLIP)
+    assert run(capsys, [argv[0], str(path)]) == (2, "internal error: a broken invariant\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--n", "2"], "error: --n must be >= 3\n"),
+    (["estimate", "{path}", "--ordering", "A,B,Z,D,E"], "error: unknown taxon 'Z'\n"),
+    (["check", "{path}", "--ordering", "A,B,C,D,x"], "error: unknown taxon 'x'\n"),
+    (["length", "{path}", "--blocks", "A,B|C|D|F"], "error: unknown taxon 'F'\n"),
+])
+def test_bad_counts_and_labels_are_input_errors(tmp_path, capsys, argv, message):
+    path = tmp_path / "m.phy"
+    path.write_text(PHYLIP)
+    assert run(capsys, [a.format(path=path) for a in argv]) == (1, message)
+
+
+@pytest.mark.parametrize("method", ["nnls", "formula-clamped"])
+def test_estimate_writes_nexus_in_place_of_the_split_list(tmp_path, capsys, method):
+    path, nexus = tmp_path / "m.phy", tmp_path / "out.nex"
+    path.write_text(PHYLIP)
+    assert main(["estimate", str(path), "--method", method, "--ordering", "A,B,C,D,E", "--nexus", str(nexus)]) == 0
+    assert capsys.readouterr().out == f"nexus written to {nexus}\n"
+    labels, cycle, system = read_nexus_splits(nexus.read_text())
+    assert labels == list("ABCDE") and cycle == CircularOrdering(range(5)) and len(system) > 0
+
+
+def test_main_builds_one_parser_per_process():
+    # argparse objects hold reference cycles; a parser per call leaves them to the collector
+    probe = """if True:
+        from neighbornet import cli
+        built = []
+        init = cli._Parser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        cli._Parser.__init__ = counted
+        codes = cli.main(["nnet", "--bogus"]), cli.main(["enumerate", "--n", "3"])
+        print(*codes, built.count("neighbornet"))
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "1 0 1"
+    assert "error: the following arguments are required: input" in out.stderr
 
 
 @pytest.mark.parametrize("rounding", ["none", "tsplib"])

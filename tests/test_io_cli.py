@@ -49,6 +49,16 @@ class TestPhylipReader:
         assert labels == ["a", "b", "c"]
         assert all(d[i, j] == 0 for i in range(3) for j in range(3))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty distance file"),
+        ("\n  \n", "empty distance file"),
+        ("0\n", "taxon count must be positive"),
+        ("-2\na 0\n", "taxon count must be positive"),
+    ])
+    def test_no_taxa_rejected(self, text, message):
+        with pytest.raises(InputError, match=message):
+            read_phylip_distances(text)
+
     def test_lower_triangle_rejected(self):
         text = "3\na\nb 1\nc 2 3\n"
         with pytest.raises(InputError, match="square matrix required"):

@@ -149,10 +149,23 @@ def golden_nexus_with(old, new):
     ("ntax=4 nsplits", "ntax=four nsplits", "bad taxon count"),
     ("\t 3 4,", "\t 3 4,\n[2, size=2] \t 9.0 \t 3 4,", r"Split\(0,1\|2,3\) listed twice in MATRIX"),
     ("\t 3 4,", "\t 3 4,\n[2, size=2] \t 9.0 \t 1 2,", r"Split\(0,1\|2,3\) listed twice in MATRIX"),
+    ("[4] 'D'\n", "", "label count mismatch"),
+    ("[4] 'D'\n", "[4] 'D'\n[5] 'E'\n", "label count mismatch"),
+    ("#nexus\n", "#nexus\nMATRIX\n[1, size=2] \t 1.0 \t 3 4,\n;\n", "SPLITS matrix before DIMENSIONS"),
 ])
 def test_nexus_reader_rejects_malformed_documents(old, new, message):
     with pytest.raises(InputError, match=message):
         read_nexus_splits(golden_nexus_with(old, new))
+
+
+@pytest.mark.parametrize("splits_block, message", [
+    ("BEGIN Splits;\nMATRIX\n;\nEND;", "missing DIMENSIONS ntax"),
+    ("BEGIN Splits;\nDIMENSIONS nsplits=0;\nMATRIX\n;\nEND;", "missing DIMENSIONS ntax"),
+    ("BEGIN Splits;\nDIMENSIONS ntax=2 nsplits=0;\nCYCLE 1 2;\nMATRIX\n;\nEND;", r"circular orderings need n >= 3"),
+])
+def test_nexus_reader_rejects_documents_without_a_usable_taxon_count(splits_block, message):
+    with pytest.raises(InputError, match=message):
+        read_nexus_splits(f"#nexus\n\n{splits_block}\n")
 
 
 def test_library_import_does_not_load_scipy():

@@ -1,6 +1,7 @@
 """Smoke tests for scripts/: each runs in a fresh interpreter, exits 0 and
 prints its key lines."""
 import json
+import math
 import os
 import random
 import re
@@ -84,13 +85,13 @@ def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
         assert "Traceback" not in proc.stderr
         return proc.returncode, proc.stdout + proc.stderr
 
-    def edited(name, edit, fresh=True):
+    def edited(name, edit, fresh=True, line=1):
         if fresh:
             shutil.rmtree(b, ignore_errors=True)
             shutil.copytree(a, b)
         path = b / name
         lines = path.read_text().splitlines(keepends=True)
-        lines[1] = edit(lines[1])
+        lines[line] = edit(lines[line])
         path.write_text("".join(lines))
 
     def record_edit(key, change):
@@ -122,3 +123,23 @@ def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
     assert code == 1 and len(lines) == 2
     assert lines[0].startswith("differ: random-4/nnet-tree.jsonl: record 1: join ")
     assert lines[1] == "differ: random-4/nnet-tree.nex: bytes differ"
+    nexus = "circular-4/nnet-nnls.nex"
+    matrix = (a / nexus).read_text().splitlines()
+    first = matrix.index("MATRIX") + 1
+    largest = max(float(row.split(" \t ")[1]) for row in matrix[first:matrix.index(";", first)])
+
+    def weight_edit(change):
+        def edit(row):
+            index, weight, members = row.split(" \t ")
+            return " \t ".join([index, repr(change(float(weight))), members])
+        return edit
+
+    edited(nexus, weight_edit(lambda w: w + 1e-13 * largest), line=first)
+    code, out = compare()
+    found = re.fullmatch(rf"differ: {nexus}: only MATRIX weights differ, by at most ([0-9.e-]+) of the largest weight\n", out)
+    assert code == 1 and found and math.isclose(float(found[1]), 1e-13, rel_tol=1e-2)
+    edited(nexus, lambda row: row.rstrip(",\n") + " 9,\n", line=first)
+    assert compare() == (1, f"differ: {nexus}: bytes differ\n")
+    edited(nexus, weight_edit(lambda w: 2 * w), line=first)
+    edited(nexus, lambda line: line.rstrip("\n") + " \n", fresh=False)
+    assert compare() == (1, f"differ: {nexus}: bytes differ\n")
