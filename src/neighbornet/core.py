@@ -202,13 +202,6 @@ def sides_of(splits: Iterable[Split], n: int) -> np.ndarray:
     return sides
 
 
-def splits_of(sides: np.ndarray) -> list:
-    """The Split of each column of a side matrix."""
-    taxa = np.nonzero(sides.T)[1].tolist()  # column by column
-    ends = np.cumsum(sides.sum(axis=0)).tolist()
-    return [Split(len(sides), frozenset(taxa[a:b])) for a, b in zip([0, *ends], ends)]
-
-
 def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
     """For each split, in input order, the bool mask of the taxon pairs it
     separates: the pair x split incidence delta_S(i, j), one column at a time.
@@ -348,15 +341,13 @@ class CircularOrdering:
         return f"CircularOrdering({self.order})"
 
 
-def arc_sides(ordering: CircularOrdering) -> np.ndarray:
-    """The side matrix of the ordering's n(n-1)/2 circular splits by arc:
-    column c, for (s, e) the c-th pair of upper_pairs(n), is the split of
-    the arc order[s:e], which never holds position n-1."""
-    starts, ends = upper_pairs(ordering.n)
-    position = np.arange(ordering.n)[:, None]
-    inside = (starts <= position) & (position < ends)  # positions x arcs
-    inside ^= ~inside[ordering.order.index(0)]  # each arc's side that holds taxon 0
-    return inside[np.argsort(ordering.order)]
+def arc_splits(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray) -> list:
+    """The Split of each arc order[s:e], for the position pairs s < e of
+    starts and ends. No arc holds position n-1, so the pairs of
+    upper_pairs(n) give each of the n(n-1)/2 circular splits once."""
+    order, zero = ordering.order, ordering.order.index(0)
+    return [Split(ordering.n, frozenset(order[s:e] if s <= zero < e else order[:s] + order[e:]))
+            for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
@@ -379,7 +370,7 @@ def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.nd
 
 def all_circular_splits(ordering: CircularOrdering) -> frozenset:
     """The n(n-1)/2 splits whose blocks are contiguous arcs of the ordering."""
-    return frozenset(splits_of(arc_sides(ordering)))
+    return frozenset(arc_splits(ordering, *upper_pairs(ordering.n)))
 
 
 @dataclass(frozen=True)

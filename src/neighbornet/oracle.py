@@ -38,6 +38,8 @@ from .core import (
     merged_at,
     pair_sums,
     sides_of,
+    sorted_splits,
+    split_masks,
     upper_pairs,
 )
 from .kalmanson import _default_tol, first_four_point_violation
@@ -319,16 +321,16 @@ def wls_split_weights(
     values is invariant across solutions of a rank-deficient system because
     every split crosses exactly two edges of any consistent ordering.
     """
-    design = DesignMatrix.for_splits(splits, d.n)
+    splits = sorted_splits(splits)
     rows, cols = upper_pairs(d.n)  # the design's row order
+    a = np.array(list(split_masks(splits, d.n)), dtype=float).reshape(len(splits), len(rows)).T
     w = [pair_weights.get(p, 0) for p in zip(rows.tolist(), cols.tolist())]
     if d.is_exact and all(not isinstance(v, float) for v in w):
-        a = design.as_array().astype(int)
         y = d.array[rows, cols]
-        return dict(zip(design.splits, _solve_normal_equations_exact(a, w, y)))
+        return dict(zip(splits, _solve_normal_equations_exact(a.astype(int), w, y)))
     root = np.sqrt(np.array(w, dtype=float))  # scales each row of A and b
-    sol, *_ = np.linalg.lstsq(design.as_array() * root[:, None], design.rhs(d) * root, rcond=None)
-    return dict(zip(design.splits, (float(v) for v in sol)))
+    sol, *_ = np.linalg.lstsq(a * root[:, None], DesignMatrix.rhs(d) * root, rcond=None)
+    return dict(zip(splits, (float(v) for v in sol)))
 
 
 def wls_length_identity_check(

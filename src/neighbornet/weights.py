@@ -3,8 +3,6 @@ corner formula, clamping, and non-negative least squares.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -16,11 +14,8 @@ from .core import (
     Num,
     Split,
     WeightedSplitSystem,
-    arc_sides,
+    arc_splits,
     corner_differences,
-    sides_of,
-    sorted_splits,
-    splits_of,
     upper_pairs,
 )
 
@@ -31,79 +26,87 @@ class NonConvergence(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """0/1 incidence of taxon pairs (rows, in split_masks order) against splits
-    (columns), held as their n x k side matrix S, core.sides_of, and read as
-    an operator over it: nnls and kkt_violation take it in place of the
-    pairs x k array, which only as_array forms.
+    """0/1 incidence of taxon pairs (rows, in split_masks order) against
+    circular splits of an ordering (columns): column c is the arc of
+    positions starts[c] <= p < ends[c], the taxa order[s:e]. nnls and
+    kkt_violation read it as an operator on the positions alone; only
+    as_array forms the pairs x k array.
 
-    - gram_column(j) is A^T A[:, j]. The pairs that splits A and B both
-      separate number |A&B| |A'&B'| + |A&B'| |A'&B|, with ' the complement, so
-      the column comes from the overlaps S^T S[:, j] in O(n k), for any splits.
-      The counts are whole numbers, so it has the bits of the dense product.
-    - matvec(x) is A x: the pair (i, j) sums M[i, j] + M[j, i], with
-      M = S diag(x) (1 - S)^T the weight of the splits whose side holds i and
-      not j.
-    - rmatvec(r) is A^T r: with R the symmetric pair matrix of r, split c sums
-      R over its side against the other, colsum(S o (R (1 - S))).
+    - gram_column(j) is A^T A[:, j]. Splits A and B both separate
+      |A&B| |A'&B'| + |A&B'| |A'&B| pairs, with ' the complement, a count that
+      complementing either split keeps, so for two arcs every term is an
+      interval overlap, max(0, min(e, e_j) - max(s, s_j)). Whole numbers: the
+      bits of the dense product.
+    - matvec(x) is A x. Q[a, b], the weight of the arcs s <= a, e >= b, is a
+      cumsum each way; positions p < q are held each by Q[p, p+1] and
+      Q[q, q+1], both by Q[p, q+1], and the pair sums the arcs holding one.
+    - rmatvec(r) is A^T r. With R the pair matrix of r in position order, an
+      arc sums R's rows at its positions less its block R[s:e, s:e], both
+      read from R's 2-D prefix sums.
     - columns(mask) is the pairs x |mask| array of the masked columns.
 
-    Memory is O(n (n + k)), apart from the arrays as_array and columns return."""
+    Memory is O(n^2 + k), apart from the arrays as_array and columns return."""
 
-    n: int
-    sides: np.ndarray
+    def __init__(self, ordering: CircularOrdering, starts, ends):
+        self.ordering, self.n = ordering, ordering.n
+        self.starts, self.ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
+        if self.starts.ndim != 1 or self.starts.shape != self.ends.shape:
+            raise ValueError("starts and ends must be 1-D and of one length")
+        if not ((0 <= self.starts) & (self.starts < self.ends) & (self.ends < self.n)).all():
+            raise ValueError("arcs need 0 <= start < end <= n-1")
 
     @classmethod
     def for_ordering(cls, ordering: CircularOrdering) -> "DesignMatrix":
-        """The ordering's circular splits from its arcs, with no Split made, in
-        core.arc_sides column order, the key order of lambda_formula."""
-        return cls(ordering.n, arc_sides(ordering))
-
-    @classmethod
-    def for_splits(cls, splits, n: int) -> "DesignMatrix":
-        """The splits' design, with its columns in sorted_splits order."""
-        return cls(n, sides_of(sorted_splits(splits), n))
+        """All n(n-1)/2 circular splits of the ordering, with no Split made: the
+        arcs of the pairs of upper_pairs(n), in lambda_formula's key order."""
+        return cls(ordering, *upper_pairs(ordering.n))
 
     @property
     def splits(self) -> tuple:
-        return tuple(splits_of(self.sides))
+        return tuple(arc_splits(self.ordering, self.starts, self.ends))
 
     @property
     def shape(self) -> tuple:
-        return self.n * (self.n - 1) // 2, self.sides.shape[1]
+        return self.n * (self.n - 1) // 2, self.starts.size
 
-    @cached_property
-    def _float_sides(self) -> np.ndarray:
-        return self.sides.astype(float)
-
-    @cached_property
-    def _sizes(self) -> np.ndarray:
-        return self._float_sides.sum(axis=0)
+    def _pair_positions(self) -> tuple:
+        """The lower and the higher position of each row's two taxa."""
+        rows, cols = upper_pairs(self.n)
+        position = np.argsort(self.ordering.order)
+        p, q = position[rows], position[cols]
+        return np.minimum(p, q), np.maximum(p, q)
 
     def gram_column(self, j: int) -> np.ndarray:
-        s, size = self._float_sides, self._sizes
-        both = s.T @ s[:, j]
-        return both * (self.n - size - size[j] + both) + (size - both) * (size[j] - both)
+        s, e = self.starts, self.ends
+        both = np.maximum(np.minimum(e, e[j]) - np.maximum(s, s[j]), 0)
+        size, size_j = e - s, e[j] - s[j]
+        return (both * (self.n - size - size_j + both) + (size - both) * (size_j - both)).astype(float)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        s = self._float_sides
-        held = (s * x) @ (1.0 - s).T
-        return (held + held.T)[upper_pairs(self.n)]
+        n = self.n
+        arcs = np.bincount(self.starts * (n + 1) + self.ends, weights=x, minlength=n * (n + 1))
+        held = arcs.reshape(n, n + 1)[:, ::-1].cumsum(axis=1, dtype=float)[:, ::-1].cumsum(axis=0)  # Q
+        lo, hi = self._pair_positions()
+        return held.diagonal(1)[lo] + held.diagonal(1)[hi] - 2 * held[lo, hi + 1]
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        s = self._float_sides
-        pairs = np.zeros((self.n, self.n))
-        rows, cols = upper_pairs(self.n)
-        pairs[rows, cols] = pairs[cols, rows] = r
-        return (s * (pairs @ (1.0 - s))).sum(axis=0)
+        n = self.n
+        lo, hi = self._pair_positions()
+        pairs = np.zeros((n, n))
+        pairs[lo, hi] = pairs[hi, lo] = r
+        block = np.pad(pairs.cumsum(axis=0).cumsum(axis=1), (1, 0))  # block[a, b] sums R[:a, :b]
+        s, e = self.starts, self.ends
+        inside = block[e, e] - block[s, e] - block[e, s] + block[s, s]
+        return block[e, n] - block[s, n] - inside
 
     def columns(self, mask: np.ndarray) -> np.ndarray:
-        return DesignMatrix(self.n, self.sides[:, mask]).as_array()
+        return DesignMatrix(self.ordering, self.starts[mask], self.ends[mask]).as_array()
 
     def as_array(self) -> np.ndarray:
-        rows, cols = upper_pairs(self.n)
-        return (self.sides[rows] != self.sides[cols]).astype(float)
+        lo, hi = (p[:, None] for p in self._pair_positions())
+        s, e = self.starts, self.ends
+        return (((s <= lo) & (lo < e)) != ((s <= hi) & (hi < e))).astype(float)
 
     @staticmethod
     def rhs(d: DissimilarityMap) -> np.ndarray:
@@ -151,12 +154,13 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
         raise ValueError("n >= 4 required")
     twice = _twice_lambda(d, ordering).tolist()
     h = Fraction(1, 2)  # an exact half of exact values; 0.5 times a float
-    return {split: h * v for split, v in zip(splits_of(arc_sides(ordering)), twice)}
+    return {split: h * v for split, v in zip(arc_splits(ordering, *upper_pairs(d.n)), twice)}
 
 
 def _twice_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
-    """Twice the lambda of each arc, in the map's arithmetic, in core.arc_sides
-    column order: the arc order[s:e] has its corners at positions e and s-1."""
+    """Twice the lambda of each arc, in the map's arithmetic, in the arc order
+    of DesignMatrix.for_ordering: the arc order[s:e] has its corners at
+    positions e and s-1."""
     starts, ends = upper_pairs(d.n)
     return corner_differences(d, ordering)[ends, (starts - 1) % d.n]
 
@@ -174,11 +178,12 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
     Lawson-Hanson on the normal equations (Bro & De Jong 1997): grow the
     passive set P by the most positive coordinate of the gradient c - G x
     (c = a^T b, G = a^T a), take z_P = inv(G[P, P]) c[P], and step back along
-    the segment when z leaves the feasible cone. The inverse is bordered when
-    a column enters and downdated by a rank-1 term per column that leaves,
-    O(|P|^2) each. c is formed once, and the Gram column a^T a[:, j] when j
-    first enters P, stored in order of entry. Both buffers double as they
-    fill, so memory grows with the columns that entered, never as k x k.
+    the segment when z leaves the feasible cone. The inverse, one contiguous
+    |P| x |P| array, is bordered into a new array when a column enters and
+    downdated in place by a rank-1 term per column that leaves, O(|P|^2)
+    each. c is formed once, and the Gram column a^T a[:, j] when j first
+    enters P, stored in order of entry in a buffer that doubles as it fills,
+    so memory grows with the columns that entered, never as k x k.
 
     The normal equations square cond(a), so the final passive weights are
     refined by one least-squares solve of a's passive columns against b, kept
@@ -207,7 +212,7 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
     entered = np.empty(n, dtype=np.intp)
     row_of = np.full(n, -1, dtype=np.intp)
     count = 0
-    inv = np.empty((min(n, 16),) * 2)  # inv[:k, :k] is the inverse of G[order, order]
+    inv = np.empty((0, 0))  # the inverse of G[order, order]
     order = np.empty(0, dtype=np.intp)  # the k passive columns, in the order of that inverse's rows
     x = np.zeros(n)
     w = c
@@ -222,34 +227,30 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
             row_of[j] = count
             count += 1
         k, g = order.size, gram[row_of[j], order]  # g = G[order, j]
-        if k == len(inv):
-            inv, room = np.empty((min(2 * k, n),) * 2), inv
-            inv[:k, :k] = room
-        u = inv[:k, :k] @ g
+        u = inv @ g
         s = gram[row_of[j], j] - np.dot(g, u)
         if not 0 < s < np.inf:
             raise NonConvergence(f"NNLS passive block of {k + 1} columns is singular")
-        inv[:k, :k] += u[:, None] * (u / s)
-        inv[k, : k + 1] = inv[: k + 1, k] = np.concatenate((-u, [1.0])) / s
+        inv, smaller = np.empty((k + 1, k + 1)), inv
+        np.add(smaller, u[:, None] * (u / s), out=inv[:k, :k])
+        inv[k] = inv[:, k] = np.concatenate((-u, [1.0])) / s
         order, xp = np.concatenate((order, [j])), np.concatenate((x[order], [0.0]))
         while True:
             iters += 1
             if iters > max_iter:
                 raise NonConvergence(f"NNLS did not converge within {max_iter} iterations")
-            k = order.size
-            z = inv[:k, :k] @ c[order]
+            z = inv @ c[order]
             if z.min(initial=np.inf) > 0:  # empty when every column left: start again from x = 0
                 break
             neg = z <= 0
             if not neg.any():
-                raise NonConvergence(f"NNLS passive solution over {k} columns is not finite")
+                raise NonConvergence(f"NNLS passive solution over {order.size} columns is not finite")
             alpha = (xp[neg] / (xp[neg] - z[neg])).min()
             xp = xp + alpha * (z - xp)
             keep = xp > tol
-            for q in np.flatnonzero(~keep):  # inv[:k, :k] becomes the inverse without column q
-                inv[:k, :k] -= inv[:k, q, None] * (inv[:k, q] / inv[q, q])
-            inv[: keep.sum(), : keep.sum()] = inv[:k, :k][keep][:, keep]
-            order, xp = order[keep], xp[keep]
+            for q in np.flatnonzero(~keep):  # inv becomes the inverse without column q
+                inv -= inv[:, q, None] * (inv[:, q] / inv[q, q])
+            inv, order, xp = inv[np.ix_(keep, keep)], order[keep], xp[keep]
         x = np.zeros(n)
         x[order] = z
         w = c - x[entered[:count]] @ gram[:count]
@@ -274,8 +275,10 @@ def kkt_violation(a, b: np.ndarray, x: np.ndarray) -> float:
 def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSystem:
     """Nonnegative weights over the ordering's n(n-1)/2 circular splits
     minimizing the squared reconstruction error; the system holds the splits
-    whose weight is positive. A fit over a subset of splits is
-    nnls(DesignMatrix.for_splits(splits, n), DesignMatrix.rhs(d)).
+    whose weight is positive. A fit over some of the ordering's arcs is
+    nnls(DesignMatrix(ordering, starts, ends), DesignMatrix.rhs(d)); over any
+    splits, nnls of their pairs x splits array, the masks of
+    core.split_masks as columns, against the same right-hand side.
 
     The full design is square and invertible with lambda_formula as its
     inverse, so when every lambda is >= 0 it is the unique optimum, and the
@@ -296,6 +299,7 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
     if not viol <= 10 * KKT_TOL * scale:  # a NaN violation fails too
         raise NonConvergence(f"KKT violation {viol} above tolerance")
     positive = x > 0
-    fit = WeightedSplitSystem(d.n, dict(zip(splits_of(design.sides[:, positive]), x[positive].tolist())))
+    splits = arc_splits(ordering, design.starts[positive], design.ends[positive])
+    fit = WeightedSplitSystem(d.n, dict(zip(splits, x[positive].tolist())))
     fit._exact = False  # a float fit, though no weight may be left to say so
     return fit

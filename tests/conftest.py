@@ -13,7 +13,9 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     metric_from_splits,
+    upper_pairs,
 )
+from neighbornet.weights import DesignMatrix
 
 
 def random_circular_instance(rng: random.Random, n: int, exact: bool = False,
@@ -30,6 +32,14 @@ def random_circular_instance(rng: random.Random, n: int, exact: bool = False,
         weights = {s: rng.uniform(lo, hi) for s in all_circular_splits(pi)}
     system = WeightedSplitSystem(n, weights)
     return pi, system, metric_from_splits(system)
+
+
+def random_arc_design(rng: random.Random, ordering: CircularOrdering, k: int) -> DesignMatrix:
+    """The design of k distinct arcs of the ordering, drawn at random and
+    kept in the order drawn."""
+    starts, ends = upper_pairs(ordering.n)
+    picked = rng.sample(range(len(starts)), k)
+    return DesignMatrix(ordering, starts[picked], ends[picked])
 
 
 def random_dissimilarity(rng: random.Random, n: int, exact: bool = False,

@@ -14,6 +14,7 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     sorted_splits,
+    split_masks,
 )
 from neighbornet.kalmanson import radius_perturbation_check
 from neighbornet.weights import DesignMatrix, lambda_formula, nnls_fit
@@ -51,10 +52,9 @@ def test_arc_design_equals_the_split_design_split_by_split(n):
     design = DesignMatrix.for_ordering(pi)
     arcs = design.as_array()
     assert arcs.dtype == np.float64 and arcs.flags.c_contiguous
-    by_split = DesignMatrix.for_splits(all_circular_splits(pi), n)
-    column = {s: c for c, s in enumerate(by_split.splits)}
-    assert len(column) == arcs.shape[1]
-    assert np.array_equal(arcs, by_split.as_array()[:, [column[s] for s in design.splits]])
+    assert len(set(design.splits)) == arcs.shape[1] and set(design.splits) == all_circular_splits(pi)
+    by_split = np.array(list(split_masks(design.splits, n)), dtype=float).T
+    assert np.array_equal(arcs, by_split)
 
 
 def test_the_arc_design_makes_no_split(split_count):

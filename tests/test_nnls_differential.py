@@ -17,23 +17,22 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     metric_from_splits,
+    sorted_splits,
 )
 from neighbornet.io import format_phylip
 from neighbornet import weights
 from neighbornet.oracle import adjacency_counts
-from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, lambda_formula, nnls, sorted_splits
-from conftest import random_circular_instance, random_dissimilarity
+from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, lambda_formula, nnls
+from conftest import random_arc_design, random_circular_instance, random_dissimilarity
 import lstsq_nnls
 
 
-def system_of(d, ordering, splits=None, pair_weights=None):
-    """(A, b) of the fit; with pair_weights, each row scaled by the square
-    root of its pair's weight, 0 for a pair absent from them."""
-    if splits is None:
-        design = DesignMatrix.for_ordering(ordering)
-    else:
-        design = DesignMatrix.for_splits(splits, d.n)
-    a, b = design.as_array(), design.rhs(d)
+def system_of(d, ordering, design=None, pair_weights=None):
+    """(A, b) of the fit over every arc of the ordering, or over the columns
+    of design; with pair_weights, each row scaled by the square root of its
+    pair's weight, 0 for a pair absent from them."""
+    a = (DesignMatrix.for_ordering(ordering) if design is None else design).as_array()
+    b = DesignMatrix.rhs(d)
     if pair_weights is None:
         return a, b
     rows, cols = np.triu_indices(d.n, 1)
@@ -104,9 +103,8 @@ def fit_cases():
     for k in range(10):
         n = rng.randint(5, 14)
         d, pi = noisy_circular_map(rng, n) if k % 2 else (random_dissimilarity(rng, n), CircularOrdering(range(n)))
-        splits = sorted_splits(all_circular_splits(pi))
-        subset = rng.sample(splits, rng.randint(2, len(splits) - 1))
-        yield case(f"subset-{k}", *system_of(d, pi, splits=subset))
+        subset = random_arc_design(rng, pi, rng.randint(2, n * (n - 1) // 2 - 1))
+        yield case(f"subset-{k}", *system_of(d, pi, design=subset))
 
 
 @pytest.mark.parametrize("a,b", list(fit_cases()))

@@ -1,6 +1,7 @@
-"""DesignMatrix as an operator over its side matrix: the closed-form Gram
+"""DesignMatrix as an operator over an ordering's arcs: the closed-form Gram
 columns, A x and A^T r against the dense design, nnls on the operator against
-nnls on the array, and the memory an nnls_fit takes without the array."""
+nnls on the array, the arcs the constructor accepts, and the memory an
+nnls_fit and its KKT gate take without the array."""
 import random
 import tracemalloc
 
@@ -9,18 +10,9 @@ import pytest
 
 from neighbornet import weights
 from neighbornet.agglomerate import run_neighbor_net
-from neighbornet.core import CircularOrdering, Split
+from neighbornet.core import CircularOrdering
 from neighbornet.weights import DesignMatrix, kkt_violation, nnls, nnls_fit
-from conftest import random_circular_instance, random_dissimilarity
-
-
-def random_splits(rng, n, k):
-    """k distinct splits of n taxa, circular for no ordering in particular."""
-    splits = set()
-    while len(splits) < k:
-        size = rng.randint(1, n - 1)
-        splits.add(Split.of(rng.sample(range(n), size), n))
-    return splits
+from conftest import random_arc_design, random_circular_instance, random_dissimilarity
 
 
 def designs():
@@ -28,9 +20,10 @@ def designs():
     for n in (4, 5, 7, 10, 16, 23, 30):
         perm = list(range(n))
         rng.shuffle(perm)
-        yield pytest.param(DesignMatrix.for_ordering(CircularOrdering(perm)), id=f"ordering-{n}")
-        k = rng.randint(1, min(60, 2 ** (n - 1) - 1))
-        yield pytest.param(DesignMatrix.for_splits(random_splits(rng, n, k), n), id=f"splits-{n}")
+        pi = CircularOrdering(perm)
+        yield pytest.param(DesignMatrix.for_ordering(pi), id=f"ordering-{n}")
+        k = rng.randint(1, min(60, n * (n - 1) // 2))
+        yield pytest.param(random_arc_design(rng, pi, k), id=f"arcs-{n}")
 
 
 @pytest.mark.parametrize("design", designs())
@@ -76,25 +69,44 @@ def test_nnls_on_the_operator_equals_nnls_on_the_array(seed):
 def test_a_subset_fit_takes_the_design_itself():
     rng = random.Random(7)
     d = random_dissimilarity(rng, 12)
-    design = DesignMatrix.for_splits(random_splits(rng, 12, 40), 12)
+    design = random_arc_design(rng, CircularOrdering(rng.sample(range(12), 12)), 40)
     b = DesignMatrix.rhs(d)
     assert (nnls(design, b) == nnls(design.as_array(), b)).all()
 
 
 def test_the_empty_design_gives_an_empty_fit():
-    design = DesignMatrix.for_splits([], 6)
+    design = DesignMatrix(CircularOrdering(range(6)), [], [])
     assert design.shape == (15, 0)
     x = nnls(design, np.ones(15))
     assert x.shape == (0,)
+    assert design.matvec(x).dtype == np.float64 and not design.matvec(x).any()
+
+
+@pytest.mark.parametrize("starts,ends", [([0], [7]), ([-1], [3]), ([2], [2]), ([3], [1]), ([0, 1], [2, 7])])
+def test_arcs_outside_the_ordering_are_refused(starts, ends):
+    with pytest.raises(ValueError, match="0 <= start < end <= n-1"):
+        DesignMatrix(CircularOrdering(range(7)), starts, ends)
+
+
+@pytest.mark.parametrize("starts,ends", [([0, 1], [2]), ([0], [1, 2]), ([[0]], [[1]])])
+def test_starts_and_ends_of_other_shapes_are_refused(starts, ends):
+    with pytest.raises(ValueError, match="1-D and of one length"):
+        DesignMatrix(CircularOrdering(range(7)), starts, ends)
 
 
 def test_nnls_fit_forms_only_the_passive_columns(monkeypatch):
     d, pi = random_fit(400)
     shapes = []
     as_array = DesignMatrix.as_array
-    monkeypatch.setattr(DesignMatrix, "as_array", lambda self: shapes.append(self.sides.shape) or as_array(self))
+
+    def recorded(self):
+        out = as_array(self)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(DesignMatrix, "as_array", recorded)
     fit = nnls_fit(d, pi)
-    assert shapes == [(d.n, len(fit.splits))]
+    assert shapes == [(d.n * (d.n - 1) // 2, len(fit.splits))]
 
 
 def test_a_lambda_path_fit_forms_no_design(monkeypatch):
@@ -118,3 +130,19 @@ def test_nnls_fit_memory_stays_below_the_dense_design():
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
 
+
+
+def test_the_kkt_gate_of_a_full_circular_map_stays_below_the_side_matrix():
+    """At n=150 the n x k float side matrix alone is 12.8 MiB; the KKT gate
+    on the arcs' positions needs under 4 MiB."""
+    pi, system, d = random_circular_instance(random.Random(551), 150)
+    x = np.array([system.weight(s) for s in DesignMatrix.for_ordering(pi).splits])
+    b = DesignMatrix.rhs(d)
+    tracemalloc.start()
+    try:
+        viol = kkt_violation(DesignMatrix.for_ordering(pi), b, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert viol <= 1e-9 * np.abs(b).max()
+    assert peak < 4 * 2 ** 20

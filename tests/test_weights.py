@@ -14,6 +14,7 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     metric_from_splits,
+    sorted_splits,
 )
 from neighbornet.weights import (
     DesignMatrix,
@@ -22,10 +23,9 @@ from neighbornet.weights import (
     lambda_formula,
     nnls,
     nnls_fit,
-    sorted_splits,
 )
 from neighbornet.oracle import reconstruction_residual, wls_length_identity_check, wls_split_weights
-from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
+from conftest import random_arc_design, random_circular_instance, random_dissimilarity, random_tree_instance
 
 
 class TestDesignMatrix:
@@ -163,10 +163,8 @@ class TestNNLS:
             pi = CircularOrdering(range(n))
             d = random_dissimilarity(rng, n)
             full = nnls_fit(d, pi)
-            splits = sorted_splits(all_circular_splits(pi))
-            subset = rng.sample(splits, rng.randint(2, len(splits) - 1))
-            design = DesignMatrix.for_splits(subset, n)
-            partial = dict(zip(design.splits, nnls(design.as_array(), DesignMatrix.rhs(d)).tolist()))
+            design = random_arc_design(rng, pi, rng.randint(2, n * (n - 1) // 2 - 1))
+            partial = dict(zip(design.splits, nnls(design, DesignMatrix.rhs(d)).tolist()))
             assert reconstruction_residual(d, dict(full.items())) <= \
                 reconstruction_residual(d, partial) + 1e-9
 
