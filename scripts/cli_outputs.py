@@ -19,6 +19,12 @@ the four 50-taxon maps of the fit-sparse workload, each through nnet
 under each weighting with --nexus and --trace; and its 120-city EUC_2D
 instance, through tsp and tsp --round tsplib, which runs the exact engine.
 
+Each of the small maps also goes through nnet --estimate formula,
+formula-clamped and nnls with --rational, the exact lambda path. The script
+pins one BLAS thread before numpy loads, since float fits may differ in
+their last bits with the thread count; so two trees' outputs compare bit
+for bit on any machine.
+
 OUTDIR/inputs holds the input files. OUTDIR/<map>/<call>.txt holds a
 call's exit code, stdout and stderr, with its Nexus (.nex) and trace
 (.jsonl) files beside it. Calls run in-process from OUTDIR with relative paths, so the
@@ -31,6 +37,9 @@ import os
 import random
 import sys
 from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before gen imports numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -78,7 +87,8 @@ def calls(phy: str, n: int, name: str):
     yield "nnet-tree-0.3", ["nnet", phy, "--weighting", "tree", "--alpha", "0.3"], True, True
     for estimate in ("formula", "formula-clamped", "nnls"):
         yield f"nnet-{estimate}", ["nnet", phy, "--estimate", estimate], True, False
-    yield "nnet-formula-clamped-rational", ["nnet", phy, "--estimate", "formula-clamped", "--rational"], True, False
+    for estimate in ("formula", "formula-clamped", "nnls"):
+        yield f"nnet-{estimate}-rational", ["nnet", phy, "--estimate", estimate, "--rational"], True, False
     for alpha in ("0.5", "0.3"):
         yield f"nj-{alpha}", ["nj", phy, "--alpha", alpha], False, False
     for weighting in ("balanced-tsp", "tree", "original"):

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -20,10 +21,16 @@ Num = Union[int, float, Fraction]
 
 
 def is_exact_number(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    return isinstance(x, (int, Fraction, np.integer)) and not isinstance(x, bool)
 
 
-_fractions = np.frompyfunc(lambda x: x if type(x) is Fraction else Fraction(x), 1, 1)
+def as_fraction(x) -> Fraction:
+    """x as a Fraction of Python ints: a numpy integer's own numerator is a
+    fixed-width int, whose products overflow."""
+    return x if type(x) is Fraction else Fraction(int(x) if isinstance(x, np.integer) else x)
+
+
+_fractions = np.frompyfunc(as_fraction, 1, 1)
 _over = np.frompyfunc(Fraction, 2, 1)  # _over(numerators, den): the Fractions they stand for
 
 
@@ -76,8 +83,10 @@ class DissimilarityMap:
         exact = exact or all_exact
         if not exact:
             a = floats
-        _check_entries(a)  # before any Fraction is made: comparing Python numbers is exact
-        if exact:
+        elif a.dtype == object:  # first: a numpy integer compares with a Fraction in fixed width
+            a = _fractions(a)
+        _check_entries(a)  # a numeric array before its Fractions are made, which is exact and cheaper
+        if exact and a.dtype != object:
             a = _fractions(a)
         a.flags.writeable = False
         self.array = a
@@ -109,6 +118,25 @@ class DissimilarityMap:
             self._integer_form = (numerators, den)
         return self._integer_form
 
+    @classmethod
+    def from_integer_form(cls, numerators: np.ndarray, den: int) -> "DissimilarityMap":
+        """The exact map numerators / den (a square integer array, den > 0),
+        checked as __init__ checks entries; gcd(den, every numerator) is
+        divided out, leaving den the lcm of the entries' denominators."""
+        n = len(numerators)
+        if n < 1:
+            raise ValueError("dissimilarity map needs at least one taxon")
+        _check_entries(numerators, den)
+        g = math.gcd(den, int(np.gcd.reduce(numerators.ravel())))
+        numerators, den = (numerators // g).astype(object), den // g
+        rows, cols = upper_pairs(n)
+        a = np.full((n, n), Fraction(0), dtype=object)
+        a[rows, cols] = a[cols, rows] = _over(numerators[rows, cols], den)
+        a.flags.writeable = numerators.flags.writeable = False
+        d = object.__new__(cls)
+        d.array, d.n, d._integer_form = a, n, (numerators, den)
+        return d
+
     def to_exact(self) -> "DissimilarityMap":
         return self if self.is_exact else DissimilarityMap(self.array, exact=True)
 
@@ -122,10 +150,11 @@ class DissimilarityMap:
         return f"DissimilarityMap(n={self.n})"
 
 
-def _check_entries(a: np.ndarray) -> None:
-    """Raise on the first fault a row-major scan of the upper triangle meets:
-    at row i the diagonal entry, then for each j > i symmetry before sign;
-    then on entries above float max / n^2, whose sums would overflow."""
+def _check_entries(a: np.ndarray, den: int = 1) -> None:
+    """Raise on the first fault a row-major scan of the upper triangle of the
+    map a / den meets: at row i the diagonal entry, then for each j > i
+    symmetry before sign; then on entries above float max / n^2, whose sums
+    would overflow."""
     n = len(a)
     rows, cols = upper_pairs(n)
     upper = a[rows, cols]
@@ -139,9 +168,10 @@ def _check_entries(a: np.ndarray) -> None:
         if a[i, j] != a[j, i]:
             raise ValueError(f"asymmetric entries at ({i},{j})")
         raise ValueError(f"negative entry at ({i},{j})")
-    limit = float(np.finfo(float).max) / (n * n)  # a Python float compares exactly with any int
-    if upper.max(initial=0) > limit:
-        k = int(np.argmax(upper > limit))
+    limit = float(np.finfo(float).max) / (n * n)
+    bound = int(limit) * den  # exact: a float this large is a whole number
+    if upper.max(initial=0) > bound:
+        k = int(np.argmax(upper > bound))
         raise ValueError(f"entry at ({rows[k]},{cols[k]}) above {limit:.4g}: sums over the map would overflow")
 
 
@@ -195,10 +225,11 @@ def sorted_splits(splits) -> list:
 def sides_of(splits: Iterable[Split], n: int) -> np.ndarray:
     """The side matrix of the splits: an n x k bool array whose column c
     marks split c's stored block, the side holding taxon 0."""
-    splits = list(splits)
-    sides = np.zeros((n, len(splits)), dtype=bool)
-    for c, s in enumerate(splits):
-        sides[list(s.block), c] = True
+    blocks = [s.block for s in splits]
+    sizes = list(map(len, blocks))
+    sides = np.zeros((n, len(blocks)), dtype=bool)
+    taxa = np.fromiter(chain.from_iterable(blocks), np.intp, sum(sizes))
+    sides[taxa, np.repeat(np.arange(len(blocks)), sizes)] = True
     return sides
 
 
@@ -220,13 +251,16 @@ def pair_sums(weights: Mapping[Split, Num], n: int, scalar: type = float) -> np.
     numerator over the weights' common denominator, which divides each sum
     once at the end. Weights may be negative."""
     if scalar is float:
-        addends, den = map(float, weights.values()), None
-    else:
-        addends, den = int_numerators(map(Fraction, weights.values()))
-    out = np.zeros(n * (n - 1) // 2, dtype=float if den is None else object)
-    for mask, w in zip(split_masks(weights, n), addends):
+        return _masked_sums(weights, map(float, weights.values()), n, float)
+    numerators, den = int_numerators(map(as_fraction, weights.values()))
+    return _over(_masked_sums(weights, numerators, n, object), den)
+
+
+def _masked_sums(splits: Iterable[Split], addends: Iterable, n: int, dtype: type) -> np.ndarray:
+    out = np.zeros(n * (n - 1) // 2, dtype=dtype)
+    for mask, w in zip(split_masks(splits, n), addends):
         out[mask] += w
-    return out if den is None else _over(out, den)
+    return out
 
 
 class WeightedSplitSystem:
@@ -284,14 +318,30 @@ class WeightedSplitSystem:
 
 def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
     """d[i][j] = sum of weights of the splits separating i from j; Fractions
-    when every weight is exact, floats otherwise."""
-    n = sys.n
-    scalar = Fraction if sys.is_exact else float
-    upper = pair_sums(dict(sys.items()), n, scalar)
-    full = np.full((n, n), scalar(0), dtype=upper.dtype)
+    when every weight is exact, floats otherwise.
+
+    A float system adds split by split, as pair_sums does. An exact one sums
+    its weights' numerators N over their common denominator into the map's
+    integer form: with X the side matrix and B = X diag(N) X^T, the pair sum
+    is B[i, i] + B[j, j] - 2 B[i, j]. While 2 sum(N) <= 2^53 each term is an
+    integer that float64 holds, exact in any order, so BLAS forms B; above,
+    the numerators are added over each split's pair mask as Python ints."""
+    n, weights = sys.n, dict(sys.items())
     rows, cols = upper_pairs(n)
-    full[rows, cols] = full[cols, rows] = upper
-    return DissimilarityMap(full)
+    if not sys.is_exact:
+        full = np.zeros((n, n))
+        full[rows, cols] = full[cols, rows] = pair_sums(weights, n)
+        return DissimilarityMap(full)
+    numerators, den = int_numerators(map(as_fraction, weights.values()))
+    if 2 * sum(numerators) <= 2 ** 53:  # the weights are positive
+        sides = sides_of(weights, n).astype(float)
+        both = (sides * np.array(numerators, dtype=float)) @ sides.T
+        held = both.diagonal()
+        sums = (held[:, None] + held - 2 * both).astype(np.int64)
+    else:
+        sums = np.zeros((n, n), dtype=object)
+        sums[rows, cols] = sums[cols, rows] = _masked_sums(weights, numerators, n, object)
+    return DissimilarityMap.from_integer_form(sums, den)
 
 
 def canonical_cycle(order: Sequence[int]) -> tuple:
@@ -344,10 +394,16 @@ class CircularOrdering:
 def arc_splits(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray) -> list:
     """The Split of each arc order[s:e], for the position pairs s < e of
     starts and ends. No arc holds position n-1, so the pairs of
-    upper_pairs(n) give each of the n(n-1)/2 circular splits once."""
-    order, zero = ordering.order, ordering.order.index(0)
-    return [Split(ordering.n, frozenset(order[s:e] if s <= zero < e else order[:s] + order[e:]))
-            for s, e in zip(starts.tolist(), ends.tolist())]
+    upper_pairs(n) give each of the n(n-1)/2 circular splits once. Each is
+    the Split(n, block) of its side holding taxon 0, made without the checks
+    that such a block passes."""
+    order, zero, n = ordering.order, ordering.order.index(0), ordering.n
+    splits = []
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        split = object.__new__(Split)
+        split.__dict__.update(n=n, block=frozenset(order[s:e] if s <= zero < e else order[:s] + order[e:]))
+        splits.append(split)
+    return splits
 
 
 def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
@@ -358,14 +414,21 @@ def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.nd
 
     summed in that order, in the map's arithmetic: on an exact map over its
     integer form, with one division per entry at the end."""
+    values, den = corner_numerators(d, ordering)
+    return values if den is None else _over(values, den)
+
+
+def corner_numerators(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
+    """corner_differences(d, ordering) as (values, den) before its division:
+    on an exact map the Python-int sums of d.integer_form's numerators and
+    its den, on a float map the float array and None."""
     if ordering.n != d.n:
         raise ValueError("taxon count mismatch")
     values, den = d.integer_form if d.is_exact else (d.array, None)
     x = list(ordering.order)
     here = values[x][:, x]
     before = np.roll(here, 1, axis=0)  # before[a, b] = D[a-1, b]
-    out = before + np.roll(here, -1, axis=1) - np.roll(before, -1, axis=1) - here
-    return out if den is None else _over(out, den)
+    return before + np.roll(here, -1, axis=1) - np.roll(before, -1, axis=1) - here, den
 
 
 def all_circular_splits(ordering: CircularOrdering) -> frozenset:

@@ -25,7 +25,8 @@ from .core import (
     Num,
     WeightedSplitSystem,
     all_circular_splits,
-    corner_differences,
+    as_fraction,
+    corner_numerators,
     is_exact_number,
     metric_from_splits,
 )
@@ -46,11 +47,13 @@ def first_kalmanson_violation(
 
     d is Kalmanson for the ordering exactly when every nontrivial arc (of
     length 2..n-2) has lambda >= 0 (Chepoi & Fichet 1998), so the check reads
-    the doubled lambdas of core.corner_differences. An arc a..b whose value
+    the doubled lambdas of core.corner_numerators. An arc a..b whose value
     is below -tol names its corner quadruple (a-1, a, b, b+1), which violates
     by that much; the first such arc in row-major (a, b) order is reported.
     tol bounds each corner quadruple, so a violation spread over several
-    arcs, each within tol, passes.
+    arcs, each within tol, passes. On an exact map the integer numerators v
+    are compared with tol * den exactly, a float tol taken at its binary
+    value: v / den < -tol exactly when v < -floor(tol * den).
     """
     if d.n != ordering.n:
         raise ValueError("taxon count mismatch")
@@ -58,7 +61,12 @@ def first_kalmanson_violation(
     n = d.n
     pos = np.arange(n)
     length = (pos[None, :] - pos[:, None]) % n + 1  # of the arc a..b
-    negative = corner_differences(d, ordering) < -tol
+    values, den = corner_numerators(d, ordering)
+    bound = -tol  # on a float map, and for an infinite or NaN tol
+    if den is not None and not (isinstance(tol, float) and not math.isfinite(tol)):
+        tol = as_fraction(tol)
+        bound = -(tol.numerator * den // tol.denominator)
+    negative = values < bound
     arcs = np.flatnonzero(negative & (length >= 2) & (length <= n - 2))
     if arcs.size == 0:
         return None

@@ -32,8 +32,10 @@ from .core import (
     PartialCircularOrdering,
     Split,
     WeightedSplitSystem,
+    as_fraction,
     canonical_cycle,
     count_distinct_orderings,
+    int_numerators,
     join_paths,
     merged_at,
     pair_sums,
@@ -275,40 +277,45 @@ def split_system_length(
 
 
 def _solve_normal_equations_exact(a, weights, y):
-    """Solve (A^T W A) x = A^T W y over Fractions; free coordinates are 0.
+    """Solve (A^T W A) x = A^T W y exactly; free coordinates are 0.
 
-    The normal equations are always consistent, so a solution exists even when
-    the design is rank-deficient.
+    W and y over common denominators make the augmented system integer, and
+    fraction-free (Bareiss) elimination keeps it so, each update dividing
+    exactly by the previous pivot. The last pivot D is a determinant of the
+    pivot block, so D x is integer (Cramer) and integer back substitution
+    finds it. The normal equations are always consistent, so a solution
+    exists even when the design is rank-deficient.
     """
     n = a.shape[1]
-    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]  # [A^T W A | A^T W y], over each row's nonzero columns
-    for row, wt in zip(np.column_stack([a, y]).tolist(), map(Fraction, weights)):
+    wts, _ = int_numerators(map(as_fraction, weights))  # W's common denominator cancels
+    ys, y_den = int_numerators(map(as_fraction, y))
+    aug = [[0] * (n + 1) for _ in range(n)]  # [A^T W A | A^T W y] over each row's nonzero columns
+    for row, wt, yv in zip(a.tolist(), wts, ys):
+        row.append(yv)
         cols = [c for c in range(n) if row[c]] if wt else []  # a row of weight zero adds nothing
         for i, j in product(cols, cols + [n]):
             aug[i][j] += wt * row[i] * row[j]
-    pivots = []
-    rank_row = 0
+    pivots = []  # the pivot column of each echelon row
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(rank_row, n) if aug[r][col] != 0), None)
+        top = len(pivots)
+        pivot = next((r for r in range(top, n) if aug[r][col]), None)
         if pivot is None:
             continue
-        aug[rank_row], aug[pivot] = aug[pivot], aug[rank_row]
-        pv = aug[rank_row][col]
-        aug[rank_row] = [v / pv for v in aug[rank_row]]
-        for r in range(n):
-            if r != rank_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[rank_row])]
-        pivots.append((rank_row, col))
-        rank_row += 1
-    x = [Fraction(0)] * n
-    for r, col in pivots:
-        x[col] = aug[r][n]
-    # consistency check (zero rows must have zero rhs)
-    for r in range(rank_row, n):
-        if aug[r][n] != 0:
-            raise ArithmeticError("inconsistent normal equations")
-    return x
+        aug[top], aug[pivot] = aug[pivot], aug[top]
+        head, pv = aug[top], aug[top][col]
+        for r in range(top + 1, n):
+            f = aug[r][col]
+            aug[r][col:] = [0] + [(pv * v - f * h) // prev for v, h in zip(aug[r][col + 1:], head[col + 1:])]
+        pivots.append(col)
+        prev = pv
+    if any(aug[r][n] for r in range(len(pivots), n)):  # zero rows must have zero rhs
+        raise ArithmeticError("inconsistent normal equations")
+    scaled = [0] * n  # prev * y_den times the solution
+    for r in reversed(range(len(pivots))):
+        rest = sum(aug[r][c] * scaled[c] for c in pivots[r + 1:])
+        scaled[pivots[r]] = (prev * aug[r][n] - rest) // aug[r][pivots[r]]
+    return [Fraction(v, prev * y_den) for v in scaled]
 
 
 def wls_split_weights(

@@ -16,6 +16,7 @@ from .core import (
     WeightedSplitSystem,
     arc_splits,
     corner_differences,
+    corner_numerators,
     upper_pairs,
 )
 
@@ -146,23 +147,31 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
 
         (d(x_{a-1}, x_b) + d(x_a, x_{b+1}) - d(x_{a-1}, x_{b+1}) - d(x_a, x_b)) / 2
 
-    (indices mod n), read from core.corner_differences. Reconstructs the
+    (indices mod n), read from core.corner_numerators. Reconstructs the
     weights of a circular decomposable metric exactly; values may be
-    negative on other inputs.
+    negative on other inputs. On an exact map each value is one Fraction of
+    the numerator sum over twice the map's denominator.
     """
     if d.n < 4:
         raise ValueError("n >= 4 required")
-    twice = _twice_lambda(d, ordering).tolist()
-    h = Fraction(1, 2)  # an exact half of exact values; 0.5 times a float
-    return {split: h * v for split, v in zip(arc_splits(ordering, *upper_pairs(d.n)), twice)}
+    values, den = corner_numerators(d, ordering)
+    twice = _at_arcs(values)
+    halves = (0.5 * twice).tolist() if den is None else [Fraction(v, 2 * den) for v in twice.tolist()]
+    return dict(zip(arc_splits(ordering, *upper_pairs(d.n)), halves))
 
 
 def _twice_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
     """Twice the lambda of each arc, in the map's arithmetic, in the arc order
-    of DesignMatrix.for_ordering: the arc order[s:e] has its corners at
-    positions e and s-1."""
-    starts, ends = upper_pairs(d.n)
-    return corner_differences(d, ordering)[ends, (starts - 1) % d.n]
+    of DesignMatrix.for_ordering."""
+    return _at_arcs(corner_differences(d, ordering))
+
+
+def _at_arcs(corners: np.ndarray) -> np.ndarray:
+    """The entry of an n x n corner array at each arc of upper_pairs(n): the
+    arc order[s:e] has its corners at positions e and s-1."""
+    n = len(corners)
+    starts, ends = upper_pairs(n)
+    return corners[ends, (starts - 1) % n]
 
 
 def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:

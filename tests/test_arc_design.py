@@ -16,6 +16,7 @@ from neighbornet.core import (
     sorted_splits,
     split_masks,
 )
+from neighbornet import weights
 from neighbornet.kalmanson import radius_perturbation_check
 from neighbornet.weights import DesignMatrix, lambda_formula, nnls_fit
 from conftest import random_circular_instance, random_dissimilarity
@@ -27,15 +28,23 @@ def random_ordering(rng, n):
 
 @pytest.fixture
 def split_count(monkeypatch):
-    """A list whose length counts the Splits constructed while it lives."""
+    """A list whose length counts the Splits constructed while it lives:
+    those of Split(n, block), through its checks, and those of
+    core.arc_splits, which skips them."""
     made = []
-    check = Split.__post_init__
+    check, arc_splits = Split.__post_init__, weights.arc_splits
 
     def counted(self):
         made.append(self)
         check(self)
 
+    def counted_arcs(*args):
+        splits = arc_splits(*args)
+        made.extend(splits)
+        return splits
+
     monkeypatch.setattr(Split, "__post_init__", counted)
+    monkeypatch.setattr(weights, "arc_splits", counted_arcs)
     return made
 
 
