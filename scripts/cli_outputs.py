@@ -17,13 +17,18 @@ Then come the benchmark's inputs at seed 1, which --no-fit-sparse skips:
 the four 50-taxon maps of the fit-sparse workload, each through nnet
 --estimate nnls; the agglomerate workload's 120-taxon map, through nnet
 under each weighting with --nexus and --trace; and its 120-city EUC_2D
-instance, through tsp and tsp --round tsplib, which runs the exact engine.
+instance, through tsp and tsp --round tsplib under each weighting, which
+runs the exact engine (the tree and original weightings outgrow the
+engine's float64 lane and finish on Python ints).
 
-Each of the small maps also goes through nnet --estimate formula,
-formula-clamped and nnls with --rational, the exact lambda path. The script
-pins one BLAS thread before numpy loads, since float fits may differ in
-their last bits with the thread count; so two trees' outputs compare bit
-for bit on any machine.
+Each of the small maps also goes through nnet --rational, the exact
+engine, under every weighting with --trace, so the exact Q and Q-hat
+records compare too (the tie maps' integers run in the float64 lane, the
+other maps' binary fractions on Python ints), and through nnet --estimate
+formula, formula-clamped and nnls with --rational, the exact lambda path.
+The script pins one BLAS thread before numpy loads, since float fits may
+differ in their last bits with the thread count; so two trees' outputs
+compare bit for bit on any machine.
 
 OUTDIR/inputs holds the input files. OUTDIR/<map>/<call>.txt holds a
 call's exit code, stdout and stderr, with its Nexus (.nex) and trace
@@ -80,11 +85,15 @@ def calls(phy: str, n: int, name: str):
     if name == "agglomerate-points":
         yield "tsp", ["tsp", phy], False, False
         yield "tsp-tsplib", ["tsp", phy, "--round", "tsplib"], False, False
+        for weighting in ("tree", "original"):
+            yield f"tsp-tsplib-{weighting}", ["tsp", phy, "--round", "tsplib", "--weighting", weighting], False, False
         return
     taxa = [f"t{k}" for k in range(n)]
     for weighting in ("balanced-tsp", "tree", "original"):
         yield f"nnet-{weighting}", ["nnet", phy, "--weighting", weighting], True, True
     yield "nnet-tree-0.3", ["nnet", phy, "--weighting", "tree", "--alpha", "0.3"], True, True
+    for weighting in ("balanced-tsp", "tree", "original"):
+        yield f"nnet-{weighting}-rational", ["nnet", phy, "--weighting", weighting, "--rational"], False, True
     for estimate in ("formula", "formula-clamped", "nnls"):
         yield f"nnet-{estimate}", ["nnet", phy, "--estimate", estimate], True, False
     for estimate in ("formula", "formula-clamped", "nnls"):

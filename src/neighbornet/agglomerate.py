@@ -15,14 +15,22 @@ Q reads only delta(C_r, C_s), which each BlockState holds in one numpy
 table, bb (m x m); delta(x, C_r) is summed on demand over the original
 matrix when Q-hat needs it, at the far ends of a candidate join. One code
 path serves both arithmetics. A float map's arrays are float64. An exact
-map's are object arrays of Python ints: with L the map's common denominator
-(d.integer_form) and D a common denominator of the node weights, bb holds
-its values times L*D^2 and delta(x, C_r) comes out times L*D, so Q and the
-tie rule compare integers and no Fraction is formed per table entry. D only
-grows: when new weights bring in a denominator D does not divide (1/2 and
-1/4 under the dyadic schemes, alpha's under TreeWeighting), the weights are
-scaled up by the factor, f, and bb by f^2. Fractions appear only where
-values leave the engine: the accessors, Q-hat, the step records and mu.
+map's hold integers: with L the map's common denominator (d.integer_form)
+and D a common denominator of the node weights, the weights are held times
+D, bb holds its values times L*D^2 and delta(x, C_r) comes out times L*D,
+so Q and the tie rule compare integers and no Fraction is formed per table
+entry. D only grows: when new weights bring in a denominator D does not
+divide (1/2 and 1/4 under the dyadic schemes, alpha's under TreeWeighting),
+the weights are scaled up by the factor, f, and bb by f^2.
+
+The lane rule: while m * W^2 * sum(N) < 2^53, with N the map's numerators
+and W the largest |weight numerator| (at least 1), these integers are
+float64 whole numbers on the float kernels. Every value formed is then an
+integer of at most that size, exact in any summation order. A reweight
+that would break the bound first converts the arrays, exactly, to object
+arrays of Python ints, for good. Q-hat ranks an exact map's joins by an
+integer key. Fractions appear only where values leave the engine: the
+accessors, the winning Q-hat, the step records and mu.
 
 bb is the top-left m x m of one buffer, built in one pass and never
 rebuilt. A merge leaves the weights alone, so it adds row hi into row lo,
@@ -56,6 +64,8 @@ from .core import (
     Num,
     PartialCircularOrdering,
     Split,
+    as_fraction,
+    is_exact_number,
     join_paths,
     merged_at,
     path_ends,
@@ -73,6 +83,20 @@ def _arithmetic(d: DissimilarityMap) -> tuple:
 def _py(x) -> Num:
     """A numpy scalar as the Python number it holds; Python objects pass through."""
     return x.item() if isinstance(x, np.generic) else x
+
+
+def _exact_weights(mu: dict) -> dict:
+    """The weights of an exact map's state as Fractions; a weight that is
+    not exact is refused."""
+    for t, v in mu.items():
+        if not is_exact_number(v):
+            raise ValueError(f"taxon {t}: weight {v!r} is not exact, but the map is")
+    return {t: as_fraction(v) for t, v in mu.items()}
+
+
+def _other_end(path: tuple, x: int) -> int:
+    """The end of path that is not x; x itself on a one-taxon path."""
+    return path[0] if path[-1] == x else path[-1]
 
 
 @dataclass(frozen=True)
@@ -122,10 +146,11 @@ class BlockState:
 
     _bb is the block table, the top-left m x m view of the buffer _buf;
     _w holds each taxon's table weight and _block its block index. On an
-    exact map _w holds the weights as ints over D and _bb ints over L*D^2
-    (see the module docstring); on a float map they hold mu and the
-    distances. mu and every accessor give the state's scalar: Fraction or
-    float.
+    exact map _w holds the weights as ints over D and _bb ints over L*D^2:
+    float64 whole numbers while _size, the sum of the map's numerators, is
+    set, Python ints once it is None (see the module docstring). On a float
+    map they hold mu and the distances. mu and every accessor give the
+    state's scalar: Fraction or float.
 
     A state the step API hands out never changes: merge_blocks and with_mu
     copy its arrays once and run their kernel, _merge or _reweight, on the
@@ -139,24 +164,28 @@ class BlockState:
 
     __slots__ = (
         "d", "blocks", "mu", "parts", "last_merge", "scalar",
-        "_unit", "_dm", "_den", "_w", "_block", "_buf", "_bb", "_in_place",
+        "_unit", "_dm", "_den", "_size", "_w", "_block", "_buf", "_bb", "_in_place",
         "_scratch", "_rowsum", "_total", "_nonzero", "_terms",
     )
 
     def __init__(self, d, blocks, mu, parts, last_merge=None):
         self.d = d
         self.scalar, self._unit = _arithmetic(d)
-        if self.scalar is Fraction:
-            self._dm, map_den = d.integer_form
-            self._den = (map_den, 1)
-        else:
-            self._dm, self._den = d.array, None
         self.blocks = tuple(tuple(b) for b in blocks)
         self.mu = dict(mu)
         self.parts = tuple(parts)
         self.last_merge = last_merge
+        if self.scalar is Fraction:
+            self.mu = _exact_weights(self.mu)
+            self._dm, map_den = d.integer_form
+            self._den = (map_den, 1)
+        else:
+            self._dm, self._den = d.array, None
+        self._size = None
         self._w = np.zeros(d.n, dtype=self._dm.dtype)
         self._take_weights(self.mu)
+        if self._den is not None and self._fits(size := int(self._dm.sum()), np.abs(self._w).max()):
+            self._size, self._dm, self._w = size, self._dm.astype(float), self._w.astype(float)
         self._block = np.empty(d.n, dtype=np.intp)
         for t, b in enumerate(self.blocks):
             self._block[list(b)] = t
@@ -180,8 +209,10 @@ class BlockState:
 
     def _take_weights(self, changed) -> int:
         """Make _w the table weights of mu after the taxa in changed took new
-        weights; returns the factor by which D grew."""
-        new = [self.mu[k] for k in changed]
+        weights; returns the factor by which D grew. Weights that would
+        break the lane rule promote the state first."""
+        taxa = list(changed)
+        new = [self.mu[k] for k in taxa]
         f = 1
         if self._den is not None:
             map_den, den = self._den
@@ -189,10 +220,26 @@ class BlockState:
             f = grown // den
             new = [v.numerator * (grown // v.denominator) for v in new]
             self._den = (map_den, grown)
+            if self._size is not None:
+                self._w[taxa] = 0
+                if not self._fits(self._size, max(int(np.abs(self._w).max()) * f, *map(abs, new))):
+                    self._promote()
         if f > 1:
             self._w *= f
-        self._w[list(changed)] = new
+        self._w[taxa] = new
         return f
+
+    def _fits(self, size: int, top) -> bool:
+        """The lane rule, m * W^2 * sum(N) < 2^53, for a map whose
+        numerators sum to size and weight numerators of at most top."""
+        return len(self.blocks) * max(top, 1) ** 2 * size < 2**53
+
+    def _promote(self):
+        """Leave the float64 lane for object arrays of Python ints, for good.
+        Every value is a whole number below 2^53, so the conversion is exact."""
+        self._dm, self._size = self.d.integer_form[0], None
+        self._w = self._w.astype(np.int64).astype(object)
+        self._buf = self._bb = self._bb.astype(np.int64).astype(object)
 
     def _stale(self):
         """Drop every value cached from the table or the weights."""
@@ -202,6 +249,7 @@ class BlockState:
         """This state on arrays of its own, for one transition to change."""
         new = object.__new__(BlockState)
         new.d, new.scalar, new._unit, new._dm, new._den = self.d, self.scalar, self._unit, self._dm, self._den
+        new._size = self._size
         new.blocks, new.parts, new.last_merge = self.blocks, self.parts, self.last_merge
         new.mu, new._w, new._block = dict(self.mu), self._w.copy(), self._block.copy()
         new._buf = new._bb = self._bb.copy()
@@ -280,19 +328,20 @@ class BlockState:
         return self._nonzero
 
     def _join_terms(self, r: int, s: int) -> tuple:
-        """What every Q-hat of joining blocks r and s shares: the distance
-        across the join, P / (m - 1) with P the total pair sum, and
-        delta(x, far) for each endpoint x of the two blocks, where far holds
-        the taxa of nonzero weight outside blocks r and s."""
+        """What every Q-hat of joining blocks r and s shares, in table units
+        (Python ints over L*D^2, and L*D for delta, on an exact map): the
+        distance across the join, the total pair sum P, and delta(x, far)
+        for each endpoint x of the two blocks, where far holds the taxa of
+        nonzero weight outside blocks r and s."""
         if self._terms is None or self._terms[0] != (r, s):
-            p_total = self.total_pair_sum()
-            across = p_total - self.row_sum(r) - self.row_sum(s) + self.block_distance(r, s)
+            raw, rowsum = self._raw, self._row_sums()
+            p_total = self._total
+            across = p_total - raw(rowsum.item(r)) - raw(rowsum.item(s)) + raw(self._bb.item(r, s))
             taxa, weights, owner = self._weighted()
             far = (owner != r) & (owner != s)
             ends = [*self.endpoints(r), *self.endpoints(s)]
             sums = self._dm.take(ends, 0).take(taxa[far], 1) @ weights[far]
-            far_sums = {x: self._number(v, 1) for x, v in zip(ends, sums)}
-            self._terms = ((r, s), across, p_total / (len(self.blocks) - 1), far_sums)
+            self._terms = ((r, s), across, p_total, {x: raw(v) for x, v in zip(ends, sums)})
         return self._terms[1:]
 
     def _pairs(self) -> tuple:
@@ -308,13 +357,18 @@ class BlockState:
         lower, rows, per_s = self._scratch
         return lower[:m, :m], rows[:m * (m - 1) // 2], per_s[:m]
 
+    def _raw(self, x) -> Num:
+        """A table value in table units as a Python number: an int on an
+        exact map."""
+        return _py(x) if self._den is None else int(x)
+
     def _number(self, x, power: int) -> Num:
         """A table value as the Python number it stands for: on an exact map
         x is an int over L*D**power."""
         if self._den is None:
             return _py(x)
         map_den, den = self._den
-        return Fraction(x, map_den * den**power)
+        return Fraction(int(x), map_den * den**power)
 
     @classmethod
     def initial(cls, d: DissimilarityMap) -> "BlockState":
@@ -338,10 +392,12 @@ class BlockState:
         return path_ends(self.blocks[r])
 
     def _row_sums(self) -> np.ndarray:
-        """The row sums of bb, in its units."""
+        """The row sums of bb, in its units; _total becomes P in the same
+        units."""
         if self._rowsum is None:
             self._rowsum = self._bb.sum(axis=1)
-            self._total = self._number(self._rowsum.sum(), 2) / 2
+            total = self._raw(self._rowsum.sum())
+            self._total = total / 2 if self._den is None else total // 2  # even: bb is symmetric
         return self._rowsum
 
     def block_distance(self, r: int, s: int) -> Num:
@@ -358,7 +414,7 @@ class BlockState:
     def total_pair_sum(self) -> Num:
         """Sum of delta(C_t, C_u) over unordered block pairs."""
         self._row_sums()
-        return self._total
+        return self._number(self._total, 2)
 
     def with_mu(self, mu) -> "BlockState":
         """This state with new weights for the taxa in mu, which must lie in
@@ -368,6 +424,8 @@ class BlockState:
             raise ValueError("no merge has been performed on this state")
         if not mu.keys() <= set(self.blocks[self.last_merge.merged_index]):
             raise ValueError("new weights must lie in the last merged block")
+        if self.scalar is Fraction:
+            mu = _exact_weights(mu)
         return self._target()._reweight(mu)
 
     def to_pco(self):
@@ -389,20 +447,48 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
     blocks keep their current weights. For a balanced TSP weighting this equals
     the enumerated quantity l(d, C') - l(d, C) exactly, so minimizing it picks
     the join of minimal balanced length among the endpoint candidates.
+
+    On an exact map the value is one Fraction over 2 L D^2 (m-1)(m-2), whose
+    numerator (m-1)(D key + 2 across) - 2 (m-2) P is formed from
+    _q_hat_key's integer key and _join_terms' across and total pair sum P,
+    in table units; at m = 2 it is (D^2 key - 2 bb[r, s]) / (2 L D^2).
     """
     state._check_pair(r, s)
     path_r, path_s = state.blocks[r], state.blocks[s]
     if i not in (path_r[0], path_r[-1]) or j not in (path_s[0], path_s[-1]):
         raise ValueError("i and j must be endpoints of the selected blocks")
     m = len(state.blocks)
+    if state.scalar is Fraction:
+        key = _q_hat_key(state, r, s, i, j)
+        map_den, den = state._den
+        if m == 2:
+            return Fraction(den * den * key - 2 * int(state._bb.item(r, s)), 2 * map_den * den * den)
+        across, p_total, _ = state._join_terms(r, s)
+        return Fraction(
+            (m - 1) * (den * key + 2 * across) - 2 * (m - 2) * p_total,
+            2 * map_den * den * den * (m - 1) * (m - 2),
+        )
     dm = state.d.array
-    i2 = path_r[0] if path_r[-1] == i else path_r[-1]
-    j2 = path_s[0] if path_s[-1] == j else path_s[-1]
+    i2, j2 = _other_end(path_r, i), _other_end(path_s, j)
     if m == 2:
         # closing the cycle: the two new edges are (i, j) and the far ends
         return (dm.item(i, j) + dm.item(i2, j2)) / 2 - state.block_distance(r, s)
-    across, p_share, far = state._join_terms(r, s)
-    return dm.item(i, j) / 2 + (across + (far[i2] + far[j2]) / 2) / (m - 2) - p_share
+    across, p_total, far = state._join_terms(r, s)
+    return dm.item(i, j) / 2 + (across + (far[i2] + far[j2]) / 2) / (m - 2) - p_total / (m - 1)
+
+
+def _q_hat_key(state: BlockState, r: int, s: int, i: int, j: int) -> int:
+    """The part of an exact map's Q-hat that differs between the joins of
+    blocks r and s, as an integer: 2 (m-2) L D times it, (m-2) D N[i, j] +
+    F[i2] + F[j2], with N the map's numerators, F the far sums over L*D and
+    i2, j2 the far ends; at m = 2, 2 L times it, N[i, j] + N[i2, j2]."""
+    numerators = state.d.integer_form[0]
+    i2, j2 = _other_end(state.blocks[r], i), _other_end(state.blocks[s], j)
+    m = len(state.blocks)
+    if m == 2:
+        return numerators.item(i, j) + numerators.item(i2, j2)
+    far = state._join_terms(r, s)[2]
+    return (m - 2) * state._den[1] * numerators.item(i, j) + far[i2] + far[j2]
 
 
 def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockState:
@@ -524,15 +610,19 @@ def _select_pair(state: BlockState) -> tuple:
 def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:
     """Argmin of Q-hat over the endpoint joins (i, j), as ((i, j), Q-hat
     value): values within state.tie_tol of the minimum tie, and ties go to
-    the lexicographically first (i, j)."""
+    the lexicographically first (i, j). An exact map's joins are ranked by
+    their integer keys, in the same order as their values, and Q-hat is
+    evaluated for the winner alone."""
     state._check_pair(r, s)
     candidates = sorted(
         (i, j) for i in state.endpoints(r) for j in state.endpoints(s)
     )
-    values = [q_hat_criterion(state, r, s, i, j) for i, j in candidates]
+    exact = state.scalar is Fraction
+    score = _q_hat_key if exact else q_hat_criterion
+    values = [score(state, r, s, i, j) for i, j in candidates]
     bound = min(values) + state.tie_tol
     k = next(k for k, v in enumerate(values) if v <= bound)
-    return candidates[k], values[k]
+    return candidates[k], q_hat_criterion(state, r, s, *candidates[k]) if exact else values[k]
 
 
 def _splits(blocks: list, n: int) -> list:

@@ -2,9 +2,10 @@
 and makes Fractions only where values leave the library. These tests pin
 what that must not change: the map's integer form and the shared pair
 indices, the exact metric of a split system, exact runs against the scalar
-engine (tests/scalar_engine.py) on every scheme, float against exact runs on
-generic rational maps, and the exact CLI outputs (tests/golden/exact_cli.json,
-written before the integer rewrite)."""
+engine (tests/scalar_engine.py) on every scheme, the float64 lane of the
+agglomeration (its bound, promotion, the integer Q-hat), float against exact
+runs on generic rational maps, and the exact CLI outputs
+(tests/golden/exact_cli.json, written before the integer rewrite)."""
 import contextlib
 import io
 import json
@@ -33,7 +34,7 @@ from neighbornet.core import (
     upper_pairs,
 )
 from neighbornet.weights import nnls_fit
-from conftest import random_dissimilarity
+from conftest import random_circular_instance, random_dissimilarity
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CLI = json.loads((GOLDEN / "exact_cli.json").read_text())
@@ -166,10 +167,12 @@ def test_a_non_dyadic_alpha_matches_the_scalar_engine_on_the_differential_seeds(
         assert_same_run(d, "tree-1/3")
 
 
-def test_rescaled_states_match_a_fresh_build():
-    d = rational_map(random.Random(36), 8, "mixed")
+@pytest.mark.parametrize("kind", ["mixed", "ties"])  # a 2^52 denominator: Python ints; 1..3: float64
+def test_rescaled_states_match_a_fresh_build(kind):
+    d = rational_map(random.Random(36), 8, kind)
     scheme = engine.TreeWeighting(Fraction(1, 3))
     state = engine.BlockState.initial(d)
+    assert state._bb.dtype == (object if kind == "mixed" else float)
     while state.m > 1:
         pair = (0, 1) if state.m == 2 else engine._select_pair(state)[0]
         (i, j), _ = engine._select_endpoints(state, *pair)
@@ -180,7 +183,11 @@ def test_rescaled_states_match_a_fresh_build():
             for t in range(state.m):
                 assert state.taxon_block_distance(x, t) == fresh.taxon_block_distance(x, t)
         assert [state.row_sum(r) for r in range(state.m)] == [fresh.row_sum(r) for r in range(state.m)]
-        assert all(type(x) is int for x in state._bb.flat)
+        m = state.m
+        assert [[state.block_distance(r, t) for t in range(m)] for r in range(m)] == [
+            [fresh.block_distance(r, t) for t in range(m)] for r in range(m)
+        ]
+        assert all(x == int(x) for x in state._bb.flat)  # whole numbers in either lane
 
 
 def accessor_values(state):
@@ -253,3 +260,170 @@ def test_exact_cli_outputs_are_unchanged(name, tmp_path, monkeypatch):
     assert out.getvalue() == expected["stdout"]
     if "trace" in expected:
         assert (tmp_path / "trace.jsonl").read_text() == expected["trace"]
+
+
+def lane(state) -> str:
+    return "float64" if state._bb.dtype == float else "object"
+
+
+def assert_state_matches_the_scalar_engine(state):
+    """Every accessor value, and Q and Q-hat of every pair and endpoint
+    join, equal the scalar engine's sums from the definition."""
+    d = state.d
+    ref = reference.BlockState(d, state.blocks, state.mu, state.parts)
+    assert accessor_values(state) == accessor_values(ref)
+    for r in range(state.m):
+        for s in range(r + 1, state.m):
+            assert engine.q_criterion(state, r, s) == reference.q_criterion(ref, r, s)
+            for i in state.endpoints(r):
+                for j in state.endpoints(s):
+                    assert engine.q_hat_criterion(state, r, s, i, j) == reference.q_hat_criterion(ref, r, s, i, j)
+
+
+def q_hat_from_the_accessors(state, r, s, i, j) -> Fraction:
+    """Q-hat of joining blocks r and s at i and j, in Fractions read from the
+    accessors: d(i, j)/2 + (across + (delta(i2, far) + delta(j2, far))/2)/(m-2)
+    - P/(m-1), or (d(i, j) + d(i2, j2))/2 - delta(C_r, C_s) at m = 2."""
+    d, m = state.d, state.m
+    i2 = engine._other_end(state.blocks[r], i)
+    j2 = engine._other_end(state.blocks[s], j)
+    if m == 2:
+        return (d[i, j] + d[i2, j2]) / 2 - state.block_distance(r, s)
+    p_total = state.total_pair_sum()
+    across = p_total - state.row_sum(r) - state.row_sum(s) + state.block_distance(r, s)
+    far = [t for t in range(m) if t not in (r, s)]
+    far_sum = sum(state.taxon_block_distance(x, t) for x in (i2, j2) for t in far)
+    return d[i, j] / 2 + (across + far_sum / 2) / (m - 2) - p_total / (m - 1)
+
+
+def exact_step_run(d, scheme):
+    """The agglomeration through the step API, as run_neighbor_net records
+    it, checking each recorded Q-hat against the accessors' formula; returns
+    the records and the lane of every state."""
+    state = engine.BlockState.initial(d)
+    records, lanes = [], [lane(state)]
+    while state.m > 1:
+        m = state.m
+        pair, q = ((0, 1), engine.q_criterion(state, 0, 1)) if m == 2 else engine._select_pair(state)
+        (i, j), q_hat = engine._select_endpoints(state, *pair)
+        assert type(q_hat) is Fraction and q_hat == q_hat_from_the_accessors(state, *pair, i, j)
+        merged = engine.merge_blocks(state, *pair, i, j)
+        mu = engine.adjust_weights(merged, scheme)
+        state = merged.with_mu(mu)
+        lanes.append(lane(state))
+        block = state.blocks[min(pair)]
+        split = engine.Split.of(block, d.n) if len(block) < d.n else None
+        records.append(engine.StepRecord(m, pair, q, (i, j), q_hat, split, block, mu))
+    return tuple(records), lanes
+
+
+class TestFloat64Lane:
+    """An exact map's tables are float64 whole numbers while
+    m * W^2 * sum(N) < 2^53 and Python ints once a reweight breaks that."""
+
+    @staticmethod
+    def map_with_sum(n: int, total: int) -> DissimilarityMap:
+        """An integer map whose entries sum to total (even), spread evenly."""
+        k = n * (n - 1) // 2
+        upper = [total // 2 // k] * k
+        upper[-1] += total // 2 - sum(upper)
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(zip(*upper_pairs(n)), upper):
+            rows[i][j] = rows[j][i] = v
+        return DissimilarityMap(rows)
+
+    @pytest.mark.parametrize("weight", [1, 2, Fraction(2, 3)])
+    @pytest.mark.parametrize("offset", [-2, 0, 2])
+    def test_the_bound_decides_the_lane(self, weight, offset):
+        # n = 4 singletons of weight numerator W: m W^2 sum(N) = 16 W^2 (sum(N) / 4)
+        n, top = 4, Fraction(weight).numerator
+        d = self.map_with_sum(n, 2**53 // (n * top * top) + offset)
+        assert n * top * top * int(d.integer_form[0].sum()) - 2**53 == n * top * top * offset
+        state = engine.BlockState(d, [(t,) for t in range(n)], dict.fromkeys(range(n), weight), [None] * n)
+        assert lane(state) == ("float64" if offset < 0 else "object")
+        assert_state_matches_the_scalar_engine(state)
+        if weight == 1:
+            for name in SCHEMES:
+                assert_same_run(d, name)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_circular_hundredths_runs_match_the_scalar_engine_through_both_lanes(self, name):
+        # weights k/100 at n = 32: every run starts in float64, and the
+        # non-dyadic alpha and the quartering scheme grow D past the bound
+        _, _, d = random_circular_instance(random.Random(f"lane/{name}"), 32, exact=True, lo=0.01, hi=1.0)
+        records, lanes = exact_step_run(d, SCHEMES[name][0])
+        assert lanes[0] == "float64"
+        promoted = "object" in lanes
+        if name in ("tree-1/3", "original"):
+            assert promoted
+            k = lanes.index("object")
+            assert 0 < k < len(lanes) - 1 and set(lanes[k:]) == {"object"}  # mid-run, for good
+        run = engine.run_neighbor_net(d, SCHEMES[name][0])
+        assert run.trace.steps == records
+        assert_same_run(d, name)
+
+    def test_promotion_keeps_every_value(self):
+        _, _, d = random_circular_instance(random.Random(37), 30, exact=True, lo=0.01, hi=1.0)
+        scheme = engine.TreeWeighting(Fraction(1, 3))
+        state = engine.BlockState.initial(d)
+        while lane(state) == "float64" and state.m > 2:
+            previous = state
+            pair = engine._select_pair(state)[0]
+            (i, j), _ = engine._select_endpoints(state, *pair)
+            merged = engine.merge_blocks(state, *pair, i, j)
+            state = merged.with_mu(engine.adjust_weights(merged, scheme))
+        assert lane(state) == "object"
+        assert lane(previous) == lane(merged) == "float64"  # snapshots keep their lane
+        assert_state_matches_the_scalar_engine(state)
+        assert all(type(x) is int for x in (*state._bb.flat, *state._w))
+        assert_state_matches_the_scalar_engine(previous)
+
+    def test_a_state_built_past_the_bound_stays_on_python_ints(self):
+        d = rational_map(random.Random(38), 9, "ties")
+        n, huge = d.n, Fraction(2**40, 3)
+        state = engine.BlockState(d, [(t,) for t in range(n)], dict.fromkeys(range(n), huge), [None] * n)
+        assert lane(state) == "object"
+        assert_state_matches_the_scalar_engine(state)
+        merged = engine.merge_blocks(state, 0, 1, 0, 1)
+        state = merged.with_mu(engine.adjust_weights(merged, engine.TreeWeighting(Fraction(1, 3))))
+        assert lane(state) == "object"
+        assert_state_matches_the_scalar_engine(state)
+
+    @pytest.mark.parametrize("weight", [Fraction(7, 2), 3, np.int64(5), 2**45])
+    def test_with_mu_takes_a_weight_above_one(self, weight):
+        d = rational_map(random.Random(39), 7, "ties")
+        merged = engine.merge_blocks(engine.BlockState.initial(d), 2, 5, 2, 5)
+        assert lane(merged) == "float64"
+        state = merged.with_mu({2: weight, 5: Fraction(1, 2)})
+        assert state.mu[2] == weight and type(state.mu[2]) is Fraction
+        assert lane(state) == ("object" if weight == 2**45 else "float64")
+        assert_state_matches_the_scalar_engine(state)
+        assert lane(merged) == "float64" and merged.mu[2] == 1  # the snapshot is unchanged
+
+    def test_q_hat_is_evaluated_once_per_step(self, monkeypatch):
+        calls = []
+        real = engine.q_hat_criterion
+        monkeypatch.setattr(engine, "q_hat_criterion", lambda *args: calls.append(args) or real(*args))
+        d = rational_map(random.Random(40), 12, "ties")
+        result = engine.run_neighbor_net(d)
+        assert len(calls) == len(result.trace.steps) == d.n - 1
+
+
+class TestWeightsOnExactMaps:
+    def test_a_float_weight_is_refused_with_its_taxon(self):
+        d = rational_map(random.Random(41), 5, "ties")
+        merged = engine.merge_blocks(engine.BlockState.initial(d), 0, 1, 0, 1)
+        with pytest.raises(ValueError, match="taxon 0"):
+            merged.with_mu({0: 0.5})
+        blocks, parts = [(t,) for t in range(5)], [None] * 5
+        with pytest.raises(ValueError, match="taxon 3"):
+            engine.BlockState(d, blocks, {0: 1, 1: 1, 2: 1, 3: 0.25, 4: 1}, parts)
+        with pytest.raises(ValueError, match="taxon 1"):
+            engine.BlockState(d, blocks, {0: 1, 1: True, 2: 1, 3: 1, 4: 1}, parts)
+
+    def test_ints_fractions_and_numpy_ints_are_taken(self):
+        d = rational_map(random.Random(42), 5, "ties")
+        mu = {0: 1, 1: Fraction(1, 3), 2: np.int64(2), 3: np.int32(1), 4: Fraction(5, 2)}
+        state = engine.BlockState(d, [(t,) for t in range(5)], mu, [None] * 5)
+        assert state.mu == mu and all(type(v) is Fraction for v in state.mu.values())
+        assert_state_matches_the_scalar_engine(state)
