@@ -1,7 +1,10 @@
 """File formats and the command-line surface."""
+import contextlib
+import io
 import json
 import random
 import re
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +37,9 @@ from neighbornet.weights import nnls_fit
 from conftest import permute_map, random_circular_instance, random_dissimilarity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# stdout and Nexus file of float nnet runs, written before the writers
+# shared one row iterator; their weights come from lambda alone, no BLAS
+GOLDEN_FLOAT_CLI = json.loads((GOLDEN / "float_cli.json").read_text())
 
 
 def phylip_of(rows, labels):
@@ -224,6 +230,18 @@ class TestPositiveSplits:
         assert (read_labels, cycle) == (labels, None)
         assert dict(reread.items()) == dict(system.items())
         assert write_nexus(reread, labels) == text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FLOAT_CLI))
+def test_float_cli_outputs_are_unchanged(name, tmp_path, monkeypatch):
+    expected = GOLDEN_FLOAT_CLI[name]
+    shutil.copy(GOLDEN / expected["argv"][1], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(expected["argv"]) == 0
+    assert out.getvalue() == expected["stdout"]
+    assert (tmp_path / "out.nex").read_text() == expected["nexus"]
 
 
 class TestNewick:
