@@ -26,7 +26,6 @@ from .core import (
     count_associahedron_vertices,
     count_distinct_orderings,
     count_nnet_outputs,
-    sorted_splits,
 )
 from .kalmanson import (
     find_kalmanson_ordering,
@@ -105,12 +104,14 @@ def _parse_taxa(text: str, labels) -> list:
 
 
 def _print_splits(system: WeightedSplitSystem, labels, show_weights=True):
-    for s in sorted_splits(system.splits):
-        side = "{" + ",".join(labels[t] for t in sorted(s.other)) + "}"
-        if show_weights:
-            print(f"  {nio.fmt_num(system.weight(s))} \t {side}")
-        else:
-            print(f"  {side}")
+    """One line per split, in the system's row order, written by one print;
+    nothing for an empty system."""
+    lines = []
+    for _, weight, members in system.rows():
+        side = "{" + ",".join([labels[t] for t in members]) + "}"
+        lines.append(f"  {nio.fmt_num(weight)} \t {side}" if show_weights else f"  {side}")
+    if lines:
+        print("\n".join(lines))
 
 
 def _write_nexus(path, system, labels, ordering):
@@ -138,8 +139,9 @@ def cmd_nnet(args) -> int:
     d, labels = _read_distances(args.input, args.rational)
     result = run_neighbor_net(d, _scheme(args))
     print("ordering:", " ".join(labels[t] for t in result.ordering.order))
-    system = WeightedSplitSystem(d.n, {s: 1.0 for s in result.tree_splits})
-    if args.estimate != "none":
+    if args.estimate == "none":
+        system = WeightedSplitSystem(d.n, {s: 1.0 for s in result.tree_splits})
+    else:
         system = _estimated_system(d, result.ordering, args.estimate)
     print(f"splits ({len(system)}):")
     _print_splits(system, labels, show_weights=args.estimate != "none")

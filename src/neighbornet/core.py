@@ -269,9 +269,10 @@ class WeightedSplitSystem:
     Every weight given is validated (finite, nonnegative, its split over n
     taxa); zero weights are then dropped, so len, iteration, items, splits
     and `in` cover the positive splits only, and weight(s) is 0 for a split
-    of n taxa outside the system. Duplicates collapse by canonical form."""
+    of n taxa outside the system. Duplicates collapse by canonical form.
+    rows() reads the splits in sorted_splits order, sorted once and kept."""
 
-    __slots__ = ("n", "_weights", "_exact")
+    __slots__ = ("n", "_weights", "_exact", "_order")
 
     def __init__(self, n: int, weights: Mapping[Split, Num]):
         for s, w in weights.items():
@@ -284,6 +285,7 @@ class WeightedSplitSystem:
         self.n = n
         self._weights = {s: w for s, w in weights.items() if w > 0}
         self._exact = all(map(is_exact_number, weights.values()))
+        self._order = None
 
     @property
     def splits(self) -> frozenset:
@@ -296,6 +298,18 @@ class WeightedSplitSystem:
 
     def items(self):
         return self._weights.items()
+
+    def rows(self) -> Iterator[tuple]:
+        """(split, weight, members) for each split in sorted_splits order, the
+        members being the sorted taxa off its block, the side without taxon
+        0. The order is sorted on the first call and kept; each members list
+        is made as its row is read, never stored."""
+        if self._order is None:
+            self._order = sorted_splits(self._weights)
+        n, weights = self.n, self._weights
+        for s in self._order:
+            block = s.block
+            yield s, weights[s], [t for t in range(n) if t not in block]
 
     def __len__(self):
         return len(self._weights)

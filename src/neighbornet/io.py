@@ -32,7 +32,6 @@ from .core import (
     DissimilarityMap,
     Split,
     WeightedSplitSystem,
-    sorted_splits,
 )
 
 ASYM_REL_TOL = 1e-6
@@ -122,8 +121,10 @@ def write_nexus(
 
     Each MATRIX line carries the weight of one split of the system (a
     positive one) and the 1-based members of the block not containing taxon
-    1. The CYCLE statement is included when an ordering is supplied. A label
-    holding a line break raises ValueError: TAXLABELS are read line by line.
+    1: one line per row of system.rows(), the order in which the nnet and
+    estimate commands print the splits. The CYCLE statement is included when
+    an ordering is supplied. A label holding a line break raises ValueError:
+    TAXLABELS are read line by line.
     """
     n = system.n
     if len(labels) != n:
@@ -131,7 +132,6 @@ def write_nexus(
     broken = next((label for label in labels if "".join(label.splitlines()) != label), None)
     if broken is not None:
         raise ValueError(f"taxon label {broken!r} holds a line break")
-    splits = sorted_splits(system.splits)
     out = ["#nexus", ""]
     out.append("BEGIN Taxa;")
     out.append(f"DIMENSIONS ntax={n};")
@@ -142,7 +142,7 @@ def write_nexus(
     out.append("END; [Taxa]")
     out.append("")
     out.append("BEGIN Splits;")
-    out.append(f"DIMENSIONS ntax={n} nsplits={len(splits)};")
+    out.append(f"DIMENSIONS ntax={n} nsplits={len(system)};")
     out.append("FORMAT labels=no weights=yes confidences=no intervals=no;")
     if cycle is not None:
         out.append("PROPERTIES fit=-1.0 cyclic;")
@@ -150,10 +150,9 @@ def write_nexus(
     else:
         out.append("PROPERTIES fit=-1.0;")
     out.append("MATRIX")
-    for k, s in enumerate(splits, start=1):
-        members = sorted(t + 1 for t in s.other)
-        weight = repr(float(system.weight(s)))
-        out.append(f"[{k}, size={len(members)}] \t {weight} \t " + " ".join(map(str, members)) + ",")
+    for k, (_, weight, members) in enumerate(system.rows(), start=1):
+        taxa = " ".join([str(t + 1) for t in members])
+        out.append(f"[{k}, size={len(members)}] \t {float(weight)!r} \t {taxa},")
     out.append(";")
     out.append("END; [Splits]")
     return "\n".join(out) + "\n"

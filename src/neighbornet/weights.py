@@ -224,10 +224,9 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
     inv = np.empty((0, 0))  # the inverse of G[order, order]
     order = np.empty(0, dtype=np.intp)  # the k passive columns, in the order of that inverse's rows
     x = np.zeros(n)
-    w = c
+    free = c.copy()  # the gradient c - G x, -inf on the passive set
     iters = 0
-    while not (passive := x > 0).all() and np.any(w[~passive] > tol):
-        j = int(np.argmax(np.where(passive, -np.inf, w)))
+    while n and free[j := int(np.argmax(free))] > tol:
         if row_of[j] < 0:
             if count == len(gram):  # no view of gram is alive here; realloc may grow it in place
                 gram.resize((min(2 * count, n), n), refcheck=False)
@@ -241,8 +240,9 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
         if not 0 < s < np.inf:
             raise NonConvergence(f"NNLS passive block of {k + 1} columns is singular")
         inv, smaller = np.empty((k + 1, k + 1)), inv
-        np.add(smaller, u[:, None] * (u / s), out=inv[:k, :k])
-        inv[k] = inv[:, k] = np.concatenate((-u, [1.0])) / s
+        np.add(smaller, np.outer(u, u / s), out=inv[:k, :k])
+        inv[k, :k] = inv[:k, k] = -u / s
+        inv[k, k] = 1.0 / s
         order, xp = np.concatenate((order, [j])), np.concatenate((x[order], [0.0]))
         while True:
             iters += 1
@@ -258,12 +258,14 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
             xp = xp + alpha * (z - xp)
             keep = xp > tol
             for q in np.flatnonzero(~keep):  # inv becomes the inverse without column q
-                inv -= inv[:, q, None] * (inv[:, q] / inv[q, q])
+                inv -= np.outer(inv[:, q], inv[:, q] / inv[q, q])
             inv, order, xp = inv[np.ix_(keep, keep)], order[keep], xp[keep]
         x = np.zeros(n)
         x[order] = z
-        w = c - x[entered[:count]] @ gram[:count]
+        free = c - x[entered[:count]] @ gram[:count]
+        free[order] = -np.inf
     del gram, inv  # freed before the refinement allocates: together they would set the peak memory
+    passive = x > 0
     if passive.any():
         refined = np.linalg.lstsq(op.columns(passive), b, rcond=None)[0]
         if refined.min() > 0:

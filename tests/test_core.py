@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from neighbornet import core
 from neighbornet.core import (
     CircularOrdering,
     DissimilarityMap,
@@ -21,6 +22,7 @@ from neighbornet.core import (
     count_nnet_outputs,
     join_paths,
     metric_from_splits,
+    sorted_splits,
 )
 from neighbornet.agglomerate import BalancedTSP, BlockState, OriginalBM, TreeWeighting, adjust_weights, merge_blocks
 from neighbornet.oracle import (
@@ -116,6 +118,26 @@ class TestMetricFromSplits:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             WeightedSplitSystem(4, {split({0, 1}, 4): -1})
+
+
+class TestSplitSystemRows:
+    """rows() reads a system in sorted_splits order: each split, its weight
+    and the sorted taxa off its block."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rows_follow_the_split_order(self, exact, monkeypatch):
+        _, system, _ = random_circular_instance(random.Random(31), 9, exact=exact)
+        expected = [(s, system.weight(s), sorted(s.other)) for s in sorted_splits(system.splits)]
+        sorts = []
+        monkeypatch.setattr(core, "sorted_splits", lambda splits: sorts.append(1) or sorted_splits(splits))
+        assert list(system.rows()) == list(system.rows()) == expected
+        assert len(sorts) == 1  # the order is sorted once and kept
+
+    def test_empty_and_one_split_systems(self):
+        assert list(WeightedSplitSystem(5, {}).rows()) == []
+        s, zero = split({0, 1, 4}, 5), split({0, 2}, 5)
+        assert list(WeightedSplitSystem(5, {s: Fraction(1, 3), zero: 0}).rows()) == [(s, Fraction(1, 3), [2, 3])]
+        assert list(WeightedSplitSystem(5, {s: 0.5}).rows()) == [(s, 0.5, [2, 3])]
 
 
 class TestCompatibility:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from neighbornet import core
 from neighbornet.agglomerate import run_neighbor_net, neighbor_joining
 from neighbornet.cli import main
 from neighbornet.core import (
@@ -319,6 +320,33 @@ class TestCli:
         assert code == 0
         assert nexus.read_text().startswith("#nexus")
         assert len(trace.read_text().splitlines()) == 5
+
+    def test_nnls_nexus_run_sorts_once_and_builds_one_system(self, phy_file, tmp_path, monkeypatch):
+        """stdout and the Nexus file read one system's kept split order."""
+        path, _, _ = phy_file
+        sorts, systems = [], []
+        sort, init = core.sorted_splits, core.WeightedSplitSystem.__init__
+        monkeypatch.setattr(core, "sorted_splits", lambda splits: sorts.append(1) or sort(splits))
+        monkeypatch.setattr(core.WeightedSplitSystem, "__init__",
+                            lambda self, *args: systems.append(1) or init(self, *args))
+        assert main(["nnet", str(path), "--estimate", "nnls", "--nexus", str(tmp_path / "o.nex")]) == 0
+        assert len(sorts) == len(systems) == 1
+
+    def test_an_empty_system_prints_no_split_lines(self, tmp_path, capsys):
+        path = tmp_path / "zero.phy"
+        path.write_text(phylip_of([[0] * 4] * 4, ["a", "b", "c", "d"]))
+        assert main(["nnet", str(path), "--estimate", "formula-clamped"]) == 0
+        assert capsys.readouterr().out.endswith("\nsplits (0):\n")
+        nexus = tmp_path / "zero.nex"
+        assert main(["nnet", str(path), "--estimate", "nnls", "--nexus", str(nexus)]) == 0
+        assert capsys.readouterr().out.endswith(f"\nsplits (0):\nnexus written to {nexus}\n")
+        assert "nsplits=0;" in nexus.read_text()
+
+    def test_nnet_on_three_taxa_prints_its_one_tree_split(self, tmp_path, capsys):
+        path = tmp_path / "three.phy"
+        path.write_text(phylip_of([[0, 1, 2], [1, 0, 3], [2, 3, 0]], ["a", "b", "c"]))
+        assert main(["nnet", str(path)]) == 0
+        assert capsys.readouterr().out == "ordering: a b c\nsplits (1):\n  {c}\n"
 
     def test_nj_newick(self, phy_file, capsys):
         path, d, labels = phy_file

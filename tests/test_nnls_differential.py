@@ -198,6 +198,10 @@ def test_cli_exits_3_on_a_singular_passive_block(tmp_path, capsys, monkeypatch):
     assert "error: solver did not converge: NNLS passive block" in capsys.readouterr().err
 
 
+def test_no_columns_give_an_empty_solution():
+    assert nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
+
+
 def test_iteration_cap_still_raises():
     d, pi = noisy_circular_map(random.Random(46), 8)
     with pytest.raises(NonConvergence, match="within 3 iterations"):
