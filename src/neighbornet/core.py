@@ -243,17 +243,11 @@ def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
         yield side[rows] != side[cols]
 
 
-def pair_sums(weights: Mapping[Split, Num], n: int, scalar: type = float) -> np.ndarray:
-    """sum_S w_S delta_S(i, j) for every pair, in split_masks order, as
-    scalar (float or Fraction). Each weight is added over its mask in the
-    mapping's order: as a float, so a float sum is the one a loop over the
-    pairs would give, bit for bit; or, for Fraction, as its Python-int
-    numerator over the weights' common denominator, which divides each sum
-    once at the end. Weights may be negative."""
-    if scalar is float:
-        return _masked_sums(weights, map(float, weights.values()), n, float)
-    numerators, den = int_numerators(map(as_fraction, weights.values()))
-    return _over(_masked_sums(weights, numerators, n, object), den)
+def pair_sums(weights: Mapping[Split, Num], n: int) -> np.ndarray:
+    """sum_S w_S delta_S(i, j) for every pair, in split_masks order, each
+    weight added as a float over its mask in the mapping's order: the sums a
+    loop over the pairs would give, bit for bit. Weights may be negative."""
+    return _masked_sums(weights, map(float, weights.values()), n, float)
 
 
 def _masked_sums(splits: Iterable[Split], addends: Iterable, n: int, dtype: type) -> np.ndarray:
@@ -420,22 +414,14 @@ def arc_splits(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray)
     return splits
 
 
-def corner_differences(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
-    """The n x n array whose entry (a, b) is twice the lambda of the arc of
-    positions a..b (mod n): with D the map in the ordering's positions,
+def corner_numerators(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
+    """Twice the lambda of the arc of positions a..b (mod n) at entry (a, b)
+    of an n x n array, with D the map in the ordering's positions,
 
         D[a-1, b] + D[a, b+1] - D[a-1, b+1] - D[a, b]
 
-    summed in that order, in the map's arithmetic: on an exact map over its
-    integer form, with one division per entry at the end."""
-    values, den = corner_numerators(d, ordering)
-    return values if den is None else _over(values, den)
-
-
-def corner_numerators(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
-    """corner_differences(d, ordering) as (values, den) before its division:
-    on an exact map the Python-int sums of d.integer_form's numerators and
-    its den, on a float map the float array and None."""
+    summed in that order, as (values, den): on an exact map Python ints over
+    d.integer_form's den, on a float map floats and None."""
     if ordering.n != d.n:
         raise ValueError("taxon count mismatch")
     values, den = d.integer_form if d.is_exact else (d.array, None)

@@ -55,13 +55,11 @@ def first_kalmanson_violation(
     are compared with tol * den exactly, a float tol taken at its binary
     value: v / den < -tol exactly when v < -floor(tol * den).
     """
-    if d.n != ordering.n:
-        raise ValueError("taxon count mismatch")
+    values, den = corner_numerators(d, ordering)  # raises on a taxon count mismatch
     tol = _default_tol(d, tol)
     n = d.n
     pos = np.arange(n)
     length = (pos[None, :] - pos[:, None]) % n + 1  # of the arc a..b
-    values, den = corner_numerators(d, ordering)
     bound = -tol  # on a float map, and for an infinite or NaN tol
     if den is not None and not (isinstance(tol, float) and not math.isfinite(tol)):
         tol = as_fraction(tol)

@@ -27,6 +27,8 @@ def tour_length(d: DissimilarityMap, ordering: Union[CircularOrdering, Sequence[
     n = len(seq)
     if d.n != n:
         raise ValueError("taxon count mismatch")
+    if not isinstance(ordering, CircularOrdering) and sorted(seq) != list(range(n)):
+        raise ValueError("not a permutation of 0..n-1")  # an ordering was checked when made
     return sum(d[seq[k], seq[(k + 1) % n]] for k in range(n))
 
 

@@ -15,7 +15,6 @@ from .core import (
     Split,
     WeightedSplitSystem,
     arc_splits,
-    corner_differences,
     corner_numerators,
     upper_pairs,
 )
@@ -51,11 +50,13 @@ class DesignMatrix:
 
     def __init__(self, ordering: CircularOrdering, starts, ends):
         self.ordering, self.n = ordering, ordering.n
-        self.starts, self.ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
-        if self.starts.ndim != 1 or self.starts.shape != self.ends.shape:
+        starts, ends = np.asarray(starts), np.asarray(ends)
+        if starts.ndim != 1 or starts.shape != ends.shape:
             raise ValueError("starts and ends must be 1-D and of one length")
-        if not ((0 <= self.starts) & (self.starts < self.ends) & (self.ends < self.n)).all():
-            raise ValueError("arcs need 0 <= start < end <= n-1")
+        whole = starts.size == 0 or {starts.dtype.kind, ends.dtype.kind} <= set("iu")  # no bool, float or object
+        if not (whole and ((0 <= starts) & (starts < ends) & (ends < self.n)).all()):
+            raise ValueError("arcs need integer positions 0 <= start < end <= n-1")
+        self.starts, self.ends = starts.astype(np.intp), ends.astype(np.intp)
 
     @classmethod
     def for_ordering(cls, ordering: CircularOrdering) -> "DesignMatrix":
@@ -152,26 +153,20 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
     negative on other inputs. On an exact map each value is one Fraction of
     the numerator sum over twice the map's denominator.
     """
-    if d.n < 4:
-        raise ValueError("n >= 4 required")
-    values, den = corner_numerators(d, ordering)
-    twice = _at_arcs(values)
+    twice, den = _twice_lambda(d, ordering)
     halves = (0.5 * twice).tolist() if den is None else [Fraction(v, 2 * den) for v in twice.tolist()]
     return dict(zip(arc_splits(ordering, *upper_pairs(d.n)), halves))
 
 
-def _twice_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> np.ndarray:
-    """Twice the lambda of each arc, in the map's arithmetic, in the arc order
-    of DesignMatrix.for_ordering."""
-    return _at_arcs(corner_differences(d, ordering))
-
-
-def _at_arcs(corners: np.ndarray) -> np.ndarray:
-    """The entry of an n x n corner array at each arc of upper_pairs(n): the
-    arc order[s:e] has its corners at positions e and s-1."""
-    n = len(corners)
-    starts, ends = upper_pairs(n)
-    return corners[ends, (starts - 1) % n]
+def _twice_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
+    """Twice the lambda of each arc of DesignMatrix.for_ordering, as (values,
+    den): core.corner_numerators at the arcs of upper_pairs(n), the arc
+    order[s:e] having its corners at positions e and s-1. Needs n >= 4."""
+    if d.n < 4:
+        raise ValueError("n >= 4 required")
+    corners, den = corner_numerators(d, ordering)
+    starts, ends = upper_pairs(d.n)
+    return corners[ends, (starts - 1) % d.n], den
 
 
 def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
@@ -293,18 +288,16 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
 
     The full design is square and invertible with lambda_formula as its
     inverse, so when every lambda is >= 0 it is the unique optimum, and the
-    fit is lambda, read in the map's arithmetic and rounded once to float.
+    fit is lambda read from core.corner_numerators, rounded once to float.
     Otherwise nnls runs its active set from x = 0. The KKT gate checks both.
     Both read the design, DesignMatrix.for_ordering, as an operator: the
     pairs x splits array is never formed, only the passive columns of nnls's
     refinement.
     """
-    if d.n < 4:
-        raise ValueError("n >= 4 required")
-    twice = _twice_lambda(d, ordering)  # raises on a taxon count mismatch
+    twice, den = _twice_lambda(d, ordering)
     design = DesignMatrix.for_ordering(ordering)
     b = design.rhs(d)
-    x = 0.5 * twice.astype(float) if (twice >= 0).all() else nnls(design, b)
+    x = 0.5 * (twice if den is None else twice / den).astype(float) if (twice >= 0).all() else nnls(design, b)
     viol = kkt_violation(design, b, x)
     scale = max(1.0, float(np.abs(design.rmatvec(b)).max(initial=0.0)))
     if not viol <= 10 * KKT_TOL * scale:  # a NaN violation fails too

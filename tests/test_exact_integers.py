@@ -29,8 +29,6 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     metric_from_splits,
-    pair_sums,
-    split_masks,
     upper_pairs,
 )
 from neighbornet.weights import nnls_fit
@@ -117,21 +115,6 @@ def test_upper_pairs_are_cached_read_only_triu_indices():
 
 
 class TestExactMetric:
-    def test_pair_sums_equal_the_fraction_loop(self):
-        # mixed denominators and negative weights, as lambda values may be
-        rng = random.Random(35)
-        for _ in range(10):
-            n = rng.randint(3, 9)
-            splits = sorted(all_circular_splits(CircularOrdering(range(n))), key=lambda s: sorted(s.block))
-            weights = {s: Fraction(rng.randint(-50, 50), rng.choice(DENOMINATORS)) for s in splits}
-            got = pair_sums(weights, n, Fraction)
-            expected = [Fraction(0)] * (n * (n - 1) // 2)
-            for mask, w in zip(split_masks(weights, n), weights.values()):
-                for k in np.flatnonzero(mask):
-                    expected[k] += w
-            assert all(type(x) is Fraction for x in got)
-            assert list(got) == expected
-
     def test_an_all_zero_float_fit_gives_a_float_map(self):
         # the fit drops its ten zero weights; the exactness comes from them
         fit = nnls_fit(DissimilarityMap(np.zeros((5, 5))), CircularOrdering(range(5)))

@@ -19,7 +19,7 @@ from neighbornet.core import (
     WeightedSplitSystem,
     all_circular_splits,
     arc_splits,
-    corner_differences,
+    corner_numerators,
     is_exact_number,
     metric_from_splits,
     upper_pairs,
@@ -185,12 +185,14 @@ def kalmanson_maps():
 
 
 def corner_reference(d, ordering, tol):
-    """The first violation by Fraction comparisons of corner_differences, as
-    the check read it before it compared numerators."""
+    """The first violation by Fraction comparisons of the corner values, each
+    numerator of corner_numerators divided by its den, as the check read
+    them before it compared numerators."""
     n = d.n
     pos = np.arange(n)
     length = (pos[None, :] - pos[:, None]) % n + 1
-    negative = np.array([[v < -tol for v in row] for row in corner_differences(d, ordering)])
+    values, den = corner_numerators(d, ordering)
+    negative = np.array([[Fraction(v, den) < -tol for v in row] for row in values])
     arcs = np.flatnonzero(negative & (length >= 2) & (length <= n - 2))
     if arcs.size == 0:
         return None

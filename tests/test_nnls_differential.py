@@ -324,8 +324,24 @@ def test_fits_with_a_nonpositive_lambda_run_the_active_set(seed, monkeypatch):
     assert calls == [1]
 
 
-def test_an_exact_circular_map_takes_the_lambda_path_and_passes_the_kkt_gate(monkeypatch):
-    pi, system, d = random_circular_instance(random.Random(80), 12, exact=True)
+def wide_circular_instance(rng, n):
+    """An exact circular system whose weights are thirds and sevenths near
+    2^55, so the doubled-lambda numerators exceed 2^53, which float64 cannot
+    hold, and each weight rounds when made a float; with its map."""
+    pi = CircularOrdering(rng.sample(range(n), n))
+    system = WeightedSplitSystem(n, {s: Fraction(rng.randrange(2**55, 2**56), rng.choice((3, 7)))
+                                     for s in all_circular_splits(pi)})
+    d = metric_from_splits(system)
+    assert max(weights._twice_lambda(d, pi)[0]) > 2**53
+    return pi, system, d
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(lambda: random_circular_instance(random.Random(80), 12, exact=True), id="hundredths-12"),
+    pytest.param(lambda: wide_circular_instance(random.Random(81), 10), id="wide-10"),
+])
+def test_an_exact_circular_map_takes_the_lambda_path_and_passes_the_kkt_gate(instance, monkeypatch):
+    pi, system, d = instance()
     assert d.is_exact and min(lambda_formula(d, pi).values()) > 0
     calls = spy_on_nnls(monkeypatch)
     fit = weights.nnls_fit(d, pi)  # raises NonConvergence if the gate fails
@@ -380,7 +396,12 @@ def test_the_kkt_gate_rejects_a_bad_lambda_path_result(monkeypatch):
     """A nonnegative but wrong lambda is kept, so the gate must catch it."""
     d, pi = noisy_circular_map(random.Random(82), 8)
     twice = weights._twice_lambda
-    monkeypatch.setattr(weights, "_twice_lambda", lambda d, o: 2 * twice(d, o))
+
+    def doubled(d, o):
+        values, den = twice(d, o)
+        return 2 * values, den
+
+    monkeypatch.setattr(weights, "_twice_lambda", doubled)
     calls = spy_on_nnls(monkeypatch)
     with pytest.raises(NonConvergence, match="KKT violation .* above tolerance"):
         weights.nnls_fit(d, pi)

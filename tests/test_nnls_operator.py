@@ -4,6 +4,7 @@ nnls on the array, the arcs the constructor accepts, and the memory an
 nnls_fit and its KKT gate take without the array."""
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,7 +83,10 @@ def test_the_empty_design_gives_an_empty_fit():
     assert design.matvec(x).dtype == np.float64 and not design.matvec(x).any()
 
 
-@pytest.mark.parametrize("starts,ends", [([0], [7]), ([-1], [3]), ([2], [2]), ([3], [1]), ([0, 1], [2, 7])])
+@pytest.mark.parametrize("starts,ends", [
+    ([0], [7]), ([-1], [3]), ([2], [2]), ([3], [1]), ([0, 1], [2, 7]),
+    ([0.7, 1.9], [2, 4.5]), ([0, 1], [2.0, 4.0]), ([True], [3]), ([0], [True]), ([Fraction(1)], [3]),
+])
 def test_arcs_outside_the_ordering_are_refused(starts, ends):
     with pytest.raises(ValueError, match="0 <= start < end <= n-1"):
         DesignMatrix(CircularOrdering(range(7)), starts, ends)
