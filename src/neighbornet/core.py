@@ -30,6 +30,13 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(int(x) if isinstance(x, np.integer) else x)
 
 
+def _check_taxa(taxa: Sequence, n: int, message: str) -> None:
+    """Raise ValueError(message) unless taxa are distinct ints or numpy integers in 0..n-1: no bool, no float."""
+    whole = all(issubclass(k, (int, np.integer)) and k is not bool for k in set(map(type, taxa)))
+    if not (whole and len(set(taxa)) == len(taxa) and 0 <= min(taxa, default=0) and max(taxa, default=0) < n):
+        raise ValueError(message)
+
+
 _fractions = np.frompyfunc(as_fraction, 1, 1)
 _over = np.frompyfunc(Fraction, 2, 1)  # _over(numerators, den): the Fractions they stand for
 
@@ -198,8 +205,7 @@ class Split:
         block = frozenset(members)
         if not block or len(block) >= n:
             raise ValueError("block must be a nonempty proper subset")
-        if not (0 <= min(block) and max(block) < n):
-            raise ValueError("taxon out of range")
+        _check_taxa(block, n, "taxon out of range")
         if 0 not in block:
             block = frozenset(range(n)) - block
         return cls(n, block)
@@ -373,8 +379,7 @@ class CircularOrdering:
         n = len(order)
         if n < 3:
             raise ValueError("circular orderings need n >= 3")
-        if sorted(order) != list(range(n)):
-            raise ValueError("not a permutation of 0..n-1")
+        _check_taxa(order, n, "not a permutation of 0..n-1")
         object.__setattr__(self, "order", order)
 
     @property
@@ -449,8 +454,7 @@ class PartialCircularOrdering:
         n = len(seen)
         if n == 0:
             raise ValueError("empty partial ordering")
-        if sorted(seen) != list(range(n)):
-            raise ValueError("blocks must partition 0..n-1")
+        _check_taxa(seen, n, "blocks must partition 0..n-1")
         if any(not b for b in blocks):
             raise ValueError("empty block")
         object.__setattr__(self, "blocks", blocks)

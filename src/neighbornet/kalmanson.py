@@ -8,8 +8,8 @@ neighbornet.oracle, beside the quartet sets.
 
 Tolerance: a sum of two distances counts as larger than another only when it
 is larger by more than tol; the Kalmanson check applies it at each arc's
-corner quadruple. An explicit tol is absolute; the default is 0 on an exact
-map and FLOAT_TOL * max|d| on a float map, so scale changes no verdict.
+corner quadruple. An explicit tol is absolute and >= 0 (NaN raises); the
+default is 0 on an exact map, FLOAT_TOL * max|d| on a float map: scale-free.
 """
 from __future__ import annotations
 
@@ -35,9 +35,11 @@ FLOAT_TOL = 1e-9
 
 
 def _default_tol(d: DissimilarityMap, tol) -> Num:
-    if tol is not None:
-        return tol
-    return 0 if d.is_exact else FLOAT_TOL * d.array.max().item()
+    if tol is None:
+        return 0 if d.is_exact else FLOAT_TOL * d.array.max().item()
+    if not tol >= 0:  # a NaN fails this too: every comparison with it is False
+        raise ValueError(f"tol must be >= 0, not {tol}")
+    return tol
 
 
 def first_kalmanson_violation(
@@ -60,8 +62,8 @@ def first_kalmanson_violation(
     n = d.n
     pos = np.arange(n)
     length = (pos[None, :] - pos[:, None]) % n + 1  # of the arc a..b
-    bound = -tol  # on a float map, and for an infinite or NaN tol
-    if den is not None and not (isinstance(tol, float) and not math.isfinite(tol)):
+    bound = -tol  # on a float map, and for an infinite tol
+    if den is not None and tol != math.inf:
         tol = as_fraction(tol)
         bound = -(tol.numerator * den // tol.denominator)
     negative = values < bound
@@ -102,6 +104,7 @@ def find_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularO
     """The agglomeration's ordering when d is Kalmanson with respect to it, else
     None: sound, but it may miss an ordering on non-generic inputs (the
     exhaustive search is neighbornet.oracle.brute_force_kalmanson_ordering)."""
+    tol = _default_tol(d, tol)  # refused before the run
     ordering = run_neighbor_net(d, BalancedTSP()).ordering
     return ordering if is_kalmanson(d, ordering, tol) else None
 

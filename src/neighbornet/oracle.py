@@ -7,7 +7,8 @@ axioms, which the tests check along agglomeration steps; and the readings
 of the paper's identities that only the tests use: the split metric
 delta_S, split compatibility and circularity, the canonical orderings, Z as
 the balanced-length drop over the join family, the four-point condition
-and the residual of a split weighting.
+and the residual of a split weighting; and DenseDesign, an explicit array
+that weights.nnls and kkt_violation read as they read a DesignMatrix.
 
 A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
 over taxa, so quartet sets from different orderings compare directly.
@@ -354,6 +355,31 @@ def wls_length_identity_check(
     lhs = split_system_length(d, splits, cap)
     rhs = sum(lam.values())
     return lhs, rhs
+
+
+class DenseDesign:
+    """An explicit pairs x splits array, such as the masks of
+    core.split_masks as columns, behind the members through which nnls and
+    kkt_violation read a DesignMatrix. A non-finite entry raises ValueError
+    when made."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+        if not np.isfinite(self.a).all():
+            raise ValueError("nnls: a holds a non-finite value")
+        self.shape = self.a.shape
+
+    def gram_column(self, j: int) -> np.ndarray:
+        return self.a.T @ self.a[:, j]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.a @ x
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        return self.a.T @ r
+
+    def columns(self, mask: np.ndarray) -> np.ndarray:
+        return self.a[:, mask]
 
 
 def reconstruction_residual(d: DissimilarityMap, lam: Mapping[Split, Num]) -> float:

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .agglomerate import BalancedTSP, WeightingScheme, run_neighbor_net
-from .core import CircularOrdering, DissimilarityMap, Num, upper_pairs
+from .core import CircularOrdering, DissimilarityMap, Num, _check_taxa, upper_pairs
 
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot's rounding, which np.hypot does not share
 _int = np.frompyfunc(int, 1, 1)  # Python ints: exact at any size
@@ -27,8 +27,8 @@ def tour_length(d: DissimilarityMap, ordering: Union[CircularOrdering, Sequence[
     n = len(seq)
     if d.n != n:
         raise ValueError("taxon count mismatch")
-    if not isinstance(ordering, CircularOrdering) and sorted(seq) != list(range(n)):
-        raise ValueError("not a permutation of 0..n-1")  # an ordering was checked when made
+    if not isinstance(ordering, CircularOrdering):  # an ordering was checked when made
+        _check_taxa(seq, n, "not a permutation of 0..n-1")
     return sum(d[seq[k], seq[(k + 1) % n]] for k in range(n))
 
 

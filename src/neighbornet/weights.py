@@ -116,30 +116,6 @@ class DesignMatrix:
         return d.array[upper_pairs(d.n)].astype(float)
 
 
-class _Dense:
-    """An explicit matrix, read through DesignMatrix's operator methods."""
-
-    def __init__(self, a: np.ndarray):
-        self.a, self.shape = a, a.shape
-
-    def gram_column(self, j: int) -> np.ndarray:
-        return self.a.T @ self.a[:, j]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ x
-
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        return self.a.T @ r
-
-    def columns(self, mask: np.ndarray) -> np.ndarray:
-        return self.a[:, mask]
-
-
-def _operator(a):
-    """a itself if it is a DesignMatrix, else a as a float array behind the same methods."""
-    return a if isinstance(a, DesignMatrix) else _Dense(np.asarray(a, dtype=float))
-
-
 def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
     """Closed-form weight for every circular split of the ordering.
 
@@ -176,8 +152,9 @@ def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
 
 
 def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
-    """Active-set non-negative least squares: min ||a x - b|| s.t. x >= 0, for
-    a an array or a DesignMatrix, read through the same four products.
+    """Active-set non-negative least squares: min ||a x - b|| s.t. x >= 0, a
+    read only through shape, gram_column, matvec, rmatvec and columns: a
+    DesignMatrix, or an explicit array in oracle.DenseDesign.
 
     Lawson-Hanson on the normal equations (Bro & De Jong 1997): grow the
     passive set P by the most positive coordinate of the gradient c - G x
@@ -191,24 +168,21 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
 
     The normal equations square cond(a), so the final passive weights are
     refined by one least-squares solve of a's passive columns against b, kept
-    when every weight stays positive. Non-finite a or b, or an overflowing
-    a^T b, raises ValueError. A pivot that is not positive and finite
-    (dependent passive columns, which the entry rule excludes), a non-finite z
-    and running past max_iter raise NonConvergence; there is no fallback
-    solver. On a rank-deficient problem the minimiser need not be unique: any
-    x returned attains the minimum up to the KKT tolerance; which one is a
-    solver detail.
+    when every weight stays positive. A non-finite b or an overflowing a^T b
+    raises ValueError, as DenseDesign does for a non-finite array. A pivot
+    that is not positive and finite (dependent passive columns, which the
+    entry rule excludes), a non-finite z and running past max_iter raise
+    NonConvergence; there is no fallback solver. On a rank-deficient problem
+    the minimiser need not be unique: any x returned attains the minimum up
+    to the KKT tolerance; which one is a solver detail.
     """
-    op = _operator(a)
     b = np.asarray(b, dtype=float)
-    if isinstance(op, _Dense) and not np.isfinite(op.a).all():  # a DesignMatrix is 0/1
-        raise ValueError("nnls: a holds a non-finite value")
     if not np.isfinite(b).all():
         raise ValueError("nnls: b holds a non-finite value")
-    m, n = op.shape
+    m, n = a.shape
     if max_iter is None:
         max_iter = max(10 * n, 30)
-    c = op.rmatvec(b)
+    c = a.rmatvec(b)
     if not np.isfinite(c).all():  # the tolerance would be inf, and x = 0 would pass for optimal
         raise ValueError("nnls: a^T b overflows")
     tol = KKT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
@@ -225,7 +199,7 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
         if row_of[j] < 0:
             if count == len(gram):  # no view of gram is alive here; realloc may grow it in place
                 gram.resize((min(2 * count, n), n), refcheck=False)
-            gram[count] = op.gram_column(j)
+            gram[count] = a.gram_column(j)
             entered[count] = j
             row_of[j] = count
             count += 1
@@ -262,7 +236,7 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
     del gram, inv  # freed before the refinement allocates: together they would set the peak memory
     passive = x > 0
     if passive.any():
-        refined = np.linalg.lstsq(op.columns(passive), b, rcond=None)[0]
+        refined = np.linalg.lstsq(a.columns(passive), b, rcond=None)[0]
         if refined.min() > 0:
             x = np.zeros(n)
             x[passive] = refined
@@ -271,10 +245,9 @@ def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
 
 def kkt_violation(a, b: np.ndarray, x: np.ndarray) -> float:
     """Max violation of the stationarity conditions at x for the
-    nonnegative least-squares problem, a an array or a DesignMatrix: gradient
+    nonnegative least-squares problem, a read as nnls reads it: gradient
     >= 0 on active bounds, gradient == 0 on free coordinates."""
-    op = _operator(a)
-    grad = op.rmatvec(op.matvec(x) - b)
+    grad = a.rmatvec(a.matvec(x) - b)
     return float(np.where(x > 0, np.abs(grad), -grad).max(initial=0.0))
 
 
@@ -283,8 +256,8 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
     minimizing the squared reconstruction error; the system holds the splits
     whose weight is positive. A fit over some of the ordering's arcs is
     nnls(DesignMatrix(ordering, starts, ends), DesignMatrix.rhs(d)); over any
-    splits, nnls of their pairs x splits array, the masks of
-    core.split_masks as columns, against the same right-hand side.
+    splits, nnls of oracle.DenseDesign of their pairs x splits array, the
+    masks of core.split_masks as columns, against the same right-hand side.
 
     The full design is square and invertible with lambda_formula as its
     inverse, so when every lambda is >= 0 it is the unique optimum, and the

@@ -177,6 +177,18 @@ class TestCircularOrdering:
         assert canonical_cycle(canonical_cycle(perm)) == canonical_cycle(perm)
 
 
+@pytest.mark.parametrize("make,taxa,message", [
+    (CircularOrdering, [False, True, 2, 3], "not a permutation"),
+    (CircularOrdering, [0.0, 1.0, 2.0, 3.0], "not a permutation"),
+    (CircularOrdering, [0, 1, 2, Fraction(3)], "not a permutation"),
+    (PartialCircularOrdering, [[False, True], [2.0]], "blocks must partition"),
+    (PartialCircularOrdering, [[0, 1], [2.0]], "blocks must partition"),
+], ids=["bools", "whole-floats", "fraction", "partial-bools", "partial-float"])
+def test_bools_and_floats_are_not_taxa(make, taxa, message):
+    with pytest.raises(ValueError, match=message):
+        make(taxa)
+
+
 class TestCircularSplits:
     def test_arc_is_circular(self):
         pi = CircularOrdering([0, 1, 2, 3])
@@ -324,7 +336,7 @@ class TestCounting:
 
 
 class TestSplitRange:
-    @pytest.mark.parametrize("members", [[1, 5], [1, -2]])
+    @pytest.mark.parametrize("members", [[1, 5], [1, -2], [True, 2], [1.0, 2]])
     def test_of_rejects_out_of_range_members_before_complementing(self, members):
         with pytest.raises(ValueError, match="taxon out of range"):
             Split.of(members, 4)

@@ -201,7 +201,7 @@ def corner_reference(d, ordering, tol):
 
 
 class TestKalmansonOnNumerators:
-    @pytest.mark.parametrize("tol", [0, Fraction(1, 150), Fraction(-1, 300), 0.01, 1e-9, 0.005])
+    @pytest.mark.parametrize("tol", [0, Fraction(1, 150), Fraction(1, 300), 0.01, 1e-9, 0.005])
     def test_verdicts_and_violations_match_the_four_deep_scan(self, tol):
         for d, pi in kalmanson_maps():
             got = first_kalmanson_violation(d, pi, tol)
@@ -236,7 +236,9 @@ class TestKalmansonOnNumerators:
         assert Fraction(0.2) > Fraction(1, 5)
         assert is_kalmanson(d, pi, 0.2)
         assert not is_kalmanson(d, pi, float(np.nextafter(0.2, 0)))
-        assert is_kalmanson(d, pi, float("inf")) and not is_kalmanson(d, pi, float("-inf"))
+        assert is_kalmanson(d, pi, float("inf"))
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            is_kalmanson(d, pi, float("-inf"))
 
     def test_a_numpy_integer_tol_does_not_overflow(self):
         d = random_dissimilarity(random.Random(5), 6, exact=True)

@@ -261,6 +261,23 @@ class TestFindKalmansonOrdering:
             brute_force_kalmanson_ordering(d)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("tol", [float("nan"), -1, Fraction(-1, 300)])
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda d, tol: is_kalmanson(d, CircularOrdering(range(d.n)), tol), id="is_kalmanson"),
+    pytest.param(lambda d, tol: find_kalmanson_ordering(d, tol), id="find_kalmanson_ordering"),
+    pytest.param(lambda d, tol: first_four_point_violation(d, tol), id="first_four_point_violation"),
+    pytest.param(lambda d, tol: brute_force_kalmanson_violation(d, CircularOrdering(range(d.n)), tol),
+                 id="brute_force_kalmanson_violation"),
+])
+def test_a_nan_or_negative_tol_is_refused(check, tol, exact):
+    """A NaN tol passes or fails every comparison, and a negative one turns
+    equal sums into violations: the checks refuse both."""
+    d = random_dissimilarity(random.Random(12), 8, exact=exact)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        check(d, tol)
+
+
 def box_noise(rng, n, magnitude):
     noise = [[0.0] * n for _ in range(n)]
     for i in range(n):

@@ -21,7 +21,7 @@ from neighbornet.core import (
 )
 from neighbornet.io import format_phylip
 from neighbornet import weights
-from neighbornet.oracle import adjacency_counts
+from neighbornet.oracle import DenseDesign, adjacency_counts
 from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, lambda_formula, nnls
 from conftest import random_arc_design, random_circular_instance, random_dissimilarity
 import lstsq_nnls
@@ -109,7 +109,7 @@ def fit_cases():
 
 @pytest.mark.parametrize("a,b", list(fit_cases()))
 def test_same_support_and_weights_as_the_lstsq_solver(a, b):
-    x = nnls(a, b)
+    x = nnls(DenseDesign(a), b)
     x_old = lstsq_nnls.nnls(a, b)
     assert ((x > 0) == (x_old > 0)).all()
     assert np.abs(x - x_old).max() <= 1e-9 * scale_of(a, b)
@@ -132,13 +132,13 @@ def test_eta_weighted_fits_reach_the_same_objective(a, b):
     so these designs are rank-deficient and the minimiser is not unique: the
     two solvers may return different weights. They must reach the same
     objective, and each must pass the KKT test that nnls_fit applies."""
-    x = nnls(a, b)
+    x = nnls(DenseDesign(a), b)
     x_old = lstsq_nnls.nnls(a, b)
     scale = scale_of(a, b)
     objective = np.sum((a @ x - b) ** 2)
     assert objective == pytest.approx(np.sum((a @ x_old - b) ** 2), rel=1e-9, abs=1e-12 * max(1.0, b @ b))
     assert (x >= 0).all()
-    assert kkt_violation(a, b, x) <= 10 * KKT_TOL * scale
+    assert kkt_violation(DenseDesign(a), b, x) <= 10 * KKT_TOL * scale
 
 
 def rank_deficient_problems(rng, count):
@@ -159,12 +159,12 @@ def rank_deficient_problems(rng, count):
 def test_rank_deficient_problems_against_scipy():
     rng = np.random.default_rng(42)
     for a, b in rank_deficient_problems(rng, 999):
-        x = nnls(a, b)
+        x = nnls(DenseDesign(a), b)
         x_ref, _ = scipy.optimize.nnls(a, b)
         assert (x >= 0).all()
         objective, reference = np.sum((a @ x - b) ** 2), np.sum((a @ x_ref - b) ** 2)
         assert objective <= reference + 1e-12 * max(1.0, b @ b)
-        assert kkt_violation(a, b, x) <= KKT_TOL * scale_of(a, b)
+        assert kkt_violation(DenseDesign(a), b, x) <= KKT_TOL * scale_of(a, b)
 
 
 def test_one_least_squares_solve_per_fit(monkeypatch):
@@ -174,7 +174,8 @@ def test_one_least_squares_solve_per_fit(monkeypatch):
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
     d, pi = noisy_circular_map(random.Random(43), 10)
-    x = nnls(*system_of(d, pi))
+    a, b = system_of(d, pi)
+    x = nnls(DenseDesign(a), b)
     assert (x > 0).sum() > 1 and len(calls) == 1
 
 
@@ -187,8 +188,9 @@ def nan_pivot(*args, **kwargs):
 def test_singular_passive_block_raises_non_convergence(monkeypatch):
     monkeypatch.setattr(np, "dot", nan_pivot)
     d, pi = noisy_circular_map(random.Random(44), 6)
+    a, b = system_of(d, pi)
     with pytest.raises(NonConvergence, match="passive block of 1 columns is singular"):
-        nnls(*system_of(d, pi))
+        nnls(DenseDesign(a), b)
 
 
 def test_cli_exits_3_on_a_singular_passive_block(tmp_path, capsys, monkeypatch):
@@ -199,19 +201,20 @@ def test_cli_exits_3_on_a_singular_passive_block(tmp_path, capsys, monkeypatch):
 
 
 def test_no_columns_give_an_empty_solution():
-    assert nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
+    assert nnls(DenseDesign(np.zeros((3, 0))), np.ones(3)).shape == (0,)
 
 
 def test_iteration_cap_still_raises():
     d, pi = noisy_circular_map(random.Random(46), 8)
+    a, b = system_of(d, pi)
     with pytest.raises(NonConvergence, match="within 3 iterations"):
-        nnls(*system_of(d, pi), max_iter=3)
+        nnls(DenseDesign(a), b, max_iter=3)
 
 
 def assert_matches_scipy(a, b):
     """The full circular design is square and invertible, so the minimiser is
     unique: both solvers must find its support and its weights."""
-    x = nnls(a, b)
+    x = nnls(DenseDesign(a), b)
     x_ref, _ = scipy.optimize.nnls(a, b)
     assert ((x > 0) == (x_ref > 0)).all()
     assert np.abs(x - x_ref).max() <= 1e-9 * scale_of(a, b)
@@ -237,7 +240,7 @@ def test_random_map_fit_where_columns_leave_against_scipy():
     a, b = system_of(d, run_neighbor_net(d).ordering)
     support = int((assert_matches_scipy(a, b) > 0).sum())
     with pytest.raises(NonConvergence, match="within"):
-        nnls(a, b, max_iter=support)
+        nnls(DenseDesign(a), b, max_iter=support)
 
 
 @pytest.mark.parametrize("arg,index,value", [("b", 3, np.nan), ("b", 0, np.inf), ("a", (2, 1), np.nan)])
@@ -246,7 +249,7 @@ def test_non_finite_input_raises_value_error(arg, index, value):
     a, b = system_of(d, pi)
     {"a": a, "b": b}[arg][index] = value
     with pytest.raises(ValueError, match=f"nnls: {arg} holds a non-finite value"):
-        nnls(a, b)
+        nnls(DenseDesign(a), b)
 
 
 
@@ -254,7 +257,7 @@ def test_an_overflowing_gradient_raises_value_error():
     """a^T b = inf would set the tolerance to inf, and the all-zero x would
     pass for optimal."""
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"nnls: a\^T b overflows"):
-        nnls(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([1e308, 1e308]))
+        nnls(DenseDesign(np.array([[1.0, 0.0], [1.0, 1.0]])), np.array([1e308, 1e308]))
 
 
 @pytest.mark.parametrize("a,b,message", [
@@ -269,7 +272,7 @@ def test_overflow_raises_non_convergence(a, b, message):
     """Finite inputs whose solution overflows: the solver must say it failed,
     not crash on an empty reduction."""
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence, match=message):
-        nnls(np.array(a), np.array(b))
+        nnls(DenseDesign(np.array(a)), np.array(b))
 
 
 def test_nnls_fit_rejects_a_nan_weight(monkeypatch):
@@ -282,7 +285,7 @@ def test_nnls_fit_rejects_a_nan_weight(monkeypatch):
         return x
 
     a, b = system_of(d, pi)
-    assert np.isnan(kkt_violation(a, b, nan_weight(a, b)))
+    assert np.isnan(kkt_violation(DenseDesign(a), b, nan_weight(a, b)))
     monkeypatch.setattr(weights, "nnls", nan_weight)
     with pytest.raises(NonConvergence, match="KKT violation nan above tolerance"):
         weights.nnls_fit(d, pi)
@@ -318,7 +321,8 @@ def test_full_support_fits_are_lambda_bit_for_bit(n, monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_fits_with_a_nonpositive_lambda_run_the_active_set(seed, monkeypatch):
     d, pi = map_off_the_lambda_path(random.Random(70 + seed), random.Random(seed).randint(6, 20))
-    x = nnls(*system_of(d, pi))
+    a, b = system_of(d, pi)
+    x = nnls(DenseDesign(a), b)
     calls = spy_on_nnls(monkeypatch)
     assert (fit_weights(d, pi) == x).all()
     assert calls == [1]

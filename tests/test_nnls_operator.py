@@ -12,6 +12,7 @@ import pytest
 from neighbornet import weights
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.core import CircularOrdering
+from neighbornet.oracle import DenseDesign
 from neighbornet.weights import DesignMatrix, kkt_violation, nnls, nnls_fit
 from conftest import random_arc_design, random_circular_instance, random_dissimilarity
 
@@ -61,10 +62,18 @@ def test_nnls_on_the_operator_equals_nnls_on_the_array(seed):
     design = DesignMatrix.for_ordering(pi)
     a, b = design.as_array(), design.rhs(d)
     x = nnls(design, b)
-    x_dense = nnls(a, b)
+    x_dense = nnls(DenseDesign(a), b)
     assert ((x > 0) == (x_dense > 0)).all()
     assert (x == x_dense).all()
-    assert kkt_violation(design, b, x) == pytest.approx(kkt_violation(a, b, x), rel=1e-9, abs=1e-12)
+    assert kkt_violation(design, b, x) == pytest.approx(kkt_violation(DenseDesign(a), b, x), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [lambda a, b: nnls(a, b), lambda a, b: kkt_violation(a, b, np.ones(3))])
+def test_a_bare_array_is_refused(call):
+    """The solver reads a through its operator members alone; an explicit
+    array goes in oracle.DenseDesign."""
+    with pytest.raises((AttributeError, TypeError)):
+        call(np.eye(3), np.ones(3))
 
 
 def test_a_subset_fit_takes_the_design_itself():
@@ -72,7 +81,7 @@ def test_a_subset_fit_takes_the_design_itself():
     d = random_dissimilarity(rng, 12)
     design = random_arc_design(rng, CircularOrdering(rng.sample(range(12), 12)), 40)
     b = DesignMatrix.rhs(d)
-    assert (nnls(design, b) == nnls(design.as_array(), b)).all()
+    assert (nnls(design, b) == nnls(DenseDesign(design.as_array()), b)).all()
 
 
 def test_the_empty_design_gives_an_empty_fit():

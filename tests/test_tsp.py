@@ -32,7 +32,7 @@ class TestTourLength:
         d = DissimilarityMap(rows)
         assert tour_length(d, CircularOrdering(range(n))) == 5
 
-    @pytest.mark.parametrize("seq", [[0, 0, 0], [0, 1, 1], [1, 2, 3], [0, 1, -1]])
+    @pytest.mark.parametrize("seq", [[0, 0, 0], [0, 1, 1], [1, 2, 3], [0, 1, -1], [True, False, 2], [0.0, 1.0, 2.0]])
     def test_a_sequence_that_is_not_a_permutation_is_refused(self, seq):
         with pytest.raises(ValueError, match=r"not a permutation of 0\.\.n-1"):
             tour_length(random_dissimilarity(random.Random(2), 3), seq)

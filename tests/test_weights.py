@@ -24,7 +24,7 @@ from neighbornet.weights import (
     nnls,
     nnls_fit,
 )
-from neighbornet.oracle import reconstruction_residual, wls_length_identity_check, wls_split_weights
+from neighbornet.oracle import DenseDesign, reconstruction_residual, wls_length_identity_check, wls_split_weights
 from conftest import random_arc_design, random_circular_instance, random_dissimilarity, random_tree_instance
 
 
@@ -119,11 +119,11 @@ class TestNNLS:
             m, n = rng.integers(4, 12), rng.integers(2, 9)
             a = rng.normal(size=(m, n))
             b = rng.normal(size=m)
-            x = nnls(a, b)
+            x = nnls(DenseDesign(a), b)
             x_ref, _ = scipy.optimize.nnls(a, b)
             assert np.linalg.norm(a @ x - b) <= np.linalg.norm(a @ x_ref - b) + 1e-9
             assert (x >= 0).all()
-            assert kkt_violation(a, b, x) <= 1e-7 * max(1.0, np.abs(a.T @ b).max())
+            assert kkt_violation(DenseDesign(a), b, x) <= 1e-7 * max(1.0, np.abs(a.T @ b).max())
 
     def test_exact_recovery_on_circular_metrics(self):
         rng = random.Random(4)
@@ -237,4 +237,4 @@ def test_kkt_violation_matches_the_loop():
         viol = 0.0
         for k in range(len(x)):
             viol = max(viol, abs(grad[k]) if x[k] > 0 else max(0.0, -grad[k]))
-        assert kkt_violation(a, b, x) == viol
+        assert kkt_violation(DenseDesign(a), b, x) == viol
