@@ -11,14 +11,13 @@ from neighbornet.agglomerate import BalancedTSP, neighbor_joining, run_neighbor_
 from neighbornet.core import (
     CircularOrdering,
     DissimilarityMap,
-    all_circular_splits,
     metric_from_splits,
     WeightedSplitSystem,
 )
 from neighbornet.io import splits_to_newick
 from neighbornet.kalmanson import is_kalmanson
-from neighbornet.oracle import reconstruction_residual
-from neighbornet.weights import clamp_nonnegative, lambda_formula, nnls_fit
+from neighbornet.oracle import all_circular_splits, clamp_nonnegative, reconstruction_residual
+from neighbornet.weights import lambda_formula, nnls_fit
 
 
 def main():

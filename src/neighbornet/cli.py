@@ -34,7 +34,7 @@ from .kalmanson import (
 )
 from .length import balanced_length
 from .tsp import greedy_tsp, read_tsplib_euc2d
-from .weights import NonConvergence, clamp_nonnegative, lambda_formula, nnls_fit
+from .weights import NonConvergence, lambda_formula, nnls_fit
 
 
 def _checked(convert, ok, message):
@@ -72,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_distances(path: str, rational: bool = False, tsplib_rounding=None):
     """A PHYLIP file; when tsplib_rounding is given, a TSPLIB EUC_2D file too."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if tsplib_rounding is not None and "NODE_COORD_SECTION" in text:
         d = read_tsplib_euc2d(text, rounding=tsplib_rounding)
@@ -115,24 +115,21 @@ def _print_splits(system: WeightedSplitSystem, labels, show_weights=True):
 
 
 def _write_nexus(path, system, labels, ordering):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(nio.write_nexus(system, labels, cycle=ordering))
     print(f"nexus written to {path}")
 
 
 def _estimated_system(d, ordering, method: str) -> WeightedSplitSystem:
-    if method == "formula":
-        lam = lambda_formula(d, ordering)
-        negatives = sum(1 for v in lam.values() if v < 0)
-        if negatives:
-            raise nio.InputError(
-                f"{negatives} negative weights from the closed formula; "
-                "estimate with formula-clamped or nnls instead"
-            )
-        return WeightedSplitSystem(d.n, lam)
-    if method == "formula-clamped":
-        return WeightedSplitSystem(d.n, clamp_nonnegative(lambda_formula(d, ordering)))
-    return nnls_fit(d, ordering)
+    if method == "nnls":
+        return nnls_fit(d, ordering)
+    lam = lambda_formula(d, ordering)
+    if method == "formula" and (negatives := sum(1 for v in lam.values() if v < 0)):
+        raise nio.InputError(
+            f"{negatives} negative weights from the closed formula; "
+            "estimate with formula-clamped or nnls instead"
+        )
+    return WeightedSplitSystem(d.n, {s: v for s, v in lam.items() if v >= 0})
 
 
 def cmd_nnet(args) -> int:
@@ -170,29 +167,30 @@ def cmd_tsp(args) -> int:
 def cmd_check(args) -> int:
     d, labels = _read_distances(args.input)
     tol = args.tol
+    # every result before the first print, so an input error leaves stdout empty
+    ordering = CircularOrdering(_parse_taxa(args.ordering, labels)) if args.ordering else None
     fp = first_four_point_violation(d, tol)
+    if ordering is None:
+        found = find_kalmanson_ordering(d, tol=tol)
+    else:
+        violation = first_kalmanson_violation(d, ordering, tol)
     if fp is None:
         print("four-point condition: PASS")
     else:
         taxa = ", ".join(labels[t] for t in fp["taxa"])
         sums = ", ".join(nio.fmt_num(v) for v in fp["sums"])
         print(f"four-point condition: FAIL at ({taxa}); sums {sums}")
-    if args.ordering:
-        ordering = CircularOrdering(_parse_taxa(args.ordering, labels))
-        violation = first_kalmanson_violation(d, ordering, tol)
-        if violation is None:
-            print("kalmanson conditions: PASS on the supplied ordering")
-        else:
-            taxa = ", ".join(labels[t] for t in violation["taxa"])
-            print(f"kalmanson conditions: FAIL at ({taxa}); near {nio.fmt_num(violation['near_sum'])}, "
-                  f"cross {nio.fmt_num(violation['cross_sum'])}, wrap {nio.fmt_num(violation['wrap_sum'])}")
-            return 0
-    else:
-        found = find_kalmanson_ordering(d, tol=tol)
+    if ordering is None:
         if found is None:
             print("kalmanson ordering: none found by agglomeration-and-verify")
         else:
             print("kalmanson ordering found:", " ".join(labels[t] for t in found.order))
+    elif violation is None:
+        print("kalmanson conditions: PASS on the supplied ordering")
+    else:
+        taxa = ", ".join(labels[t] for t in violation["taxa"])
+        print(f"kalmanson conditions: FAIL at ({taxa}); near {nio.fmt_num(violation['near_sum'])}, "
+              f"cross {nio.fmt_num(violation['cross_sum'])}, wrap {nio.fmt_num(violation['wrap_sum'])}")
     return 0
 
 

@@ -436,11 +436,6 @@ def corner_numerators(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
     return before + np.roll(here, -1, axis=1) - np.roll(before, -1, axis=1) - here, den
 
 
-def all_circular_splits(ordering: CircularOrdering) -> frozenset:
-    """The n(n-1)/2 splits whose blocks are contiguous arcs of the ordering."""
-    return frozenset(arc_splits(ordering, *upper_pairs(ordering.n)))
-
-
 @dataclass(frozen=True)
 class PartialCircularOrdering:
     """An ordered partition of 0..n-1 into paths; block order and path direction

@@ -1,5 +1,4 @@
-"""Kalmanson and four-point condition checking, ordering search, and the
-perturbation-radius check.
+"""Kalmanson and four-point condition checking, and ordering search.
 
 The Kalmanson check reads the lambda formula: d is Kalmanson for an ordering
 exactly when every nontrivial arc has lambda >= 0, an O(n^2) test. The
@@ -14,22 +13,12 @@ default is 0 on an exact map, FLOAT_TOL * max|d| on a float map: scale-free.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .agglomerate import BalancedTSP, run_neighbor_net
-from .core import (
-    CircularOrdering,
-    DissimilarityMap,
-    Num,
-    WeightedSplitSystem,
-    all_circular_splits,
-    as_fraction,
-    corner_numerators,
-    is_exact_number,
-    metric_from_splits,
-)
+from .core import CircularOrdering, DissimilarityMap, Num, as_fraction, corner_numerators
 
 FLOAT_TOL = 1e-9
 
@@ -107,39 +96,3 @@ def find_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[CircularO
     tol = _default_tol(d, tol)  # refused before the run
     ordering = run_neighbor_net(d, BalancedTSP()).ordering
     return ordering if is_kalmanson(d, ordering, tol) else None
-
-
-def radius_perturbation_check(
-    system: WeightedSplitSystem,
-    noise: Sequence[Sequence[Num]],
-    *,
-    enforce_bound: bool = True,
-) -> bool:
-    """Run the agglomeration on metric(system) + noise; True iff every split of
-    the system is circular with respect to the output ordering.
-
-    With enforce_bound, require the system to hold all n(n-1)/2 circular
-    splits of one ordering and sup|noise| < min weight / 2, the radius inside
-    which recovery is guaranteed: each arc's lambda is its split's weight,
-    noise moves it by at most 2 sup|noise|, so every lambda stays positive
-    and the map Kalmanson. A missing split's lambda is 0, which noise may
-    push negative. Pass enforce_bound=False to probe beyond it. Either way
-    noise must be an n x n array of finite numbers, checked before any run.
-    """
-    if not system:
-        raise ValueError("system has no splits")
-    noise = np.array(noise, dtype=object)  # added entry by entry as Python numbers
-    if noise.shape != (system.n, system.n):
-        raise ValueError("noise shape mismatch")
-    for (i, j), v in np.ndenumerate(noise):
-        if not (is_exact_number(v) or math.isfinite(v)):
-            raise ValueError(f"non-finite noise entry at ({i},{j})")
-    clean = metric_from_splits(system)
-    if enforce_bound:
-        ordering = run_neighbor_net(clean, BalancedTSP()).ordering
-        if system.splits != all_circular_splits(ordering):
-            raise ValueError("perturbation bound needs weight on every circular split of one ordering")
-        if not max(abs(v) for v in noise.flat) < min(w for _, w in system.items()) / 2:
-            raise ValueError("perturbation bound violated: sup|noise| must be < min weight / 2")
-    result = run_neighbor_net(DissimilarityMap(clean.array + noise), BalancedTSP())
-    return system.splits <= all_circular_splits(result.ordering)

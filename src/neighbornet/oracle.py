@@ -7,8 +7,10 @@ axioms, which the tests check along agglomeration steps; and the readings
 of the paper's identities that only the tests use: the split metric
 delta_S, split compatibility and circularity, the canonical orderings, Z as
 the balanced-length drop over the join family, the four-point condition
-and the residual of a split weighting; and DenseDesign, an explicit array
-that weights.nnls and kkt_violation read as they read a DesignMatrix.
+and the residual of a split weighting; the test rigs all_circular_splits,
+clamp_nonnegative and radius_perturbation_check, the paper's radius-1/2
+recovery run on a perturbed circular metric; and DenseDesign, an explicit
+array that weights.nnls and kkt_violation read as they read a DesignMatrix.
 
 A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
 over taxa, so quartet sets from different orderings compare directly.
@@ -18,14 +20,15 @@ the closed forms and the agglomeration against these enumerations.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .agglomerate import BlockState, q_criterion
+from .agglomerate import BalancedTSP, BlockState, q_criterion, run_neighbor_net
 from .core import (
     CircularOrdering,
     DissimilarityMap,
@@ -33,12 +36,15 @@ from .core import (
     PartialCircularOrdering,
     Split,
     WeightedSplitSystem,
+    arc_splits,
     as_fraction,
     canonical_cycle,
     count_distinct_orderings,
     int_numerators,
+    is_exact_number,
     join_paths,
     merged_at,
+    metric_from_splits,
     pair_sums,
     sides_of,
     sorted_splits,
@@ -247,6 +253,11 @@ def is_circular_split(s: Split, ordering: CircularOrdering) -> bool:
     return starts == 1
 
 
+def all_circular_splits(ordering: CircularOrdering) -> frozenset:
+    """The n(n-1)/2 splits whose blocks are contiguous arcs of the ordering."""
+    return frozenset(arc_splits(ordering, *upper_pairs(ordering.n)))
+
+
 def split_system_orderings(
     splits: Iterable[Split], n: int, cap: int = DEFAULT_CAP
 ) -> list:
@@ -382,6 +393,12 @@ class DenseDesign:
         return self.a[:, mask]
 
 
+def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
+    """The entries with a positive value; the rest clamp to weight 0, which
+    a split system leaves out."""
+    return {s: v for s, v in lam.items() if v > 0}
+
+
 def reconstruction_residual(d: DissimilarityMap, lam: Mapping[Split, Num]) -> float:
     """Sum of squared errors between d and the metric of lam, whose weights
     may be negative."""
@@ -451,6 +468,42 @@ def brute_force_kalmanson_ordering(d: DissimilarityMap, tol=None) -> Optional[Ci
         if brute_force_kalmanson_violation(d, ordering, tol) is None:
             return ordering
     return None
+
+
+def radius_perturbation_check(
+    system: WeightedSplitSystem,
+    noise: Sequence[Sequence[Num]],
+    *,
+    enforce_bound: bool = True,
+) -> bool:
+    """Run the agglomeration on metric(system) + noise; True iff every split of
+    the system is circular with respect to the output ordering.
+
+    With enforce_bound, require the system to hold all n(n-1)/2 circular
+    splits of one ordering and sup|noise| < min weight / 2, the radius inside
+    which recovery is guaranteed: each arc's lambda is its split's weight,
+    noise moves it by at most 2 sup|noise|, so every lambda stays positive
+    and the map Kalmanson. A missing split's lambda is 0, which noise may
+    push negative. Pass enforce_bound=False to probe beyond it. Either way
+    noise must be an n x n array of finite numbers, checked before any run.
+    """
+    if not system:
+        raise ValueError("system has no splits")
+    noise = np.array(noise, dtype=object)  # added entry by entry as Python numbers
+    if noise.shape != (system.n, system.n):
+        raise ValueError("noise shape mismatch")
+    for (i, j), v in np.ndenumerate(noise):
+        if not (is_exact_number(v) or math.isfinite(v)):
+            raise ValueError(f"non-finite noise entry at ({i},{j})")
+    clean = metric_from_splits(system)
+    if enforce_bound:
+        ordering = run_neighbor_net(clean, BalancedTSP()).ordering
+        if system.splits != all_circular_splits(ordering):
+            raise ValueError("perturbation bound needs weight on every circular split of one ordering")
+        if not max(abs(v) for v in noise.flat) < min(w for _, w in system.items()) / 2:
+            raise ValueError("perturbation bound violated: sup|noise| must be < min weight / 2")
+    result = run_neighbor_net(DissimilarityMap(clean.array + noise), BalancedTSP())
+    return system.splits <= all_circular_splits(result.ordering)
 
 
 def quartet(a: int, b: int, c: int, d: int) -> frozenset:

@@ -1,18 +1,16 @@
 """Split-weight estimation over the circular splits of an ordering: the closed
-corner formula, clamping, and non-negative least squares.
+corner formula and non-negative least squares.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import (
     CircularOrdering,
     DissimilarityMap,
-    Num,
-    Split,
     WeightedSplitSystem,
     arc_splits,
     corner_numerators,
@@ -137,18 +135,12 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
 def _twice_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
     """Twice the lambda of each arc of DesignMatrix.for_ordering, as (values,
     den): core.corner_numerators at the arcs of upper_pairs(n), the arc
-    order[s:e] having its corners at positions e and s-1. Needs n >= 4."""
-    if d.n < 4:
-        raise ValueError("n >= 4 required")
+    order[s:e] having its corners at positions e and s-1. At n = 3 each arc
+    is one taxon, its corners its two neighbours and itself, and the value
+    is twice the trivial split's weight."""
     corners, den = corner_numerators(d, ordering)
     starts, ends = upper_pairs(d.n)
     return corners[ends, (starts - 1) % d.n], den
-
-
-def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
-    """The entries with a positive value; the rest clamp to weight 0, which
-    a split system leaves out."""
-    return {s: v for s, v in lam.items() if v > 0}
 
 
 def nnls(a, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:

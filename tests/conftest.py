@@ -11,10 +11,10 @@ from neighbornet.core import (
     DissimilarityMap,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
     metric_from_splits,
     upper_pairs,
 )
+from neighbornet.oracle import all_circular_splits
 from neighbornet.weights import DesignMatrix
 
 

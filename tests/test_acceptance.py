@@ -25,20 +25,22 @@ from neighbornet.core import (
     CircularOrdering,
     DissimilarityMap,
     WeightedSplitSystem,
-    all_circular_splits,
     canonical_cycle,
     count_distinct_orderings,
     count_nnet_outputs,
     metric_from_splits,
 )
-from neighbornet.kalmanson import is_kalmanson, radius_perturbation_check
+from neighbornet.kalmanson import is_kalmanson
 from neighbornet.oracle import (
+    all_circular_splits,
     brute_force_tsp,
+    clamp_nonnegative,
     canonical_orderings,
     enumerated_balanced_length,
     enumerated_join_family_length,
     join_extensions,
     positive_split_quartets,
+    radius_perturbation_check,
     reconstruction_residual,
     satisfies_four_point,
     strict_quartets,
@@ -47,7 +49,6 @@ from neighbornet.oracle import (
 )
 from neighbornet.tsp import greedy_tsp, read_tsplib_euc2d
 from neighbornet.weights import (
-    clamp_nonnegative,
     lambda_formula,
     nnls_fit,
 )

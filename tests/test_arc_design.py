@@ -12,12 +12,11 @@ from neighbornet.core import (
     CircularOrdering,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
     sorted_splits,
     split_masks,
 )
 from neighbornet import weights
-from neighbornet.kalmanson import radius_perturbation_check
+from neighbornet.oracle import all_circular_splits, radius_perturbation_check
 from neighbornet.weights import DesignMatrix, lambda_formula, nnls_fit
 from conftest import random_circular_instance, random_dissimilarity
 

@@ -7,7 +7,9 @@ exits 4, not as an internal error, and any other exception a command
 raises exits 2 as one; an --n below 3 and an unknown taxon label are input
 errors; estimate --nexus writes the file in place of the split list; main
 builds one parser per process; and seeded mutations of PHYLIP and TSPLIB
-files never reach an internal error."""
+files never reach an internal error. The estimates run from three taxa;
+input is read as UTF-8 whatever the locale, with an optional byte order
+mark; and check prints nothing before it has checked its input."""
 import os
 import random
 import re
@@ -201,6 +203,76 @@ def test_estimate_writes_nexus_in_place_of_the_split_list(tmp_path, capsys, meth
     assert capsys.readouterr().out == f"nexus written to {nexus}\n"
     labels, cycle, system = read_nexus_splits(nexus.read_text())
     assert labels == list("ABCDE") and cycle == CircularOrdering(range(5)) and len(system) > 0
+
+
+@pytest.mark.parametrize("command", [["nnet", "--estimate"], ["estimate", "--method"]])
+@pytest.mark.parametrize("rows, expected", [
+    ("A 0 3 5\nB 3 0 4\nC 5 4 0\n", {
+        method: [("2", "{B,C}"), ("3", "{C}"), ("1", "{B}")] for method in ("formula", "formula-clamped", "nnls")
+    }),
+    # d(A,C) > d(A,B) + d(B,C): the lambda of B is -2.5
+    ("A 0 1 5\nB 1 0 1\nC 5 1 0\n", {
+        "formula": None, "formula-clamped": [("2.5", "{B,C}"), ("2.5", "{C}")], "nnls": [("2", "{B,C}"), ("2", "{C}")],
+    }),
+], ids=["metric", "no-triangle"])
+@pytest.mark.parametrize("method", ["formula", "formula-clamped", "nnls"])
+def test_three_taxa_are_estimated(tmp_path, capsys, command, rows, expected, method):
+    path = tmp_path / "three.phy"
+    path.write_text("3\n" + rows)
+    code = main([command[0], str(path), command[1], method])
+    out, err = capsys.readouterr()
+    lines = expected[method]
+    if lines is None:
+        assert (code, err) == (1, "error: 1 negative weights from the closed formula; "
+                                  "estimate with formula-clamped or nnls instead\n")
+    else:
+        assert (code, err) == (0, "")
+        assert out.endswith(f"splits ({len(lines)}):\n" + "".join(f"  {w} \t {side}\n" for w, side in lines))
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("m.phy", PHYLIP, ["nnet", "--estimate", "nnls"]),
+    ("m.phy", PHYLIP, ["estimate", "--method", "formula-clamped"]),
+    ("m.phy", PHYLIP, ["check"]),
+    ("m.phy", PHYLIP, ["length", "--blocks", "A,B|C|D,E"]),
+    ("toy.tsp", TSPLIB, ["tsp", "--round", "tsplib"]),
+], ids=["nnet", "estimate", "check", "length", "tsp"])
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys, name, text, argv):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    outputs = []
+    for folder, encoding in ((plain, "utf-8"), (marked, "utf-8-sig")):
+        folder.mkdir()
+        (folder / name).write_text(text, encoding=encoding)
+        code = main([argv[0], str(folder / name), *argv[1:]])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0][0] == 0 and outputs[0][1].err == ""
+    assert outputs[1] == outputs[0]
+
+
+def test_labels_outside_ascii_are_read_and_written_under_an_ascii_locale(tmp_path):
+    path, nexus = tmp_path / "m.phy", tmp_path / "out.nex"
+    path.write_text(PHYLIP.replace("A ", "\u00c5 "), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+               PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+        env.pop(name, None)
+    argv = ["estimate", str(path), "--ordering", "0,1,2,3,4", "--nexus", str(nexus)]
+    out = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "neighbornet.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    labels, cycle, system = read_nexus_splits(nexus.read_text(encoding="utf-8"))
+    assert labels == ["\u00c5", "B", "C", "D", "E"] and cycle == CircularOrdering(range(5)) and len(system) > 0
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("2\nA 0 1\nB 1 0\n", [], "error: n >= 3 required\n"),
+    (PHYLIP, ["--ordering", "A,B,C,D,x"], "error: unknown taxon 'x'\n"),
+], ids=["two-taxa", "unknown-taxon"])
+def test_check_prints_nothing_before_its_input_is_checked(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "m.phy"
+    path.write_text(text)
+    assert main(["check", str(path), *argv]) == 1
+    assert capsys.readouterr() == ("", message)
 
 
 def test_main_builds_one_parser_per_process():

@@ -15,7 +15,6 @@ from neighbornet.core import (
     PartialCircularOrdering,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
     canonical_cycle,
     count_associahedron_vertices,
     count_distinct_orderings,
@@ -27,6 +26,7 @@ from neighbornet.core import (
 from neighbornet.agglomerate import BalancedTSP, BlockState, OriginalBM, TreeWeighting, adjust_weights, merge_blocks
 from neighbornet.oracle import (
     NodeWeighting,
+    all_circular_splits,
     canonical_orderings,
     is_circular_split,
     is_pairwise_compatible,

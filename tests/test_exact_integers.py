@@ -27,10 +27,10 @@ from neighbornet.core import (
     CircularOrdering,
     DissimilarityMap,
     WeightedSplitSystem,
-    all_circular_splits,
     metric_from_splits,
     upper_pairs,
 )
+from neighbornet.oracle import all_circular_splits
 from neighbornet.weights import nnls_fit
 from conftest import random_circular_instance, random_dissimilarity
 

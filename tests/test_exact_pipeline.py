@@ -17,7 +17,6 @@ from neighbornet.core import (
     DissimilarityMap,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
     arc_splits,
     corner_numerators,
     is_exact_number,
@@ -25,7 +24,7 @@ from neighbornet.core import (
     upper_pairs,
 )
 from neighbornet.kalmanson import first_kalmanson_violation, is_kalmanson
-from neighbornet.oracle import _solve_normal_equations_exact, brute_force_kalmanson_violation
+from neighbornet.oracle import _solve_normal_equations_exact, all_circular_splits, brute_force_kalmanson_violation
 from conftest import random_circular_instance, random_dissimilarity
 
 LANE = 2**53  # the exact product runs while 2 * sum(numerators) <= LANE

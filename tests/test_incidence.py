@@ -11,11 +11,10 @@ from neighbornet.core import (
     CircularOrdering,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
     metric_from_splits,
     split_masks,
 )
-from neighbornet.oracle import reconstruction_residual, split_metric
+from neighbornet.oracle import all_circular_splits, reconstruction_residual, split_metric
 from neighbornet.weights import DesignMatrix, lambda_formula
 from conftest import random_arc_design, random_circular_instance, random_dissimilarity
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from neighbornet.agglomerate import BalancedTSP, OriginalBM, TreeWeighting, run_neighbor_net
 from neighbornet.core import DissimilarityMap, WeightedSplitSystem
-from neighbornet.kalmanson import radius_perturbation_check
+from neighbornet.oracle import radius_perturbation_check
 from conftest import permute_map, random_circular_instance, random_dissimilarity, relabel_ordering, relabel_split
 
 

@@ -136,7 +136,7 @@ class TestNexus:
         rng = random.Random(3)
         n = 6
         pi = CircularOrdering([0, 2, 4, 1, 3, 5])
-        from neighbornet.core import all_circular_splits
+        from neighbornet.oracle import all_circular_splits
 
         weights = {s: rng.uniform(0, 2) for s in all_circular_splits(pi)}
         system = WeightedSplitSystem(n, weights)

@@ -10,7 +10,6 @@ from neighbornet.core import (
     DissimilarityMap,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
     metric_from_splits,
 )
 from neighbornet.kalmanson import (
@@ -19,14 +18,15 @@ from neighbornet.kalmanson import (
     first_four_point_violation,
     first_kalmanson_violation,
     is_kalmanson,
-    radius_perturbation_check,
 )
 from neighbornet.oracle import (
+    all_circular_splits,
     brute_force_kalmanson_ordering,
     brute_force_kalmanson_violation,
     positive_split_quartets,
     quartet,
     quartets_of_ordering,
+    radius_perturbation_check,
     satisfies_four_point,
     split_metric,
     strict_quartets,
@@ -341,14 +341,14 @@ class TestRadiusPerturbation:
          r"non-finite noise entry at \(2,2\)"),
     ])
     def test_bad_noise_is_refused_before_any_agglomeration(self, monkeypatch, enforce_bound, noise, message):
-        import neighbornet.kalmanson as kalmanson
+        import neighbornet.oracle as oracle
 
         _, system, _ = random_circular_instance(random.Random(15), 5)
 
         def no_run(*args):
             raise AssertionError("the agglomeration ran")
 
-        monkeypatch.setattr(kalmanson, "run_neighbor_net", no_run)
+        monkeypatch.setattr(oracle, "run_neighbor_net", no_run)
         with pytest.raises(ValueError, match=f"^{message}$"):
             radius_perturbation_check(system, noise, enforce_bound=enforce_bound)
 

@@ -21,7 +21,6 @@ from neighbornet.core import (
     DissimilarityMap,
     PartialCircularOrdering,
     Split,
-    all_circular_splits,
 )
 from neighbornet.length import (
     balanced_length,
@@ -32,6 +31,7 @@ from neighbornet.length import (
 from neighbornet.oracle import (
     EnumerationCapExceeded,
     adjacency_counts,
+    all_circular_splits,
     balanced_length_of_join_family,
     enumerate_consistent_orderings,
     enumerated_balanced_length,

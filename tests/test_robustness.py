@@ -1,6 +1,7 @@
 """Bad input and solver failure: non-finite entries are rejected with a clear
 message and exit code 1, and a solver that does not converge exits with 3.
-The test-only oracles stay out of the production modules."""
+Each refusal names its cause. The test-only oracles stay out of the
+production modules."""
 import ast
 import math
 import os
@@ -9,13 +10,26 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import neighbornet
 from neighbornet import core, weights
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
-from neighbornet.core import DissimilarityMap
-from neighbornet.io import InputError, read_nexus_splits
+from neighbornet.core import (
+    CircularOrdering,
+    DissimilarityMap,
+    PartialCircularOrdering,
+    Split,
+    WeightedSplitSystem,
+    join_paths,
+    merged_at,
+)
+from neighbornet.io import InputError, read_nexus_splits, write_nexus
+from neighbornet.length import balanced_length
+from neighbornet.oracle import radius_perturbation_check
+from neighbornet.tsp import read_tsplib_euc2d, tour_length
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -166,6 +180,46 @@ def test_nexus_reader_rejects_malformed_documents(old, new, message):
 def test_nexus_reader_rejects_documents_without_a_usable_taxon_count(splits_block, message):
     with pytest.raises(InputError, match=message):
         read_nexus_splits(f"#nexus\n\n{splits_block}\n")
+
+
+LINE4 = DissimilarityMap([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+TRIVIAL3 = Split.of([1], 3)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: DissimilarityMap([]), "dissimilarity map needs at least one taxon"),
+    (lambda: DissimilarityMap.from_integer_form(np.zeros((0, 0), dtype=np.int64), 1),
+     "dissimilarity map needs at least one taxon"),
+    (lambda: Split(4, frozenset({1})), "stored block must contain taxon 0"),
+    (lambda: Split(3, frozenset({0, 1, 2})), "block must be a proper subset"),
+    (lambda: WeightedSplitSystem(4, {TRIVIAL3: 1.0}), "split taxon count mismatch"),
+    (lambda: WeightedSplitSystem(4, {}).weight(TRIVIAL3), "split taxon count mismatch"),
+    (lambda: PartialCircularOrdering([]), "empty partial ordering"),
+    (lambda: PartialCircularOrdering([[0, 1], [], [2]]), "empty block"),
+    (lambda: merged_at((5, 6, 7), 1, 1, 9), "r and s must differ"),
+    (lambda: join_paths((0, 1), (2, 3), 1, 9), "9 is not an endpoint of the second path"),
+    (lambda: write_nexus(WeightedSplitSystem(4, {}), ["a", "b", "c"]), "label count mismatch"),
+    (lambda: radius_perturbation_check(WeightedSplitSystem(4, {}), [[0] * 4] * 4), "system has no splits"),
+    (lambda: balanced_length(LINE4, PartialCircularOrdering([[0], [1], [2]])), "taxon count mismatch"),
+    (lambda: tour_length(LINE4, CircularOrdering(range(3))), "taxon count mismatch"),
+    (lambda: read_tsplib_euc2d("NAME: x\nTYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n1 0 0\n2 1 1\n3 2 2\nEOF\n"),
+     "malformed header: missing NODE_COORD_SECTION"),
+], ids=["empty-map", "empty-integer-form", "block-without-0", "whole-block", "system-over-other-n",
+        "weight-over-other-n", "no-blocks", "empty-block", "merge-with-itself", "not-an-endpoint",
+        "nexus-labels", "radius-of-nothing", "balanced-length-over-other-n", "tour-over-other-n",
+        "tsplib-without-coordinates"])
+def test_each_refusal_names_its_cause(refused, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        refused()
+
+
+def test_the_test_rigs_live_in_the_oracle_alone():
+    rigs = {"all_circular_splits", "clamp_nonnegative", "radius_perturbation_check"}
+    package = Path(core.__file__).resolve().parent
+    defined = {p.name: rigs & {node.name for node in ast.walk(ast.parse(p.read_text()))
+                               if isinstance(node, ast.FunctionDef)} for p in package.glob("*.py")}
+    assert {name: found for name, found in defined.items() if found} == {"oracle.py": rigs}
+    assert not rigs & set(dir(neighbornet))
 
 
 def test_library_import_does_not_load_scipy():

@@ -12,19 +12,24 @@ from neighbornet.core import (
     DissimilarityMap,
     Split,
     WeightedSplitSystem,
-    all_circular_splits,
     metric_from_splits,
     sorted_splits,
 )
 from neighbornet.weights import (
     DesignMatrix,
-    clamp_nonnegative,
     kkt_violation,
     lambda_formula,
     nnls,
     nnls_fit,
 )
-from neighbornet.oracle import DenseDesign, reconstruction_residual, wls_length_identity_check, wls_split_weights
+from neighbornet.oracle import (
+    DenseDesign,
+    all_circular_splits,
+    clamp_nonnegative,
+    reconstruction_residual,
+    wls_length_identity_check,
+    wls_split_weights,
+)
 from conftest import random_arc_design, random_circular_instance, random_dissimilarity, random_tree_instance
 
 
@@ -64,10 +69,21 @@ class TestLambdaFormula:
             lam = lambda_formula(d, pi)
             assert all(v >= 0 for v in lam.values())
 
-    def test_small_n_rejected(self):
-        d = DissimilarityMap([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        with pytest.raises(ValueError):
-            lambda_formula(d, CircularOrdering(range(3)))
+    def test_three_taxa_give_each_trivial_split_half_its_excess(self):
+        # at n = 3 every arc is one taxon a, and its corners are a's two
+        # neighbours and a itself: lambda = (d_ab + d_ac - d_bc) / 2, negative
+        # where the triangle inequality fails
+        rng = random.Random(28)
+        for _ in range(200):
+            dab, dac, dbc = (Fraction(rng.randint(0, 40), rng.randint(1, 6)) for _ in range(3))
+            d = DissimilarityMap([[0, dab, dac], [dab, 0, dbc], [dac, dbc, 0]])
+            order = [0, 1, 2]
+            rng.shuffle(order)
+            lam = lambda_formula(d, CircularOrdering(order))
+            assert len(lam) == 3
+            for a in range(3):
+                b, c = (t for t in range(3) if t != a)
+                assert lam[Split.of([a], 3)] == (d[a, b] + d[a, c] - d[b, c]) / 2
 
     @staticmethod
     def double_loop(d, ordering):
