@@ -14,8 +14,9 @@ with weights k/100. Each of these gets nnet under every weighting and every
 n+1 taxa, an input error) and length.
 
 Then come the benchmark's inputs at seed 1, which --no-fit-sparse skips:
-the four 50-taxon maps of the fit-sparse workload, each through nnet
---estimate nnls; the agglomerate workload's 120-taxon map, through nnet
+the four 50-taxon maps of the fit-sparse workload and the fit-dense
+workload's 24-taxon circular map plus noise, each through nnet --estimate
+nnls with --nexus; the agglomerate workload's 120-taxon map, through nnet
 under each weighting with --nexus and --trace; and its 120-city EUC_2D
 instance, through tsp and tsp --round tsplib under each weighting, which
 runs the exact engine (the tree and original weightings outgrow the
@@ -68,6 +69,9 @@ def maps(max_n: int, fit_sparse: bool):
     if fit_sparse:
         for k in range(4):  # as benchmarks/workloads.py builds them at seed 1
             yield f"fit-sparse-{k}", gen.random_map(random.Random(f"1/sparse{k}/50"), 50)
+        rng = random.Random("1/dense/24")
+        order, weights = gen.circular_weights(rng, 24, exact=False)
+        yield "fit-dense", gen.perturb(rng, gen.circular_metric(order, weights), 0.4 * min(weights.values()))
         yield "agglomerate-map", gen.random_map(random.Random("1/map/120"), 120)
         yield "agglomerate-points", gen.euc2d_points(random.Random("1/points/120"), 120)
 
@@ -75,7 +79,7 @@ def maps(max_n: int, fit_sparse: bool):
 def calls(phy: str, n: int, name: str):
     """(call name, argv, whether it takes --nexus, whether it takes --trace)
     for the input file phy of map name."""
-    if name.startswith("fit-sparse"):
+    if name.startswith("fit-"):
         yield "nnet-nnls", ["nnet", phy, "--estimate", "nnls"], True, False
         return
     if name == "agglomerate-map":

@@ -18,6 +18,7 @@ from .agglomerate import (
 )
 from .core import (
     CircularOrdering,
+    CircularSplits,
     DissimilarityMap,
     PartialCircularOrdering,
     Split,

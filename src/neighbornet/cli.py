@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .kalmanson import (
 )
 from .length import balanced_length
 from .tsp import greedy_tsp, read_tsplib_euc2d
-from .weights import NonConvergence, lambda_formula, nnls_fit
+from .weights import NonConvergence, clamped_lambda, nnls_fit
 
 
 def _checked(convert, ok, message):
@@ -103,33 +104,33 @@ def _parse_taxa(text: str, labels) -> list:
     return out
 
 
-def _print_splits(system: WeightedSplitSystem, labels, show_weights=True):
-    """One line per split, in the system's row order, written by one print;
-    nothing for an empty system."""
-    lines = []
-    for _, weight, members in system.rows():
-        side = "{" + ",".join([labels[t] for t in members]) + "}"
-        lines.append(f"  {nio.fmt_num(weight)} \t {side}" if show_weights else f"  {side}")
-    if lines:
-        print("\n".join(lines))
+def _print_splits(system, labels, show_weights=True):
+    """One line per split, in the system's row order, written to stdout in
+    chunks of lines; nothing for an empty system."""
+    rows = system.rows()
+    if show_weights:
+        lines = (f"  {nio.fmt_num(w)} \t {{{','.join([labels[t] for t in members])}}}" for w, members in rows)
+    else:
+        lines = (f"  {{{','.join([labels[t] for t in members])}}}" for _, members in rows)
+    nio.write_lines(sys.stdout, lines)
 
 
 def _write_nexus(path, system, labels, ordering):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(nio.write_nexus(system, labels, cycle=ordering))
+        nio.write_nexus(system, labels, cycle=ordering, fh=fh)
     print(f"nexus written to {path}")
 
 
-def _estimated_system(d, ordering, method: str) -> WeightedSplitSystem:
+def _estimated_system(d, ordering, method: str):
     if method == "nnls":
         return nnls_fit(d, ordering)
-    lam = lambda_formula(d, ordering)
-    if method == "formula" and (negatives := sum(1 for v in lam.values() if v < 0)):
+    system, negatives = clamped_lambda(d, ordering)
+    if method == "formula" and negatives:
         raise nio.InputError(
             f"{negatives} negative weights from the closed formula; "
             "estimate with formula-clamped or nnls instead"
         )
-    return WeightedSplitSystem(d.n, {s: v for s, v in lam.items() if v >= 0})
+    return system
 
 
 def cmd_nnet(args) -> int:
@@ -295,6 +296,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # labels print as UTF-8, as the files hold them
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

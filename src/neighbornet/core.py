@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -223,9 +223,29 @@ class Split:
         return f"Split({a}|{b})"
 
 
+def _packed_words(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D bool array, its columns the taxa, as uint64 words with
+    taxon 0 the top bit of word 0: two rows compare as their word sequences do."""
+    k, n = bits.shape
+    packed = np.zeros((k, -(-n // 64) * 8), np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(bits, axis=1)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def split_order(sizes: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """The one split order, by block size and then by the block's sorted taxa,
+    as indices into the splits, given each block's size and its off-block
+    side as _packed_words rows. Of two blocks of one size, the one whose sorted
+    taxa come first holds the first taxon in which they differ, so its
+    off-block side is the smaller bit string: one np.lexsort, size first."""
+    return np.lexsort((*others.T[::-1], sizes))
+
+
 def sorted_splits(splits) -> list:
-    """The one split order: by block size, then block contents."""
-    return sorted(splits, key=lambda s: (len(s.block), tuple(sorted(s.block))))
+    """The splits in the one split order (split_order)."""
+    splits = list(splits)
+    sides = sides_of(splits, max((s.n for s in splits), default=0))
+    return [splits[c] for c in split_order(sides.sum(axis=0), _packed_words(~sides.T)).tolist()]
 
 
 def sides_of(splits: Iterable[Split], n: int) -> np.ndarray:
@@ -287,38 +307,40 @@ class WeightedSplitSystem:
         self._exact = all(map(is_exact_number, weights.values()))
         self._order = None
 
+    def _split_map(self) -> dict:
+        return self._weights
+
     @property
     def splits(self) -> frozenset:
-        return frozenset(self._weights)
+        return frozenset(self._split_map())
 
     def weight(self, s: Split) -> Num:
         if s.n != self.n:
             raise ValueError("split taxon count mismatch")
-        return self._weights.get(s, 0)
+        return self._split_map().get(s, 0)
 
     def items(self):
-        return self._weights.items()
+        return self._split_map().items()
 
     def rows(self) -> Iterator[tuple]:
-        """(split, weight, members) for each split in sorted_splits order, the
-        members being the sorted taxa off its block, the side without taxon
-        0. The order is sorted on the first call and kept; each members list
-        is made as its row is read, never stored."""
+        """(weight, members) for each split in sorted_splits order, the members
+        being the sorted taxa off its block, the side without taxon 0. The
+        order is sorted on the first call and kept; each members list is made
+        as its row is read, never stored."""
         if self._order is None:
             self._order = sorted_splits(self._weights)
-        n, weights = self.n, self._weights
+        everyone, weights = frozenset(range(self.n)), self._weights
         for s in self._order:
-            block = s.block
-            yield s, weights[s], [t for t in range(n) if t not in block]
+            yield weights[s], sorted(everyone - s.block)
 
     def __len__(self):
         return len(self._weights)
 
     def __iter__(self):
-        return iter(self._weights)
+        return iter(self._split_map())
 
     def __contains__(self, s):
-        return s in self._weights
+        return s in self._split_map()
 
     @property
     def is_exact(self) -> bool:
@@ -327,7 +349,7 @@ class WeightedSplitSystem:
         return self._exact
 
     def __repr__(self):
-        return f"WeightedSplitSystem(n={self.n}, splits={len(self)})"
+        return f"{type(self).__name__}(n={self.n}, splits={len(self)})"
 
 
 def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
@@ -417,6 +439,93 @@ def arc_splits(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray)
         split.__dict__.update(n=n, block=frozenset(order[s:e] if s <= zero < e else order[:s] + order[e:]))
         splits.append(split)
     return splits
+
+
+def arc_positions(n: int, starts, ends) -> tuple:
+    """starts and ends as intp arrays, checked to be the positions of arcs of
+    an n-cycle: 1-D integer arrays of one length, 0 <= s < e <= n-1."""
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    if starts.ndim != 1 or starts.shape != ends.shape:
+        raise ValueError("starts and ends must be 1-D and of one length")
+    whole = starts.size == 0 or {starts.dtype.kind, ends.dtype.kind} <= set("iu")  # no bool, float or object
+    if not (whole and ((0 <= starts) & (starts < ends) & (ends < n)).all()):
+        raise ValueError("arcs need integer positions 0 <= start < end <= n-1")
+    return starts.astype(np.intp), ends.astype(np.intp)
+
+
+class CircularSplits(WeightedSplitSystem):
+    """The circular splits of an ordering that carry positive weight, held as
+    its arcs: split c is the one of the taxa order[starts[c]:ends[c]], for
+    distinct arcs 0 <= s < e <= n-1 (an arc never holds position n-1, so a
+    split has one arc, and a repeated arc is refused). Weights are a float64
+    array, or, with den given, the integer numerators of exact weights over
+    den; zero weights are dropped.
+
+    A WeightedSplitSystem whose Splits are made only when a method other
+    than len, rows and is_exact asks for them. rows() reads the arcs in
+    split_order, computed on the first call and kept, and takes each row's
+    members from the slice of the ordering that is its arc or the
+    complement of one."""
+
+    __slots__ = ("ordering", "starts", "ends", "_arc_weights", "_den")
+
+    def __init__(self, ordering: CircularOrdering, starts, ends, weights, den: Optional[int] = None):
+        n, weights = ordering.n, np.asarray(weights)
+        starts, ends = arc_positions(n, starts, ends)
+        if weights.shape != starts.shape:
+            raise ValueError("one weight per arc")
+        taken = np.zeros((n, n), dtype=bool)
+        taken[starts, ends] = True
+        if taken.sum() != starts.size:
+            raise ValueError("an arc is given twice")
+        if not ((den is not None or np.isfinite(weights).all()) and (weights >= 0).all()):
+            raise ValueError("split weights must be finite and nonnegative")
+        keep = np.asarray(weights > 0, dtype=bool)
+        self.n, self.ordering, self.starts, self.ends = n, ordering, starts[keep], ends[keep]
+        self._arc_weights, self._den, self._exact = weights[keep], den, den is not None
+        self._weights = self._order = None
+
+    def _values(self) -> list:
+        values = self._arc_weights.tolist()
+        return values if self._den is None else [Fraction(v, self._den) for v in values]
+
+    def _split_map(self) -> dict:
+        if self._weights is None:
+            self._weights = dict(zip(arc_splits(self.ordering, self.starts, self.ends), self._values()))
+        return self._weights
+
+    def __len__(self):
+        return self.starts.size
+
+    def rows(self) -> Iterator[tuple]:
+        order, n = self.ordering.order, self.n
+        zero = order.index(0)
+        if self._order is None:
+            held = (self.starts <= zero) & (zero < self.ends)
+            sizes = np.where(held, self.ends - self.starts, n - self.ends + self.starts)
+            self._order = split_order(sizes, _arc_sides(self.ordering, self.starts, self.ends))
+        starts, ends, values = self.starts.tolist(), self.ends.tolist(), self._values()
+        for c in self._order.tolist():
+            s, e = starts[c], ends[c]
+            yield values[c], sorted(order[:s] + order[e:] if s <= zero < e else order[s:e])
+
+
+def _arc_sides(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
+    """The off-block side of each arc's split, the side without taxon 0, as
+    _packed_words rows: the arc order[s:e] is the XOR of the prefixes
+    order[:e] and order[:s], and complemented when it holds taxon 0. Made in
+    chunks of arcs, so the temporaries stay bounded; the result is k words of
+    ceil(n / 64) each."""
+    n = ordering.n
+    position = np.argsort(ordering.order)
+    prefixes = _packed_words(np.arange(n + 1)[:, None] > position)
+    zero = position[0]
+    out = np.empty((starts.size, prefixes.shape[1]), np.uint64)
+    for a in range(0, starts.size, chunk):
+        s, e, sides = starts[a:a + chunk], ends[a:a + chunk], out[a:a + chunk]
+        np.bitwise_xor(prefixes[e], prefixes[s], out=sides)
+        sides[(s <= zero) & (zero < e)] ^= prefixes[n]
+    return out
 
 
 def corner_numerators(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:

@@ -22,7 +22,9 @@ Numeric fields are serialized as floats (exact values are rounded).
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from io import StringIO
+from itertools import islice
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -112,50 +114,58 @@ def format_phylip(d: DissimilarityMap, labels: Sequence[str]) -> str:
 
 # -- Nexus -------------------------------------------------------------------
 
+CHUNK_LINES = 4096
+
+
+def write_lines(fh: TextIO, lines: Iterable[str]) -> None:
+    """Write each line and a newline to fh, CHUNK_LINES lines per write."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        fh.write("\n".join(chunk) + "\n")
+
+
 def write_nexus(
-    system: WeightedSplitSystem,
+    system,
     labels: Sequence[str],
     cycle: Optional[CircularOrdering] = None,
-) -> str:
-    """Nexus document with a TAXA block and a SPLITS block.
+    fh: Optional[TextIO] = None,
+) -> Optional[str]:
+    """Nexus document with a TAXA block and a SPLITS block, written to the
+    text file fh, or returned as a string when fh is None.
 
-    Each MATRIX line carries the weight of one split of the system (a
-    positive one) and the 1-based members of the block not containing taxon
-    1: one line per row of system.rows(), the order in which the nnet and
-    estimate commands print the splits. The CYCLE statement is included when
-    an ordering is supplied. A label holding a line break raises ValueError:
-    TAXLABELS are read line by line.
+    system is a WeightedSplitSystem or a CircularSplits. Each MATRIX line
+    carries the weight of one split of the system (a positive one) and the
+    1-based members of the block not containing taxon 1: one line per row of
+    system.rows(), the order in which the nnet and estimate commands print
+    the splits, written in chunks of lines. The CYCLE statement is included
+    when an ordering is supplied. A label holding a line break raises
+    ValueError: TAXLABELS are read line by line.
     """
+    out = StringIO() if fh is None else fh
     n = system.n
     if len(labels) != n:
         raise ValueError("label count mismatch")
     broken = next((label for label in labels if "".join(label.splitlines()) != label), None)
     if broken is not None:
         raise ValueError(f"taxon label {broken!r} holds a line break")
-    out = ["#nexus", ""]
-    out.append("BEGIN Taxa;")
-    out.append(f"DIMENSIONS ntax={n};")
-    out.append("TAXLABELS")
-    for k, label in enumerate(labels, start=1):
-        out.append(f"[{k}] {_quoted(label)}")
-    out.append(";")
-    out.append("END; [Taxa]")
-    out.append("")
-    out.append("BEGIN Splits;")
-    out.append(f"DIMENSIONS ntax={n} nsplits={len(system)};")
-    out.append("FORMAT labels=no weights=yes confidences=no intervals=no;")
+    head = ["#nexus", "", "BEGIN Taxa;", f"DIMENSIONS ntax={n};", "TAXLABELS"]
+    head += [f"[{k}] {_quoted(label)}" for k, label in enumerate(labels, start=1)]
+    head += [";", "END; [Taxa]", "", "BEGIN Splits;", f"DIMENSIONS ntax={n} nsplits={len(system)};",
+             "FORMAT labels=no weights=yes confidences=no intervals=no;"]
     if cycle is not None:
-        out.append("PROPERTIES fit=-1.0 cyclic;")
-        out.append("CYCLE " + " ".join(str(t + 1) for t in cycle.canonical().order) + ";")
+        head.append("PROPERTIES fit=-1.0 cyclic;")
+        head.append("CYCLE " + " ".join(str(t + 1) for t in cycle.canonical().order) + ";")
     else:
-        out.append("PROPERTIES fit=-1.0;")
-    out.append("MATRIX")
-    for k, (_, weight, members) in enumerate(system.rows(), start=1):
-        taxa = " ".join([str(t + 1) for t in members])
-        out.append(f"[{k}, size={len(members)}] \t {float(weight)!r} \t {taxa},")
-    out.append(";")
-    out.append("END; [Splits]")
-    return "\n".join(out) + "\n"
+        head.append("PROPERTIES fit=-1.0;")
+    head.append("MATRIX")
+    write_lines(out, head)
+    numbers = [str(t + 1) for t in range(n)]
+    write_lines(out, (
+        f"[{k}, size={len(members)}] \t {float(weight)!r} \t {' '.join([numbers[t] for t in members])},"
+        for k, (weight, members) in enumerate(system.rows(), start=1)
+    ))
+    write_lines(out, [";", "END; [Splits]"])
+    return out.getvalue() if fh is None else None
 
 
 def _nexus_taxa(tokens, n: int, what: str) -> list:

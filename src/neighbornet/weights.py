@@ -10,8 +10,9 @@ import numpy as np
 
 from .core import (
     CircularOrdering,
+    CircularSplits,
     DissimilarityMap,
-    WeightedSplitSystem,
+    arc_positions,
     arc_splits,
     corner_numerators,
     upper_pairs,
@@ -48,13 +49,7 @@ class DesignMatrix:
 
     def __init__(self, ordering: CircularOrdering, starts, ends):
         self.ordering, self.n = ordering, ordering.n
-        starts, ends = np.asarray(starts), np.asarray(ends)
-        if starts.ndim != 1 or starts.shape != ends.shape:
-            raise ValueError("starts and ends must be 1-D and of one length")
-        whole = starts.size == 0 or {starts.dtype.kind, ends.dtype.kind} <= set("iu")  # no bool, float or object
-        if not (whole and ((0 <= starts) & (starts < ends) & (ends < self.n)).all()):
-            raise ValueError("arcs need integer positions 0 <= start < end <= n-1")
-        self.starts, self.ends = starts.astype(np.intp), ends.astype(np.intp)
+        self.starts, self.ends = arc_positions(self.n, starts, ends)
 
     @classmethod
     def for_ordering(cls, ordering: CircularOrdering) -> "DesignMatrix":
@@ -130,6 +125,18 @@ def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:
     twice, den = _twice_lambda(d, ordering)
     halves = (0.5 * twice).tolist() if den is None else [Fraction(v, 2 * den) for v in twice.tolist()]
     return dict(zip(arc_splits(ordering, *upper_pairs(d.n)), halves))
+
+
+def clamped_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
+    """(system, negatives): the CircularSplits of the arcs whose lambda is
+    positive, with the values lambda_formula gives them, and the number of
+    arcs whose lambda is negative. No Split is made."""
+    twice, den = _twice_lambda(d, ordering)
+    values = 0.5 * twice if den is None else twice
+    kept = values >= 0
+    starts, ends = upper_pairs(d.n)
+    system = CircularSplits(ordering, starts[kept], ends[kept], values[kept], None if den is None else 2 * den)
+    return system, int((values < 0).sum())
 
 
 def _twice_lambda(d: DissimilarityMap, ordering: CircularOrdering) -> tuple:
@@ -243,10 +250,10 @@ def kkt_violation(a, b: np.ndarray, x: np.ndarray) -> float:
     return float(np.where(x > 0, np.abs(grad), -grad).max(initial=0.0))
 
 
-def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSystem:
+def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> CircularSplits:
     """Nonnegative weights over the ordering's n(n-1)/2 circular splits
-    minimizing the squared reconstruction error; the system holds the splits
-    whose weight is positive. A fit over some of the ordering's arcs is
+    minimizing the squared reconstruction error, as the CircularSplits of the
+    arcs whose weight is positive. A fit over some of the ordering's arcs is
     nnls(DesignMatrix(ordering, starts, ends), DesignMatrix.rhs(d)); over any
     splits, nnls of oracle.DenseDesign of their pairs x splits array, the
     masks of core.split_masks as columns, against the same right-hand side.
@@ -267,8 +274,4 @@ def nnls_fit(d: DissimilarityMap, ordering: CircularOrdering) -> WeightedSplitSy
     scale = max(1.0, float(np.abs(design.rmatvec(b)).max(initial=0.0)))
     if not viol <= 10 * KKT_TOL * scale:  # a NaN violation fails too
         raise NonConvergence(f"KKT violation {viol} above tolerance")
-    positive = x > 0
-    splits = arc_splits(ordering, design.starts[positive], design.ends[positive])
-    fit = WeightedSplitSystem(d.n, dict(zip(splits, x[positive].tolist())))
-    fit._exact = False  # a float fit, though no weight may be left to say so
-    return fit
+    return CircularSplits(ordering, design.starts, design.ends, x)

@@ -15,7 +15,7 @@ from neighbornet.core import (
     sorted_splits,
     split_masks,
 )
-from neighbornet import weights
+from neighbornet import core, weights
 from neighbornet.oracle import all_circular_splits, radius_perturbation_check
 from neighbornet.weights import DesignMatrix, lambda_formula, nnls_fit
 from conftest import random_circular_instance, random_dissimilarity
@@ -29,9 +29,9 @@ def random_ordering(rng, n):
 def split_count(monkeypatch):
     """A list whose length counts the Splits constructed while it lives:
     those of Split(n, block), through its checks, and those of
-    core.arc_splits, which skips them."""
+    core.arc_splits, which skips them, wherever it is bound."""
     made = []
-    check, arc_splits = Split.__post_init__, weights.arc_splits
+    check, arc_splits = Split.__post_init__, core.arc_splits
 
     def counted(self):
         made.append(self)
@@ -43,7 +43,8 @@ def split_count(monkeypatch):
         return splits
 
     monkeypatch.setattr(Split, "__post_init__", counted)
-    monkeypatch.setattr(weights, "arc_splits", counted_arcs)
+    for module in (core, weights):
+        monkeypatch.setattr(module, "arc_splits", counted_arcs)
     return made
 
 
@@ -70,13 +71,18 @@ def test_the_arc_design_makes_no_split(split_count):
     assert split_count == []
 
 
-def test_a_fit_makes_one_split_per_positive_weight(split_count):
+@pytest.mark.parametrize("estimate", [nnls_fit, lambda d, pi: weights.clamped_lambda(d, pi)[0]])
+def test_a_fit_makes_no_split(split_count, estimate):
+    """Neither a fit nor reading its rows, as the writers do, makes a Split;
+    splits makes one per positive weight, when asked."""
     rng = random.Random(8)
     d = random_dissimilarity(rng, 12)
     pi = random_ordering(rng, 12)
-    fit = nnls_fit(d, pi)
+    fit = estimate(d, pi)
     assert 0 < len(fit) < 12 * 11 // 2
-    assert len(split_count) == len(fit)
+    assert len(list(fit.rows())) == len(fit)
+    assert split_count == []
+    assert len(fit.splits) == len(split_count) == len(fit)
 
 
 # n=5, ordering (0 1 2 3 4): six of the ten circular splits, each of weight 1.
@@ -129,3 +135,26 @@ def test_every_system_the_radius_accepts_is_recovered(n, system_seed, dropped, s
             radius_perturbation_check(system, noise)
     else:
         assert radius_perturbation_check(system, noise)
+
+
+@pytest.mark.parametrize("starts, ends, weights, message", [
+    ([0, 1], [2, 3], [1.0], "one weight per arc"),
+    ([1, 1], [3, 3], [1.0, 2.0], "an arc is given twice"),
+    ([0], [5], [1.0], "arcs need integer positions"),
+    ([0, 1], [2, 3], [1.0, -0.5], "finite and nonnegative"),
+    ([0, 1], [2, 3], [1.0, float("nan")], "finite and nonnegative"),
+])
+def test_circular_splits_refuse_bad_arcs_and_weights(starts, ends, weights, message):
+    with pytest.raises(ValueError, match=message):
+        core.CircularSplits(CircularOrdering(range(5)), starts, ends, weights)
+
+
+def test_circular_splits_drop_zero_weights_and_answer_as_a_split_system():
+    pi = CircularOrdering([0, 3, 1, 4, 2])
+    system = core.CircularSplits(pi, [0, 1, 2], [2, 3, 4], [0.0, 2.5, 1.0])
+    expected = {Split.of([3, 1], 5): 2.5, Split.of([1, 4], 5): 1.0}
+    assert len(system) == 2 and not system.is_exact and dict(system.items()) == expected
+    assert system.weight(Split.of([0, 3], 5)) == 0 and Split.of([0, 3], 5) not in system
+    assert list(system.rows()) == [(1.0, [1, 4]), (2.5, [1, 3])]  # blocks {0, 2, 3} before {0, 2, 4}
+    exact = core.CircularSplits(pi, [1], [3], [3], 4)
+    assert exact.is_exact and exact.weight(Split.of([3, 1], 5)) == Fraction(3, 4)

@@ -8,8 +8,8 @@ raises exits 2 as one; an --n below 3 and an unknown taxon label are input
 errors; estimate --nexus writes the file in place of the split list; main
 builds one parser per process; and seeded mutations of PHYLIP and TSPLIB
 files never reach an internal error. The estimates run from three taxa;
-input is read as UTF-8 whatever the locale, with an optional byte order
-mark; and check prints nothing before it has checked its input."""
+input is read and stdout written as UTF-8 whatever the locale, input with
+an optional byte order mark; and check prints nothing before it has checked its input."""
 import os
 import random
 import re
@@ -262,6 +262,23 @@ def test_labels_outside_ascii_are_read_and_written_under_an_ascii_locale(tmp_pat
     assert (out.returncode, out.stderr) == (0, "")
     labels, cycle, system = read_nexus_splits(nexus.read_text(encoding="utf-8"))
     assert labels == ["\u00c5", "B", "C", "D", "E"] and cycle == CircularOrdering(range(5)) and len(system) > 0
+
+
+def test_labels_outside_ascii_are_printed_in_utf8_under_an_ascii_locale(tmp_path):
+    """stdout is UTF-8, as the input and Nexus files are, whatever the locale."""
+    path, nexus = tmp_path / "ring.phy", tmp_path / "out.nex"
+    path.write_text(PHYLIP.replace("A ", "\u00c5 "), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+               PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+        env.pop(name, None)
+    argv = ["nnet", str(path), "--nexus", str(nexus)]
+    out = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "neighbornet.cli", *argv],
+                         env=env, capture_output=True)
+    assert (out.returncode, out.stderr) == (0, b"")
+    stdout = out.stdout.decode("utf-8")
+    assert stdout.startswith("ordering: \u00c5 ") and stdout.endswith(f"nexus written to {nexus}\n")
+    assert read_nexus_splits(nexus.read_text(encoding="utf-8"))[0] == ["\u00c5", "B", "C", "D", "E"]
 
 
 @pytest.mark.parametrize("text, argv, message", [

@@ -36,7 +36,7 @@ from conftest import random_circular_instance, random_dissimilarity
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CLI = json.loads((GOLDEN / "exact_cli.json").read_text())
-GOLDEN_INPUTS = ("points30.tsp", "hundredths14.phy", "ties10.phy")
+GOLDEN_INPUTS = ("points30.tsp", "hundredths14.phy", "ties10.phy", "noisy12.phy")
 
 SCHEMES = {
     "balanced-tsp": (engine.BalancedTSP(), reference.BalancedTSP()),
@@ -243,6 +243,8 @@ def test_exact_cli_outputs_are_unchanged(name, tmp_path, monkeypatch):
     assert out.getvalue() == expected["stdout"]
     if "trace" in expected:
         assert (tmp_path / "trace.jsonl").read_text() == expected["trace"]
+    if "nexus" in expected:
+        assert (tmp_path / "out.nex").read_text() == expected["nexus"]
 
 
 def lane(state) -> str:

@@ -321,16 +321,35 @@ class TestCli:
         assert nexus.read_text().startswith("#nexus")
         assert len(trace.read_text().splitlines()) == 5
 
+    @staticmethod
+    def sorts_and_systems(argv, monkeypatch):
+        """The split_order calls, CircularSplits and WeightedSplitSystems that
+        one CLI run makes."""
+        made = {"sorts": 0, "arcs": 0, "splits": 0}
+        order, arcs, splits = core.split_order, core.CircularSplits.__init__, core.WeightedSplitSystem.__init__
+
+        def counted(key, fn):
+            def call(*args):
+                made[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(core, "split_order", counted("sorts", order))
+        monkeypatch.setattr(core.CircularSplits, "__init__", counted("arcs", arcs))
+        monkeypatch.setattr(core.WeightedSplitSystem, "__init__", counted("splits", splits))
+        assert main(argv) == 0
+        return made
+
     def test_nnls_nexus_run_sorts_once_and_builds_one_system(self, phy_file, tmp_path, monkeypatch):
-        """stdout and the Nexus file read one system's kept split order."""
+        """stdout and the Nexus file read one CircularSplits' kept split order."""
         path, _, _ = phy_file
-        sorts, systems = [], []
-        sort, init = core.sorted_splits, core.WeightedSplitSystem.__init__
-        monkeypatch.setattr(core, "sorted_splits", lambda splits: sorts.append(1) or sort(splits))
-        monkeypatch.setattr(core.WeightedSplitSystem, "__init__",
-                            lambda self, *args: systems.append(1) or init(self, *args))
-        assert main(["nnet", str(path), "--estimate", "nnls", "--nexus", str(tmp_path / "o.nex")]) == 0
-        assert len(sorts) == len(systems) == 1
+        argv = ["nnet", str(path), "--estimate", "nnls", "--nexus", str(tmp_path / "o.nex")]
+        assert self.sorts_and_systems(argv, monkeypatch) == {"sorts": 1, "arcs": 1, "splits": 0}
+
+    def test_formula_clamped_nexus_run_sorts_once_and_builds_one_system(self, phy_file, tmp_path, monkeypatch):
+        path, _, _ = phy_file
+        argv = ["nnet", str(path), "--estimate", "formula-clamped", "--nexus", str(tmp_path / "o.nex")]
+        assert self.sorts_and_systems(argv, monkeypatch) == {"sorts": 1, "arcs": 1, "splits": 0}
 
     def test_an_empty_system_prints_no_split_lines(self, tmp_path, capsys):
         path = tmp_path / "zero.phy"

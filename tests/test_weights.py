@@ -9,6 +9,7 @@ import scipy.optimize
 
 from neighbornet.core import (
     CircularOrdering,
+    CircularSplits,
     DissimilarityMap,
     Split,
     WeightedSplitSystem,
@@ -198,9 +199,11 @@ class TestNNLS:
     def test_output_satisfies_system_invariants(self):
         rng = random.Random(7)
         d = random_dissimilarity(rng, 6)
-        fit = nnls_fit(d, CircularOrdering(range(6)))
-        assert isinstance(fit, WeightedSplitSystem)
-        assert all(w >= 0 for _, w in fit.items())
+        pi = CircularOrdering(range(6))
+        fit = nnls_fit(d, pi)
+        assert isinstance(fit, CircularSplits) and not fit.is_exact
+        assert all(w > 0 for _, w in fit.items())  # zero weights are dropped
+        assert fit.splits <= all_circular_splits(pi)
 
 
 class TestWlsLengthIdentity:
