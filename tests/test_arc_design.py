@@ -137,16 +137,16 @@ def test_every_system_the_radius_accepts_is_recovered(n, system_seed, dropped, s
         assert radius_perturbation_check(system, noise)
 
 
-@pytest.mark.parametrize("starts, ends, weights, message", [
+@pytest.mark.parametrize("starts, ends, values, message", [
     ([0, 1], [2, 3], [1.0], "one weight per arc"),
     ([1, 1], [3, 3], [1.0, 2.0], "an arc is given twice"),
     ([0], [5], [1.0], "arcs need integer positions"),
     ([0, 1], [2, 3], [1.0, -0.5], "finite and nonnegative"),
     ([0, 1], [2, 3], [1.0, float("nan")], "finite and nonnegative"),
 ])
-def test_circular_splits_refuse_bad_arcs_and_weights(starts, ends, weights, message):
+def test_circular_splits_refuse_bad_arcs_and_weights(starts, ends, values, message):
     with pytest.raises(ValueError, match=message):
-        core.CircularSplits(CircularOrdering(range(5)), starts, ends, weights)
+        core.CircularSplits(CircularOrdering(range(5)), starts, ends, values)
 
 
 def test_circular_splits_drop_zero_weights_and_answer_as_a_split_system():
