@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import os
 import sys
 from fractions import Fraction
 
@@ -107,12 +108,10 @@ def _parse_taxa(text: str, labels) -> list:
 def _print_splits(system, labels, show_weights=True):
     """One line per split, in the system's row order, written to stdout in
     chunks of lines; nothing for an empty system."""
-    rows = system.rows()
-    if show_weights:
-        lines = (f"  {nio.fmt_num(w)} \t {{{','.join([labels[t] for t in members])}}}" for w, members in rows)
-    else:
-        lines = (f"  {{{','.join([labels[t] for t in members])}}}" for _, members in rows)
-    nio.write_lines(sys.stdout, lines)
+    nio.write_lines(sys.stdout, (
+        (f"  {nio.fmt_num(weight)} \t " if show_weights else "  ") + "{" + ",".join([labels[t] for t in members]) + "}\n"
+        for weight, members in system.rows()
+    ))
 
 
 def _write_nexus(path, system, labels, ordering):
@@ -296,8 +295,21 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    if isinstance(sys.stdout, io.TextIOWrapper):  # labels print as UTF-8, as the files hold them
-        sys.stdout.reconfigure(encoding="utf-8")
+    """Run the command line argv. While it runs, standard output is written
+    as UTF-8, as the input and Nexus files are, unless PYTHONIOENCODING names
+    its encoding or it is not a text stream that can be reconfigured."""
+    out = sys.stdout
+    if not isinstance(out, io.TextIOWrapper) or os.environ.get("PYTHONIOENCODING"):
+        return _main(argv)
+    encoding, errors = out.encoding, out.errors
+    out.reconfigure(encoding="utf-8")
+    try:
+        return _main(argv)
+    finally:
+        out.reconfigure(encoding=encoding, errors=errors)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

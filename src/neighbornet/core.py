@@ -510,21 +510,16 @@ class CircularSplits(WeightedSplitSystem):
             yield values[c], sorted(order[:s] + order[e:] if s <= zero < e else order[s:e])
 
 
-def _arc_sides(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
+def _arc_sides(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The off-block side of each arc's split, the side without taxon 0, as
     _packed_words rows: the arc order[s:e] is the XOR of the prefixes
-    order[:e] and order[:s], and complemented when it holds taxon 0. Made in
-    chunks of arcs, so the temporaries stay bounded; the result is k words of
-    ceil(n / 64) each."""
+    order[:e] and order[:s], and complemented when it holds taxon 0."""
     n = ordering.n
     position = np.argsort(ordering.order)
     prefixes = _packed_words(np.arange(n + 1)[:, None] > position)
     zero = position[0]
-    out = np.empty((starts.size, prefixes.shape[1]), np.uint64)
-    for a in range(0, starts.size, chunk):
-        s, e, sides = starts[a:a + chunk], ends[a:a + chunk], out[a:a + chunk]
-        np.bitwise_xor(prefixes[e], prefixes[s], out=sides)
-        sides[(s <= zero) & (zero < e)] ^= prefixes[n]
+    out = prefixes[ends] ^ prefixes[starts]
+    out[(starts <= zero) & (zero < ends)] ^= prefixes[n]
     return out
 
 

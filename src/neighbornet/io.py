@@ -22,7 +22,6 @@ Numeric fields are serialized as floats (exact values are rounded).
 from __future__ import annotations
 
 import json
-from io import StringIO
 from itertools import islice
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -118,54 +117,62 @@ CHUNK_LINES = 4096
 
 
 def write_lines(fh: TextIO, lines: Iterable[str]) -> None:
-    """Write each line and a newline to fh, CHUNK_LINES lines per write."""
+    """Write the lines, each ending in a newline, to fh in joined chunks of
+    CHUNK_LINES: fewer writes than one per line, and a bounded string."""
     lines = iter(lines)
     while chunk := list(islice(lines, CHUNK_LINES)):
-        fh.write("\n".join(chunk) + "\n")
+        fh.write("".join(chunk))
 
 
 def write_nexus(
     system,
     labels: Sequence[str],
     cycle: Optional[CircularOrdering] = None,
-    fh: Optional[TextIO] = None,
-) -> Optional[str]:
-    """Nexus document with a TAXA block and a SPLITS block, written to the
-    text file fh, or returned as a string when fh is None.
+    *,
+    fh: TextIO,
+) -> None:
+    """Write a Nexus document with a TAXA block and a SPLITS block to the
+    text file fh.
 
     system is a WeightedSplitSystem or a CircularSplits. Each MATRIX line
     carries the weight of one split of the system (a positive one) and the
     1-based members of the block not containing taxon 1: one line per row of
     system.rows(), the order in which the nnet and estimate commands print
-    the splits, written in chunks of lines. The CYCLE statement is included
-    when an ordering is supplied. A label holding a line break raises
-    ValueError: TAXLABELS are read line by line.
+    the splits, written by write_lines. The CYCLE statement is included when
+    an ordering is supplied. A label holding a line break raises ValueError:
+    TAXLABELS are read line by line.
     """
-    out = StringIO() if fh is None else fh
     n = system.n
     if len(labels) != n:
         raise ValueError("label count mismatch")
     broken = next((label for label in labels if "".join(label.splitlines()) != label), None)
     if broken is not None:
         raise ValueError(f"taxon label {broken!r} holds a line break")
-    head = ["#nexus", "", "BEGIN Taxa;", f"DIMENSIONS ntax={n};", "TAXLABELS"]
-    head += [f"[{k}] {_quoted(label)}" for k, label in enumerate(labels, start=1)]
-    head += [";", "END; [Taxa]", "", "BEGIN Splits;", f"DIMENSIONS ntax={n} nsplits={len(system)};",
-             "FORMAT labels=no weights=yes confidences=no intervals=no;"]
+    out = ["#nexus", ""]
+    out.append("BEGIN Taxa;")
+    out.append(f"DIMENSIONS ntax={n};")
+    out.append("TAXLABELS")
+    for k, label in enumerate(labels, start=1):
+        out.append(f"[{k}] {_quoted(label)}")
+    out.append(";")
+    out.append("END; [Taxa]")
+    out.append("")
+    out.append("BEGIN Splits;")
+    out.append(f"DIMENSIONS ntax={n} nsplits={len(system)};")
+    out.append("FORMAT labels=no weights=yes confidences=no intervals=no;")
     if cycle is not None:
-        head.append("PROPERTIES fit=-1.0 cyclic;")
-        head.append("CYCLE " + " ".join(str(t + 1) for t in cycle.canonical().order) + ";")
+        out.append("PROPERTIES fit=-1.0 cyclic;")
+        out.append("CYCLE " + " ".join(str(t + 1) for t in cycle.canonical().order) + ";")
     else:
-        head.append("PROPERTIES fit=-1.0;")
-    head.append("MATRIX")
-    write_lines(out, head)
+        out.append("PROPERTIES fit=-1.0;")
+    out.append("MATRIX")
+    fh.write("\n".join(out) + "\n")
     numbers = [str(t + 1) for t in range(n)]
-    write_lines(out, (
-        f"[{k}, size={len(members)}] \t {float(weight)!r} \t {' '.join([numbers[t] for t in members])},"
+    write_lines(fh, (
+        f"[{k}, size={len(members)}] \t {float(weight)!r} \t {' '.join([numbers[t] for t in members])},\n"
         for k, (weight, members) in enumerate(system.rows(), start=1)
     ))
-    write_lines(out, [";", "END; [Splits]"])
-    return out.getvalue() if fh is None else None
+    fh.write(";\nEND; [Splits]\n")
 
 
 def _nexus_taxa(tokens, n: int, what: str) -> list:

@@ -2,6 +2,7 @@
 caller so failures reproduce exactly."""
 from __future__ import annotations
 
+import io
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -14,8 +15,16 @@ from neighbornet.core import (
     metric_from_splits,
     upper_pairs,
 )
+from neighbornet.io import write_nexus
 from neighbornet.oracle import all_circular_splits
 from neighbornet.weights import DesignMatrix
+
+
+def nexus_text(system, labels, cycle=None) -> str:
+    """The Nexus document io.write_nexus writes, read back as a string."""
+    with io.StringIO() as fh:
+        write_nexus(system, labels, cycle, fh=fh)
+        return fh.getvalue()
 
 
 def random_circular_instance(rng: random.Random, n: int, exact: bool = False,

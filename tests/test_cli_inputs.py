@@ -10,6 +10,7 @@ builds one parser per process; and seeded mutations of PHYLIP and TSPLIB
 files never reach an internal error. The estimates run from three taxa;
 input is read and stdout written as UTF-8 whatever the locale, input with
 an optional byte order mark; and check prints nothing before it has checked its input."""
+import io
 import os
 import random
 import re
@@ -279,6 +280,30 @@ def test_labels_outside_ascii_are_printed_in_utf8_under_an_ascii_locale(tmp_path
     stdout = out.stdout.decode("utf-8")
     assert stdout.startswith("ordering: \u00c5 ") and stdout.endswith(f"nexus written to {nexus}\n")
     assert read_nexus_splits(nexus.read_text(encoding="utf-8"))[0] == ["\u00c5", "B", "C", "D", "E"]
+
+
+def test_an_encoding_named_by_pythonioencoding_is_kept_for_stdout(tmp_path):
+    path = tmp_path / "ring.phy"
+    path.write_text(PHYLIP.replace("A ", "\u00c5 "), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+               PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONIOENCODING="latin-1")
+    env.pop("PYTHONUTF8", None)
+    out = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "neighbornet.cli", "nnet", str(path)],
+                         env=env, capture_output=True)
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert out.stdout.startswith("ordering: \u00c5 ".encode("latin-1"))
+
+
+def test_main_writes_utf8_to_a_text_stream_and_restores_its_encoding(tmp_path, monkeypatch):
+    path = tmp_path / "ring.phy"
+    path.write_text(PHYLIP.replace("A ", "\u00c5 "), encoding="utf-8")
+    monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["nnet", str(path)]) == 0
+    assert (stream.encoding, stream.errors) == ("ascii", "strict")
+    stream.flush()
+    assert stream.buffer.getvalue().decode("utf-8").startswith("ordering: \u00c5 ")
 
 
 @pytest.mark.parametrize("text, argv, message", [

@@ -30,12 +30,11 @@ from neighbornet.io import (
     read_phylip_distances,
     splits_to_newick,
     trace_records,
-    write_nexus,
     write_trace_jsonl,
 )
 from neighbornet.oracle import is_circular_split
 from neighbornet.weights import nnls_fit
-from conftest import permute_map, random_circular_instance, random_dissimilarity
+from conftest import nexus_text, permute_map, random_circular_instance, random_dissimilarity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # stdout and Nexus file of float nnet runs, written before the writers
@@ -122,11 +121,11 @@ class TestPhylipReader:
 class TestNexus:
     def test_golden_single_split(self):
         system = WeightedSplitSystem(4, {Split.of({2, 3}, 4): 1.0})
-        text = write_nexus(system, ["A", "B", "C", "D"], cycle=CircularOrdering([0, 1, 2, 3]))
+        text = nexus_text(system, ["A", "B", "C", "D"], cycle=CircularOrdering([0, 1, 2, 3]))
         assert text == (GOLDEN / "single_split.nex").read_text()
 
     def test_empty_system_valid(self):
-        text = write_nexus(WeightedSplitSystem(3, {}), ["A", "B", "C"])
+        text = nexus_text(WeightedSplitSystem(3, {}), ["A", "B", "C"])
         labels, cycle, system = read_nexus_splits(text)
         assert labels == ["A", "B", "C"]
         assert cycle is None
@@ -141,7 +140,7 @@ class TestNexus:
         weights = {s: rng.uniform(0, 2) for s in all_circular_splits(pi)}
         system = WeightedSplitSystem(n, weights)
         labels = [f"x{k}" for k in range(n)]
-        text = write_nexus(system, labels, cycle=pi)
+        text = nexus_text(system, labels, cycle=pi)
         labels2, cycle2, system2 = read_nexus_splits(text)
         assert labels2 == labels
         assert cycle2 == pi
@@ -153,7 +152,7 @@ class TestNexus:
         d = random_dissimilarity(random.Random(4), 5)
         result = run_neighbor_net(d)
         system = WeightedSplitSystem(5, {s: 1.0 for s in result.tree_splits})
-        text = write_nexus(system, [f"t{k}" for k in range(5)], cycle=result.ordering)
+        text = nexus_text(system, [f"t{k}" for k in range(5)], cycle=result.ordering)
         _, cycle, system = read_nexus_splits(text)
         assert cycle == result.ordering
         assert system.splits == frozenset(result.tree_splits)
@@ -193,8 +192,8 @@ class TestPositiveSplits:
             assert metric_from_splits(padded) == metric
             assert metric_from_splits(padded).array.dtype == metric.array.dtype
             labels = [f"x{k}" for k in range(8)]
-            text = write_nexus(system, labels, cycle=pi)
-            assert write_nexus(padded, labels, cycle=pi) == text
+            text = nexus_text(system, labels, cycle=pi)
+            assert nexus_text(padded, labels, cycle=pi) == text
             # a file that lists the zero splits too, as older versions wrote
             members = [" ".join(str(t + 1) for t in sorted(s.other)) for s in splits if s not in positive]
             old = text.replace("MATRIX\n", "MATRIX\n" + "".join(f"[0, size=1] \t 0.0 \t {m},\n" for m in members))
@@ -226,11 +225,11 @@ class TestPositiveSplits:
     @given(split_systems())
     def test_nexus_round_trips_any_positive_system(self, system):
         labels = [f"t{k}" for k in range(system.n)]
-        text = write_nexus(system, labels)
+        text = nexus_text(system, labels)
         read_labels, cycle, reread = read_nexus_splits(text)
         assert (read_labels, cycle) == (labels, None)
         assert dict(reread.items()) == dict(system.items())
-        assert write_nexus(reread, labels) == text
+        assert nexus_text(reread, labels) == text
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_FLOAT_CLI))
@@ -472,20 +471,20 @@ class TestNexusLabels:
     LABELS = ["a'", "O'Brien", '"d"', "x y"]
 
     def test_labels_round_trip(self):
-        text = write_nexus(WeightedSplitSystem(4, {}), self.LABELS)
+        text = nexus_text(WeightedSplitSystem(4, {}), self.LABELS)
         assert "[2] 'O''Brien'" in text
         assert read_nexus_splits(text)[0] == self.LABELS
 
     def test_undoubled_quote_reads_as_before(self):
-        text = write_nexus(WeightedSplitSystem(4, {}), self.LABELS)
+        text = nexus_text(WeightedSplitSystem(4, {}), self.LABELS)
         assert read_nexus_splits(text.replace("'O''Brien'", "'O'Brien'"))[0][1] == "O'Brien"
 
     def test_brackets_round_trip(self):
         labels = ["a]", "[b] c", "'q']", ""]
-        assert read_nexus_splits(write_nexus(WeightedSplitSystem(4, {}), labels))[0] == labels
+        assert read_nexus_splits(nexus_text(WeightedSplitSystem(4, {}), labels))[0] == labels
 
     @pytest.mark.parametrize("label", ["a\nb", "a\u2028b", "a\r", "\x85"])
     def test_a_label_holding_a_line_break_is_refused(self, label):
         labels = ["A", label, "C", "D"]
         with pytest.raises(ValueError, match="^taxon label " + re.escape(repr(label)) + " holds a line break$"):
-            write_nexus(WeightedSplitSystem(4, {}), labels)
+            nexus_text(WeightedSplitSystem(4, {}), labels)

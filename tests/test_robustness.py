@@ -3,6 +3,7 @@ message and exit code 1, and a solver that does not converge exits with 3.
 Each refusal names its cause. The test-only oracles stay out of the
 production modules."""
 import ast
+import io
 import math
 import os
 import subprocess
@@ -198,7 +199,7 @@ TRIVIAL3 = Split.of([1], 3)
     (lambda: PartialCircularOrdering([[0, 1], [], [2]]), "empty block"),
     (lambda: merged_at((5, 6, 7), 1, 1, 9), "r and s must differ"),
     (lambda: join_paths((0, 1), (2, 3), 1, 9), "9 is not an endpoint of the second path"),
-    (lambda: write_nexus(WeightedSplitSystem(4, {}), ["a", "b", "c"]), "label count mismatch"),
+    (lambda: write_nexus(WeightedSplitSystem(4, {}), ["a", "b", "c"], fh=io.StringIO()), "label count mismatch"),
     (lambda: radius_perturbation_check(WeightedSplitSystem(4, {}), [[0] * 4] * 4), "system has no splits"),
     (lambda: balanced_length(LINE4, PartialCircularOrdering([[0], [1], [2]])), "taxon count mismatch"),
     (lambda: tour_length(LINE4, CircularOrdering(range(3))), "taxon count mismatch"),
