@@ -38,16 +38,18 @@ the merged row, and closes the gap at hi by moving the later rows up and
 the later columns left, which keeps the block order the tie rule reads.
 Every scheme changes weights inside the merged block alone, so its new
 weights are the one value a step passes on: adjust_weights returns them,
-with_mu applies them and recomputes, from the original matrix, the merged
-block's row alone, in O(n |block|), and the step record keeps them. A step
-costs O(n^2), a run O(n^3), and float runs cannot accumulate drift.
+the _reweight kernel applies them and recomputes, from the original matrix,
+the merged block's row alone, in O(n |block|), and the step record keeps
+them; with_mu checks them first for callers of the step API. A step costs
+O(n^2), a run O(n^3), and float runs cannot accumulate drift.
 
 Ownership: the step API (merge_blocks, with_mu) copies a state once and
 changes the copy, so every state it hands out is a snapshot.
 run_neighbor_net owns the one state it drives, and the same kernels change
-that state in place, so its steps copy nothing. Q is computed into memory
-the state keeps, Q-hat's shared terms once per step, and the splits after
-the loop.
+that state in place, so its steps copy nothing. Q reads the table through
+flat indices kept per buffer size; one scorer ranks the joins from Q-hat's
+shared terms, read once per step, and q_hat_criterion runs for the winner
+alone, in both arithmetics; the splits are built after the loop.
 """
 from __future__ import annotations
 
@@ -127,6 +129,7 @@ class OriginalBM:
 
 
 WeightingScheme = Union[BalancedTSP, TreeWeighting, OriginalBM]
+_TSP_WEIGHTS = {float: (0.0, 0.5), Fraction: (Fraction(0), Fraction(1, 2))}  # interior, ends
 
 
 @dataclass(frozen=True)
@@ -207,16 +210,15 @@ class BlockState:
         np.fill_diagonal(bb, 0)
         return bb
 
-    def _take_weights(self, changed) -> int:
-        """Make _w the table weights of mu after the taxa in changed took new
-        weights; returns the factor by which D grew. Weights that would
-        break the lane rule promote the state first."""
-        taxa = list(changed)
-        new = [self.mu[k] for k in taxa]
+    def _take_weights(self, changed: dict) -> int:
+        """Make _w the table weights of mu after the taxa in changed took the
+        new weights it maps them to; returns the factor by which D grew.
+        Weights that would break the lane rule promote the state first."""
+        taxa, new = list(changed), list(changed.values())
         f = 1
         if self._den is not None:
             map_den, den = self._den
-            grown = math.lcm(den, *(v.denominator for v in new))
+            grown = math.lcm(den, *{v.denominator for v in new})
             f = grown // den
             new = [v.numerator * (grown // v.denominator) for v in new]
             self._den = (map_den, grown)
@@ -309,9 +311,9 @@ class BlockState:
         """Recompute delta(C_t, .) from the original matrix: v = delta(., C_t)
         over every taxon, then the weighted sum of v per block; zero weights
         are skipped."""
-        dm, w, mu = self._dm, self._w, self.mu
-        idx = [k for k in self.blocks[t] if mu[k]]
-        v = w[idx] @ dm[idx, :]
+        w = self._w
+        idx = [k for k in self.blocks[t] if w.item(k)]
+        v = w.take(idx) @ self._dm.take(idx, 0)
         taxa, weights, owner = self._weighted()
         row = self._bb[t]
         row[:] = 0
@@ -334,28 +336,28 @@ class BlockState:
         for each endpoint x of the two blocks, where far holds the taxa of
         nonzero weight outside blocks r and s."""
         if self._terms is None or self._terms[0] != (r, s):
-            raw, rowsum = self._raw, self._row_sums()
-            p_total = self._total
+            raw, rowsum, p_total = self._raw, self._row_sums(), self._total  # _row_sums sets _total
             across = p_total - raw(rowsum.item(r)) - raw(rowsum.item(s)) + raw(self._bb.item(r, s))
             taxa, weights, owner = self._weighted()
             far = (owner != r) & (owner != s)
             ends = [*self.endpoints(r), *self.endpoints(s)]
-            sums = self._dm.take(ends, 0).take(taxa[far], 1) @ weights[far]
-            self._terms = ((r, s), across, p_total, {x: raw(v) for x, v in zip(ends, sums)})
+            sums = (self._dm.take(ends, 0).take(taxa[far], 1) @ weights[far]).tolist()
+            self._terms = ((r, s), across, p_total, dict(zip(ends, sums if self._den is None else map(int, sums))))
         return self._terms[1:]
 
     def _pairs(self) -> tuple:
         """The block pairs r < s of an m-block table, read as the entries
         (s, r) of its lower triangle in row-major order, so that the pairs
-        of every smaller table come first: the mask of that triangle, each
-        pair's r, and how many pairs each s has. Built once per state."""
-        if self._scratch is None:
-            size = len(self._buf)
-            lower = np.tri(size, k=-1, dtype=bool)
-            self._scratch = (lower, np.tril_indices(size, -1)[1], np.arange(size))
-        m = len(self.blocks)
-        lower, rows, per_s = self._scratch
-        return lower[:m, :m], rows[:m * (m - 1) // 2], per_s[:m]
+        of every smaller table come first: each pair's flat index into _buf,
+        its r and its s. Built once per buffer size, since a promotion
+        replaces _buf by the m x m table."""
+        size = len(self._buf)
+        if self._scratch is None or self._scratch[0] != size:
+            s, r = np.tril_indices(size, -1)
+            self._scratch = (size, s * size + r, r, s)
+        _, flat, r, s = self._scratch
+        k = len(self.blocks) * (len(self.blocks) - 1) // 2
+        return flat[:k], r[:k], s[:k]
 
     def _raw(self, x) -> Num:
         """A table value in table units as a Python number: an int on an
@@ -448,47 +450,50 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
     the enumerated quantity l(d, C') - l(d, C) exactly, so minimizing it picks
     the join of minimal balanced length among the endpoint candidates.
 
-    On an exact map the value is one Fraction over 2 L D^2 (m-1)(m-2), whose
-    numerator (m-1)(D key + 2 across) - 2 (m-2) P is formed from
-    _q_hat_key's integer key and _join_terms' across and total pair sum P,
-    in table units; at m = 2 it is (D^2 key - 2 bb[r, s]) / (2 L D^2).
+    A float map's value is _q_hat_scores'; an exact map's is one Fraction
+    over 2 L D^2 (m-1)(m-2) with numerator (m-1)(D key + 2 across) - 2 (m-2) P,
+    from _q_hat_scores' key and _join_terms' across and total pair sum P in
+    table units; at m = 2, (D^2 key - 2 bb[r, s]) / (2 L D^2).
     """
     state._check_pair(r, s)
     path_r, path_s = state.blocks[r], state.blocks[s]
     if i not in (path_r[0], path_r[-1]) or j not in (path_s[0], path_s[-1]):
         raise ValueError("i and j must be endpoints of the selected blocks")
+    key = _q_hat_scores(state, r, s, [(i, j)])[0]
+    if state.scalar is not Fraction:
+        return key
     m = len(state.blocks)
-    if state.scalar is Fraction:
-        key = _q_hat_key(state, r, s, i, j)
-        map_den, den = state._den
-        if m == 2:
-            return Fraction(den * den * key - 2 * int(state._bb.item(r, s)), 2 * map_den * den * den)
-        across, p_total, _ = state._join_terms(r, s)
-        return Fraction(
-            (m - 1) * (den * key + 2 * across) - 2 * (m - 2) * p_total,
-            2 * map_den * den * den * (m - 1) * (m - 2),
-        )
-    dm = state.d.array
-    i2, j2 = _other_end(path_r, i), _other_end(path_s, j)
+    map_den, den = state._den
     if m == 2:
-        # closing the cycle: the two new edges are (i, j) and the far ends
-        return (dm.item(i, j) + dm.item(i2, j2)) / 2 - state.block_distance(r, s)
-    across, p_total, far = state._join_terms(r, s)
-    return dm.item(i, j) / 2 + (across + (far[i2] + far[j2]) / 2) / (m - 2) - p_total / (m - 1)
+        return Fraction(den * den * key - 2 * int(state._bb.item(r, s)), 2 * map_den * den * den)
+    across, p_total, _ = state._join_terms(r, s)
+    return Fraction(
+        (m - 1) * (den * key + 2 * across) - 2 * (m - 2) * p_total,
+        2 * map_den * den * den * (m - 1) * (m - 2),
+    )
 
 
-def _q_hat_key(state: BlockState, r: int, s: int, i: int, j: int) -> int:
-    """The part of an exact map's Q-hat that differs between the joins of
-    blocks r and s, as an integer: 2 (m-2) L D times it, (m-2) D N[i, j] +
+def _q_hat_scores(state: BlockState, r: int, s: int, joins: list) -> list:
+    """Q-hat of each join (i, j) of blocks r and s on a float map; on an
+    exact map the integer key that ranks them as their values do, 2 (m-2) L D
+    times the part of Q-hat that differs between joins: (m-2) D N[i, j] +
     F[i2] + F[j2], with N the map's numerators, F the far sums over L*D and
     i2, j2 the far ends; at m = 2, 2 L times it, N[i, j] + N[i2, j2]."""
-    numerators = state.d.integer_form[0]
-    i2, j2 = _other_end(state.blocks[r], i), _other_end(state.blocks[s], j)
-    m = len(state.blocks)
-    if m == 2:
-        return numerators.item(i, j) + numerators.item(i2, j2)
-    far = state._join_terms(r, s)[2]
-    return (m - 2) * state._den[1] * numerators.item(i, j) + far[i2] + far[j2]
+    m, path_r, path_s = len(state.blocks), state.blocks[r], state.blocks[s]
+    ends = [(i, j, _other_end(path_r, i), _other_end(path_s, j)) for i, j in joins]
+    if state._den is not None:
+        num = state.d.integer_form[0]
+        if m == 2:
+            return [num.item(i, j) + num.item(i2, j2) for i, j, i2, j2 in ends]
+        far, c = state._join_terms(r, s)[2], (m - 2) * state._den[1]
+        return [c * num.item(i, j) + far[i2] + far[j2] for i, j, i2, j2 in ends]
+    dm = state._dm
+    if m == 2:  # closing the cycle: the two new edges are (i, j) and the far ends
+        rs = state._bb.item(r, s)
+        return [(dm.item(i, j) + dm.item(i2, j2)) / 2 - rs for i, j, i2, j2 in ends]
+    across, p_total, far = state._join_terms(r, s)
+    tail = p_total / (m - 1)
+    return [dm.item(i, j) / 2 + (across + (far[i2] + far[j2]) / 2) / (m - 2) - tail for i, j, i2, j2 in ends]
 
 
 def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockState:
@@ -508,12 +513,13 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
     info = state.last_merge
     if info is None:
         raise ValueError("no merge has been performed on this state")
-    one = state.scalar(1)
     merged_path = state.blocks[info.merged_index]
     if isinstance(scheme, BalancedTSP):
-        mu = dict.fromkeys(merged_path, 0 * one)
-        mu[merged_path[0]] = mu[merged_path[-1]] = one / 2
+        zero, half = _TSP_WEIGHTS[state.scalar]
+        mu = dict.fromkeys(merged_path, zero)
+        mu[merged_path[0]] = mu[merged_path[-1]] = half
         return mu
+    one = state.scalar(1)
     mu = {t: state.mu[t] for t in merged_path}
     block_r, block_s = state.parts[info.merged_index]
     if isinstance(scheme, TreeWeighting):
@@ -593,36 +599,31 @@ def _select_pair(state: BlockState) -> tuple:
     Ties always occur at three blocks, where Q is the same for every pair.
     """
     m, tol, row_sums = state.m, state.tie_tol, state._row_sums()
-    lower, rows, per_s = state._pairs()
-    q = state._bb[lower]  # the table is symmetric: entry (s, r) is delta(C_r, C_s)
+    flat, rows, cols = state._pairs()
+    q = state._buf.take(flat)  # the table is symmetric: entry (s, r) is delta(C_r, C_s)
     q *= m - 2
     q -= row_sums.take(rows)
-    q -= np.repeat(row_sums, per_s)
+    q -= row_sums.take(cols)
     near = _near_min(q, tol)
     k = int(near[0])
     if len(near) > 1:
-        near = near[_near_min(state._bb[lower][near], tol)]
+        near = near[_near_min(state._buf.take(flat[near]), tol)]
         k = int(near[np.argmin(rows[near] * len(q) + near)])  # the first (r, s)
-    s = (1 + math.isqrt(8 * k + 1)) // 2  # k = s (s - 1) / 2 + r
-    return (int(rows[k]), s), state._number(q[k], 2)
+    return (int(rows[k]), int(cols[k])), state._number(q.item(k), 2)
 
 
 def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:
     """Argmin of Q-hat over the endpoint joins (i, j), as ((i, j), Q-hat
     value): values within state.tie_tol of the minimum tie, and ties go to
-    the lexicographically first (i, j). An exact map's joins are ranked by
-    their integer keys, in the same order as their values, and Q-hat is
-    evaluated for the winner alone."""
+    the lexicographically first (i, j). The joins are ranked by
+    _q_hat_scores, an exact map's by integer keys in the same order as
+    their values, and q_hat_criterion is evaluated for the winner alone."""
     state._check_pair(r, s)
-    candidates = sorted(
-        (i, j) for i in state.endpoints(r) for j in state.endpoints(s)
-    )
-    exact = state.scalar is Fraction
-    score = _q_hat_key if exact else q_hat_criterion
-    values = [score(state, r, s, i, j) for i, j in candidates]
-    bound = min(values) + state.tie_tol
-    k = next(k for k, v in enumerate(values) if v <= bound)
-    return candidates[k], q_hat_criterion(state, r, s, *candidates[k]) if exact else values[k]
+    joins = sorted((i, j) for i in state.endpoints(r) for j in state.endpoints(s))
+    scores = _q_hat_scores(state, r, s, joins)
+    bound = min(scores) + state.tie_tol
+    i, j = joins[next(k for k, v in enumerate(scores) if v <= bound)]
+    return (i, j), q_hat_criterion(state, r, s, i, j)
 
 
 def _splits(blocks: list, n: int) -> list:
@@ -655,16 +656,12 @@ def run_neighbor_net(
     steps = []
     while state.m > 1:
         m = state.m
-        if m == 2:
-            pair = (0, 1)
-            q_val = q_criterion(state, 0, 1)
-        else:
-            pair, q_val = _select_pair(state)
+        pair, q_val = ((0, 1), q_criterion(state, 0, 1)) if m == 2 else _select_pair(state)
         r, s = pair
         (i, j), qh_val = _select_endpoints(state, r, s)
         state = merge_blocks(state, r, s, i, j)
         mu = adjust_weights(state, scheme)
-        state = state.with_mu(mu)
+        state._reweight(mu)
         steps.append((m, pair, q_val, (i, j), qh_val, state.blocks[min(r, s)], mu))
     ordering = CircularOrdering(state.blocks[0]).canonical()
     del state  # its table goes before the splits are built

@@ -135,11 +135,12 @@ def _estimated_system(d, ordering, method: str):
 def cmd_nnet(args) -> int:
     d, labels = _read_distances(args.input, args.rational)
     result = run_neighbor_net(d, _scheme(args))
-    print("ordering:", " ".join(labels[t] for t in result.ordering.order))
+    # the estimate before the first print, so a refused one leaves stdout empty
     if args.estimate == "none":
         system = WeightedSplitSystem(d.n, {s: 1.0 for s in result.tree_splits})
     else:
         system = _estimated_system(d, result.ordering, args.estimate)
+    print("ordering:", " ".join(labels[t] for t in result.ordering.order))
     print(f"splits ({len(system)}):")
     _print_splits(system, labels, show_weights=args.estimate != "none")
     if args.nexus:
@@ -200,8 +201,9 @@ def cmd_estimate(args) -> int:
         ordering = CircularOrdering(_parse_taxa(args.ordering, labels))
     else:
         ordering = run_neighbor_net(d, BalancedTSP()).ordering
+    system = _estimated_system(d, ordering, args.method)  # before the first print, as in cmd_nnet
+    if not args.ordering:
         print("ordering (from agglomeration):", " ".join(labels[t] for t in ordering.order))
-    system = _estimated_system(d, ordering, args.method)
     if args.nexus:
         _write_nexus(args.nexus, system, labels, ordering)
     else:

@@ -95,6 +95,7 @@ def read_phylip_distances(text: str):
     with np.errstate(all="ignore"):  # inf and nan entries pass here; the map rejects them
         excess = np.abs(raw - raw.T) > ASYM_REL_TOL * np.fmax(1.0, np.fmax(np.abs(raw), np.abs(raw.T)))
         rows = (raw + raw.T) / 2
+        rows = np.where(np.isinf(rows), raw / 2 + raw.T / 2, rows)  # a finite pair above float max/2
     asymmetric = np.argwhere(np.triu(excess, 1))
     if len(asymmetric):
         i, j = asymmetric[0]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from neighbornet import agglomerate
 from neighbornet.agglomerate import (
     BalancedTSP,
     BlockState,
@@ -131,6 +132,38 @@ class TestQHatCriterion:
                 assert lengths[(i, j)] == min(lengths.values())
                 state = merge_blocks(state, r, s, i, j)
                 state = state.with_mu(adjust_weights(state, BalancedTSP()))
+
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("scheme", [BalancedTSP(), TreeWeighting(), OriginalBM()], ids=["tsp", "tree", "original"])
+    def test_a_run_evaluates_q_hat_once_per_step_for_its_winner(self, monkeypatch, scheme, exact):
+        calls = []
+
+        def counted(state, r, s, i, j):
+            calls.append(((i, j), q_hat_criterion(state, r, s, i, j)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(agglomerate, "q_hat_criterion", counted)
+        d = random_dissimilarity(random.Random(41), 13, exact=exact)
+        steps = run_neighbor_net(d, scheme).trace.steps
+        assert len(calls) == len(steps) == d.n - 1
+        # the recorded value is the winner's q_hat_criterion, bit for bit
+        assert [(ends, type(v), repr(v)) for ends, v in calls] == [
+            (step.endpoints, type(step.q_hat_value), repr(step.q_hat_value)) for step in steps
+        ]
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_select_endpoints_returns_its_winners_q_hat(self, exact):
+        d = random_dissimilarity(random.Random(42), 9, exact=exact)
+        state = BlockState.initial(d)
+        while state.m > 1:
+            r, s = (0, 1) if state.m == 2 else _select_pair(state)[0]
+            (i, j), value = _select_endpoints(state, r, s)
+            expected = q_hat_criterion(BlockState(d, state.blocks, state.mu, state.parts), r, s, i, j)
+            assert value == expected if exact else abs(value - expected) <= 1e-9 * d.array.max()
+            assert repr(value) == repr(q_hat_criterion(state, r, s, i, j))
+            state = merge_blocks(state, r, s, i, j)
+            state = state.with_mu(adjust_weights(state, OriginalBM()))
 
 
 class TestMergeBlocks:

@@ -2,7 +2,9 @@
 enumeration are answered; two taxa, malformed or non-finite TSPLIB numbers,
 --round tsplib on a PHYLIP file and an --ordering over the wrong number of
 taxa are input errors (exit 1); so is a negative lambda under the formula
-estimate, in words that name no flag the command lacks; a run out of memory
+estimate, in words that name no flag the command lacks and with nothing on
+stdout; a PHYLIP entry past float max/2 meets the map's overflow bound, not
+a non-finite sum; a run out of memory
 exits 4, not as an internal error, and any other exception a command
 raises exits 2 as one; an --n below 3 and an unknown taxon label are input
 errors; estimate --nexus writes the file in place of the split list; main
@@ -156,6 +158,15 @@ def test_a_negative_lambda_refusal_names_no_flag_the_command_lacks(tmp_path, cap
     assert code == 1 and err.startswith(f"error: {negatives} negative weights from the closed formula; ")
     assert "formula-clamped or nnls" in err
     assert set(re.findall(r"--[a-z-]+", err)) <= {command[1]}
+
+
+@pytest.mark.parametrize("command", [["nnet", "--estimate", "formula"], ["estimate", "--method", "formula"]])
+def test_a_negative_lambda_refusal_leaves_stdout_empty(tmp_path, capsys, command):
+    path = tmp_path / "m.phy"
+    path.write_text(format_phylip(random_dissimilarity(random.Random(3), 6), list("ABCDEF")))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "negative weights from the closed formula" in err
 
 
 @pytest.mark.parametrize("command", [["nnet", "--estimate", "nnls"], ["estimate", "--method", "nnls"]])
@@ -361,6 +372,27 @@ def test_distances_whose_sums_overflow_are_input_errors(tmp_path, capsys, roundi
     for argv in (["nnet", str(phy)], ["check", str(phy)], ["length", str(phy), "--blocks", "A,B|C|D"]):
         code, err = run(capsys, argv)
         assert code == 1 and "sums over the map would overflow" in err, (argv, err)
+
+
+def test_a_finite_phylip_entry_past_half_the_float_range_is_reported_by_the_map_bound(tmp_path, capsys):
+    # averaging a pair with itself must not overflow to inf: 1e308 + 1e308 does
+    big = dict.fromkeys([("A", "B"), ("B", "A")], "1e308")
+    phy = tmp_path / "big.phy"
+    phy.write_text("4\n" + "".join(
+        f"{a} " + " ".join("0" if a == b else big.get((a, b), "1") for b in "ABCD") + "\n" for a in "ABCD"
+    ))
+    code, err = run(capsys, ["nnet", str(phy)])
+    assert code == 1 and err == "error: entry at (0,1) above 1.124e+307: sums over the map would overflow\n"
+
+
+def test_averaging_a_within_tolerance_pair_keeps_the_bits_of_the_mean():
+    rows = [["0", "1e308", "3"], ["1.0000000001e308", "0", "5e-324"], ["3", "0", "0"]]
+    text = "3\n" + "".join(f"{a} " + " ".join(row) + "\n" for a, row in zip("ABC", rows))
+    with pytest.raises(ValueError, match="above"):
+        read_phylip_distances(text)
+    d, _ = read_phylip_distances(text.replace("1e308", "1e300").replace("1.0000000001e308", "1.0000000001e300"))
+    assert d.array.item(0, 1) == (1e300 + 1.0000000001e300) / 2
+    assert d.array.item(1, 2) == d.array.item(2, 1) == 5e-324 / 2
 
 
 TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "0", "-5", "2.5", "x", "", "1e400", "99999"]

@@ -1,5 +1,6 @@
 """Smoke tests for scripts/: each runs in a fresh interpreter, exits 0 and
 prints its key lines."""
+import importlib.util
 import json
 import math
 import os
@@ -143,3 +144,60 @@ def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
     edited(nexus, weight_edit(lambda w: 2 * w), line=first)
     edited(nexus, lambda line: line.rstrip("\n") + " \n", fresh=False)
     assert compare() == (1, f"differ: {nexus}: bytes differ\n")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_counts_wins_and_compares_the_gap_with_the_parents_spread():
+    bench_pairs = load_script("bench_pairs")
+    spec = [{"name": "wall_s", "unit": "s", "better": "lower"}, {"name": "hits", "unit": "count", "better": "higher"}]
+    parent = [1.00, 1.10, 0.90, 1.02, 0.98]
+    change = [0.90, 1.00, 0.85, 0.91, 0.99]
+    pairs = [({"wall_s": p, "hits": 10}, {"wall_s": c, "hits": 10 + k % 2}) for k, (p, c) in enumerate(zip(parent, change))]
+    wall, hits = bench_pairs.summarize(pairs, spec)
+    assert (wall["parent"], wall["change"], wall["won"], wall["pairs"]) == (1.00, 0.91, 4, 5)
+    assert (wall["q1"], wall["q3"]) == pytest.approx((0.98, 1.02))
+    assert wall["clear"]  # 0.09 apart, against an interquartile range of 0.04
+    assert (hits["won"], hits["clear"]) == (2, False)  # higher is better; medians 10 and 10
+    line = bench_pairs.format_row(wall)
+    assert line.startswith("wall_s (s): parent 1, change 0.91 (-9.0%); parent quartiles 0.98..1.02; change better in 4/5")
+    one = bench_pairs.summarize(pairs[:1], spec)[0]
+    assert (one["q1"], one["q3"], one["clear"]) == (1.00, 1.00, True)
+
+
+def fake_checkout(path, wall, correct=True, code=0):
+    """A checkout whose benchmarks/run.py reports wall_s = wall + seed/1000."""
+    (path / "benchmarks").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", path)
+    (path / "benchmarks" / "run.py").write_text(f"""if True:
+        import json, sys
+        seed = int(sys.argv[sys.argv.index("--seed") + 1])
+        metrics = {{"wall_s": {wall} + seed / 1000, "setup_s": 0.5, "peak_rss_mb": 50.0}}
+        print(json.dumps({{"correct": {correct}, "attempted": 1, "failed": {int(not correct)},
+                          "metrics": {{k: {{"value": v, "unit": "x"}} for k, v in metrics.items()}}}}))
+        sys.exit({code})
+    """)
+    return path
+
+
+def test_bench_pairs_alternates_the_sides_and_fails_on_a_failed_or_incorrect_run(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 1.0)
+    change = fake_checkout(tmp_path / "change", 0.9)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    out = run_script("bench_pairs.py", str(parent), str(change), "--workload", "w", "--pairs", "3", "--seconds", "1",
+                     "--first-seed", "7")
+    lines = out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:3]] == [
+        "pair 1/3, seed 7, parent first", "pair 2/3, seed 8, change first", "pair 3/3, seed 9, parent first"]
+    assert lines[3].startswith("wall_s (s): parent 1.008, change 0.908 (-9.9%); parent quartiles 1.0075..1.0085; "
+                               "change better in 3/3; gap above")
+    assert "setup_s (s): parent 0.5, change 0.5 (+0.0%)" in lines[4] and "better in 0/3; gap within" in lines[4]
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    for broken in (fake_checkout(tmp_path / "incorrect", 0.9, correct=False), fake_checkout(tmp_path / "crash", 0.9, code=1)):
+        proc = script_process("bench_pairs.py", str(parent), str(broken), "--workload", "w", "--pairs", "2", "--seconds", "1")
+        assert proc.returncode == 1 and proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
