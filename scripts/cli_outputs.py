@@ -11,7 +11,8 @@ every tree reads the same files: for each n in 4..MAX_N a random float map,
 a tie-heavy map of integers 1..3, a circular map with float weights and one
 with weights k/100. Each of these gets nnet under every weighting and every
 --estimate, nj, tsp, check, estimate (also over an --ordering of n-1 and of
-n+1 taxa, an input error) and length.
+n+1 taxa, an input error) and length, and nnet and tsp with an --alpha
+under a weighting other than tree, which is refused as an input error.
 
 Then come the benchmark's inputs at seed 1, which --no-fit-sparse skips:
 the four 50-taxon maps of the fit-sparse workload and the fit-dense
@@ -96,6 +97,9 @@ def calls(phy: str, n: int, name: str):
     for weighting in ("balanced-tsp", "tree", "original"):
         yield f"nnet-{weighting}", ["nnet", phy, "--weighting", weighting], True, True
     yield "nnet-tree-0.3", ["nnet", phy, "--weighting", "tree", "--alpha", "0.3"], True, True
+    for weighting in ("balanced-tsp", "original"):  # --alpha outside the tree weighting: exit 1
+        yield f"nnet-{weighting}-0.3", ["nnet", phy, "--weighting", weighting, "--alpha", "0.3"], True, True
+        yield f"tsp-{weighting}-0.3", ["tsp", phy, "--weighting", weighting, "--alpha", "0.3"], False, False
     for weighting in ("balanced-tsp", "tree", "original"):
         yield f"nnet-{weighting}-rational", ["nnet", phy, "--weighting", weighting, "--rational"], False, True
     for estimate in ("formula", "formula-clamped", "nnls"):

@@ -14,42 +14,43 @@ the mu-weighted sums over the original matrix:
 Q reads only delta(C_r, C_s), which each BlockState holds in one numpy
 table, bb (m x m); delta(x, C_r) is summed on demand over the original
 matrix when Q-hat needs it, at the far ends of a candidate join. One code
-path serves both arithmetics. A float map's arrays are float64. An exact
-map's hold integers: with L the map's common denominator (d.integer_form)
-and D a common denominator of the node weights, the weights are held times
-D, bb holds its values times L*D^2 and delta(x, C_r) comes out times L*D,
-so Q and the tie rule compare integers and no Fraction is formed per table
-entry. D only grows: when new weights bring in a denominator D does not
-divide (1/2 and 1/4 under the dyadic schemes, alpha's under TreeWeighting),
-the weights are scaled up by the factor, f, and bb by f^2.
+path, with one formula for Q and one for Q-hat, serves both arithmetics: a
+float map is an exact one with L = D = 1 on float64. An exact map's arrays
+hold integers: with L the map's common denominator (d.integer_form) and D a
+common denominator of the node weights, the weights are held times D, bb
+holds its values times L*D^2 and delta(x, C_r) comes out times L*D, so Q,
+Q-hat's key and the tie rule compare integers and no Fraction is formed per
+table entry. D only grows: when new weights bring in a denominator D does
+not divide (1/2 and 1/4 under the dyadic schemes, alpha's under
+TreeWeighting), the weights are scaled up by the factor, f, and bb by f^2.
 
 The lane rule: while m * W^2 * sum(N) < 2^53, with N the map's numerators
 and W the largest |weight numerator| (at least 1), these integers are
 float64 whole numbers on the float kernels. Every value formed is then an
 integer of at most that size, exact in any summation order. A reweight
 that would break the bound first converts the arrays, exactly, to object
-arrays of Python ints, for good. Q-hat ranks an exact map's joins by an
-integer key. Fractions appear only where values leave the engine: the
-accessors, the winning Q-hat, the step records and mu.
+arrays of Python ints, for good. A value leaves the engine through one
+division, which rounds on a float map and makes a Fraction on an exact one:
+the accessors, the winning Q-hat, the step records and mu.
 
 bb is the top-left m x m of one buffer, built in one pass and never
-rebuilt. A merge leaves the weights alone, so it adds row hi into row lo,
-the merged row, and closes the gap at hi by moving the later rows up and
-the later columns left, which keeps the block order the tie rule reads.
-Every scheme changes weights inside the merged block alone, so its new
-weights are the one value a step passes on: adjust_weights returns them,
-the _reweight kernel applies them and recomputes, from the original matrix,
-the merged block's row alone, in O(n |block|), and the step record keeps
-them; with_mu checks them first for callers of the step API. A step costs
-O(n^2), a run O(n^3), and float runs cannot accumulate drift.
+rebuilt. A merge closes the gap at hi by moving the later rows up and the
+later columns left, which keeps the block order the tie rule reads. Every
+scheme changes weights inside the merged block alone, so its new weights
+are the one value a step passes on: adjust_weights returns them, the
+_reweight kernel applies them and sums the merged block's row, the one row
+a step changes, from the original matrix in O(n |block|); the step record
+keeps them. A step costs O(n^2), a run O(n^3), and float runs cannot
+accumulate drift.
 
 Ownership: the step API (merge_blocks, with_mu) copies a state once and
-changes the copy, so every state it hands out is a snapshot.
-run_neighbor_net owns the one state it drives, and the same kernels change
-that state in place, so its steps copy nothing. Q reads the table through
-flat indices kept per buffer size; one scorer ranks the joins from Q-hat's
-shared terms, read once per step, and q_hat_criterion runs for the winner
-alone, in both arithmetics; the splits are built after the loop.
+changes the copy, so every state it hands out is a snapshot, its merged
+row summed at once; with_mu checks the weights first. run_neighbor_net
+owns the one state it drives and changes it in place with the same
+kernels, so its steps copy nothing and sum the merged row once. Q reads the
+table through flat indices kept per buffer size; the joins are ranked from
+their shared terms, read once per step, and q_hat_criterion runs for the
+winner alone; the splits are built after the loop.
 """
 from __future__ import annotations
 
@@ -80,11 +81,6 @@ def _arithmetic(d: DissimilarityMap) -> tuple:
     """The type of every weight and criterion value, and the tie unit:
     (Fraction, 0) for an exact map, (float, REL_TIE_TOL * max|d|) otherwise."""
     return (Fraction, 0) if d.is_exact else (float, REL_TIE_TOL * d.array.max().item())
-
-
-def _py(x) -> Num:
-    """A numpy scalar as the Python number it holds; Python objects pass through."""
-    return x.item() if isinstance(x, np.generic) else x
 
 
 def _exact_weights(mu: dict) -> dict:
@@ -148,19 +144,19 @@ class BlockState:
     """Snapshot of the agglomeration: paths, weights, distances.
 
     _bb is the block table, the top-left m x m view of the buffer _buf;
-    _w holds each taxon's table weight and _block its block index. On an
-    exact map _w holds the weights as ints over D and _bb ints over L*D^2:
-    float64 whole numbers while _size, the sum of the map's numerators, is
-    set, Python ints once it is None (see the module docstring). On a float
-    map they hold mu and the distances. mu and every accessor give the
-    state's scalar: Fraction or float.
+    _w holds each taxon's table weight and _block its block index, and _den
+    is (L, D). On an exact map _w holds the weights as ints over D and _bb
+    ints over L*D^2: float64 whole numbers while _size, the sum of the map's
+    numerators, is set, Python ints once it is None (see the module
+    docstring). On a float map they hold mu and the distances, and _den is
+    (1, 1). mu and every accessor give the state's scalar: Fraction or float.
 
     A state the step API hands out never changes: merge_blocks and with_mu
     copy its arrays once and run their kernel, _merge or _reweight, on the
     copy. The one state run_neighbor_net drives is its own (_in_place), and
-    the same kernels change that state's arrays in place. A reweight
-    refreshes only the block at last_merge.merged_index, the one block whose
-    weights a scheme changes. The values read off the table (row sums, the
+    the same kernels change that state's arrays in place. A merge on a
+    snapshot, and every reweight, refreshes the one row a step changes, at
+    last_merge.merged_index. The values read off the table (row sums, the
     taxa of nonzero weight, the shared Q-hat terms of one join) are cached
     until the next transition.
     """
@@ -183,11 +179,11 @@ class BlockState:
             self._dm, map_den = d.integer_form
             self._den = (map_den, 1)
         else:
-            self._dm, self._den = d.array, None
+            self._dm, self._den = d.array, (1, 1)
         self._size = None
         self._w = np.zeros(d.n, dtype=self._dm.dtype)
         self._take_weights(self.mu)
-        if self._den is not None and self._fits(size := int(self._dm.sum()), np.abs(self._w).max()):
+        if self.scalar is Fraction and self._fits(size := int(self._dm.sum()), np.abs(self._w).max()):
             self._size, self._dm, self._w = size, self._dm.astype(float), self._w.astype(float)
         self._block = np.empty(d.n, dtype=np.intp)
         for t, b in enumerate(self.blocks):
@@ -216,7 +212,7 @@ class BlockState:
         Weights that would break the lane rule promote the state first."""
         taxa, new = list(changed), list(changed.values())
         f = 1
-        if self._den is not None:
+        if self.scalar is Fraction:
             map_den, den = self._den
             grown = math.lcm(den, *{v.denominator for v in new})
             f = grown // den
@@ -273,9 +269,9 @@ class BlockState:
 
     def _merge(self, r: int, s: int, i: int, j: int) -> "BlockState":
         """Join block r's path at endpoint i to block s's at j, in place. The
-        weights are unchanged, so the union's row is the sum of the two rows;
-        the later rows and columns then move up and left over row and column
-        hi, which keeps the block order."""
+        later rows and columns move up and left over row and column hi, which
+        keeps the block order; row lo, the union's, is summed by _refresh:
+        here on a snapshot, in the run by the _reweight that follows."""
         blocks, m = self.blocks, len(self.blocks)
         lo, hi = min(r, s), max(r, s)
         joined = join_paths(blocks[r], blocks[s], i, j)
@@ -283,9 +279,6 @@ class BlockState:
         self.parts = merged_at(self.parts, r, s, (frozenset(blocks[r]), frozenset(blocks[s])))
         self.blocks = merged_at(blocks, r, s, joined)
         bb = self._bb
-        bb[lo] += bb[hi]
-        bb[lo, lo] = 0
-        bb[:, lo] = bb[lo]
         bb[hi:m - 1] = bb[hi + 1:]
         bb[:, hi:m - 1] = bb[:, hi + 1:]
         self._bb = self._buf[:m - 1, :m - 1]
@@ -293,6 +286,8 @@ class BlockState:
         block[list(blocks[hi])] = lo
         block -= block > hi
         self._stale()
+        if not self._in_place:
+            self._refresh(lo)
         return self
 
     def _reweight(self, mu) -> "BlockState":
@@ -300,11 +295,10 @@ class BlockState:
         weights, in place: bb is scaled if D grew, and that block's row
         recomputed."""
         self.mu.update(mu)
-        if mu:
-            if (f := self._take_weights(mu)) > 1:
-                self._bb *= f * f
-            self._stale()
-            self._refresh(self.last_merge.merged_index)
+        if mu and (f := self._take_weights(mu)) > 1:
+            self._bb *= f * f
+        self._stale()
+        self._refresh(self.last_merge.merged_index)
         return self
 
     def _refresh(self, t: int):
@@ -342,7 +336,7 @@ class BlockState:
             far = (owner != r) & (owner != s)
             ends = [*self.endpoints(r), *self.endpoints(s)]
             sums = (self._dm.take(ends, 0).take(taxa[far], 1) @ weights[far]).tolist()
-            self._terms = ((r, s), across, p_total, dict(zip(ends, sums if self._den is None else map(int, sums))))
+            self._terms = ((r, s), across, p_total, dict(zip(ends, map(raw, sums))))
         return self._terms[1:]
 
     def _pairs(self) -> tuple:
@@ -362,15 +356,17 @@ class BlockState:
     def _raw(self, x) -> Num:
         """A table value in table units as a Python number: an int on an
         exact map."""
-        return _py(x) if self._den is None else int(x)
+        return int(x) if self.scalar is Fraction else float(x)
+
+    def _div(self, num: Num, den: int) -> Num:
+        """num / den as the state's scalar: a Fraction on an exact map."""
+        return Fraction(num, den) if self.scalar is Fraction else num / den
 
     def _number(self, x, power: int) -> Num:
-        """A table value as the Python number it stands for: on an exact map
-        x is an int over L*D**power."""
-        if self._den is None:
-            return _py(x)
+        """A table value as the Python number it stands for, x over
+        L*D**power."""
         map_den, den = self._den
-        return Fraction(int(x), map_den * den**power)
+        return self._div(self._raw(x), map_den * den**power)
 
     @classmethod
     def initial(cls, d: DissimilarityMap) -> "BlockState":
@@ -399,7 +395,7 @@ class BlockState:
         if self._rowsum is None:
             self._rowsum = self._bb.sum(axis=1)
             total = self._raw(self._rowsum.sum())
-            self._total = total / 2 if self._den is None else total // 2  # even: bb is symmetric
+            self._total = total // 2 if self.scalar is Fraction else total / 2  # even: bb is symmetric
         return self._rowsum
 
     def block_distance(self, r: int, s: int) -> Num:
@@ -450,50 +446,42 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
     the enumerated quantity l(d, C') - l(d, C) exactly, so minimizing it picks
     the join of minimal balanced length among the endpoint candidates.
 
-    A float map's value is _q_hat_scores'; an exact map's is one Fraction
-    over 2 L D^2 (m-1)(m-2) with numerator (m-1)(D key + 2 across) - 2 (m-2) P,
-    from _q_hat_scores' key and _join_terms' across and total pair sum P in
-    table units; at m = 2, (D^2 key - 2 bb[r, s]) / (2 L D^2).
+    One formula serves both arithmetics: from _q_hat_scores' key and
+    _join_terms' across and total pair sum P in table units, the value is
+    ((m-1)(D key + 2 across) - 2 (m-2) P) / (2 L D^2 (m-1)(m-2)); at m = 2,
+    (D^2 key - 2 bb[r, s]) / (2 L D^2). L = D = 1 on a float map, whose
+    division rounds where an exact map's forms a Fraction.
     """
     state._check_pair(r, s)
     path_r, path_s = state.blocks[r], state.blocks[s]
     if i not in (path_r[0], path_r[-1]) or j not in (path_s[0], path_s[-1]):
         raise ValueError("i and j must be endpoints of the selected blocks")
     key = _q_hat_scores(state, r, s, [(i, j)])[0]
-    if state.scalar is not Fraction:
-        return key
     m = len(state.blocks)
     map_den, den = state._den
     if m == 2:
-        return Fraction(den * den * key - 2 * int(state._bb.item(r, s)), 2 * map_den * den * den)
+        return state._div(den * den * key - 2 * state._raw(state._bb.item(r, s)), 2 * map_den * den * den)
     across, p_total, _ = state._join_terms(r, s)
-    return Fraction(
+    return state._div(
         (m - 1) * (den * key + 2 * across) - 2 * (m - 2) * p_total,
         2 * map_den * den * den * (m - 1) * (m - 2),
     )
 
 
 def _q_hat_scores(state: BlockState, r: int, s: int, joins: list) -> list:
-    """Q-hat of each join (i, j) of blocks r and s on a float map; on an
-    exact map the integer key that ranks them as their values do, 2 (m-2) L D
-    times the part of Q-hat that differs between joins: (m-2) D N[i, j] +
-    F[i2] + F[j2], with N the map's numerators, F the far sums over L*D and
-    i2, j2 the far ends; at m = 2, 2 L times it, N[i, j] + N[i2, j2]."""
+    """The key of each join (i, j) of blocks r and s, which ranks them as
+    their Q-hat values do: 2 (m-2) L D times the part of Q-hat that differs
+    between joins, (m-2) D N[i, j] + F[i2] + F[j2], with N the map's
+    numerators, F the far sums over L*D and i2, j2 the far ends; at m = 2,
+    closing the cycle with the edges (i, j) and (i2, j2), 2 L times it,
+    N[i, j] + N[i2, j2]. On a float map N is d and L = D = 1."""
     m, path_r, path_s = len(state.blocks), state.blocks[r], state.blocks[s]
     ends = [(i, j, _other_end(path_r, i), _other_end(path_s, j)) for i, j in joins]
-    if state._den is not None:
-        num = state.d.integer_form[0]
-        if m == 2:
-            return [num.item(i, j) + num.item(i2, j2) for i, j, i2, j2 in ends]
-        far, c = state._join_terms(r, s)[2], (m - 2) * state._den[1]
-        return [c * num.item(i, j) + far[i2] + far[j2] for i, j, i2, j2 in ends]
-    dm = state._dm
-    if m == 2:  # closing the cycle: the two new edges are (i, j) and the far ends
-        rs = state._bb.item(r, s)
-        return [(dm.item(i, j) + dm.item(i2, j2)) / 2 - rs for i, j, i2, j2 in ends]
-    across, p_total, far = state._join_terms(r, s)
-    tail = p_total / (m - 1)
-    return [dm.item(i, j) / 2 + (across + (far[i2] + far[j2]) / 2) / (m - 2) - tail for i, j, i2, j2 in ends]
+    raw, dm = state._raw, state._dm
+    if m == 2:
+        return [raw(dm.item(i, j)) + raw(dm.item(i2, j2)) for i, j, i2, j2 in ends]
+    far, c = state._join_terms(r, s)[2], (m - 2) * state._den[1]
+    return [c * raw(dm.item(i, j)) + far[i2] + far[j2] for i, j, i2, j2 in ends]
 
 
 def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockState:
@@ -576,6 +564,9 @@ class AgglomerationTrace:
 
 @dataclass(frozen=True)
 class NeighborNetResult:
+    """tree_splits: the splits of the first n-2 merges. When the m = 3 join
+    leaves out a block of two or more taxa, its split is that block's, so
+    one split appears twice and n-3 are distinct."""
     ordering: CircularOrdering
     tree_splits: tuple
     trace: AgglomerationTrace
@@ -616,12 +607,13 @@ def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:
     """Argmin of Q-hat over the endpoint joins (i, j), as ((i, j), Q-hat
     value): values within state.tie_tol of the minimum tie, and ties go to
     the lexicographically first (i, j). The joins are ranked by
-    _q_hat_scores, an exact map's by integer keys in the same order as
-    their values, and q_hat_criterion is evaluated for the winner alone."""
+    _q_hat_scores' keys, 2 (m-2) L D times the values, or 2 L at m = 2, so
+    the keys tie within the tolerance times 2 (m-2), or 2 (L = D = 1 where
+    it is not 0); q_hat_criterion is evaluated for the winner alone."""
     state._check_pair(r, s)
     joins = sorted((i, j) for i in state.endpoints(r) for j in state.endpoints(s))
     scores = _q_hat_scores(state, r, s, joins)
-    bound = min(scores) + state.tie_tol
+    bound = min(scores) + state.tie_tol * 2 * max(state.m - 2, 1)
     i, j = joins[next(k for k, v in enumerate(scores) if v <= bound)]
     return (i, j), q_hat_criterion(state, r, s, i, j)
 

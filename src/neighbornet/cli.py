@@ -58,11 +58,12 @@ _tolerance = _checked(float, lambda t: t >= 0, "tolerance must be >= 0")
 
 
 def _scheme(args) -> WeightingScheme:
+    """The scheme --weighting names; --alpha is refused under any but tree."""
     if args.weighting == "tree":
-        return TreeWeighting(args.alpha)
-    if args.weighting == "original":
-        return OriginalBM()
-    return BalancedTSP()
+        return TreeWeighting() if args.alpha is None else TreeWeighting(args.alpha)
+    if args.alpha is not None:
+        raise nio.InputError(f"--alpha applies to --weighting tree only, not {args.weighting}")
+    return OriginalBM() if args.weighting == "original" else BalancedTSP()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,7 +251,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("nnet", help="agglomerate a circular ordering and tree splits")
     p.add_argument("input")
     p.add_argument("--weighting", choices=["balanced-tsp", "tree", "original"], default="balanced-tsp")
-    p.add_argument("--alpha", type=_alpha, default=0.5)
+    p.add_argument("--alpha", type=_alpha, help="tree weighting only; default 1/2")
     p.add_argument("--estimate", choices=["none", "formula", "formula-clamped", "nnls"], default="none")
     p.add_argument("--nexus", metavar="PATH")
     p.add_argument("--trace", metavar="PATH")
@@ -265,7 +266,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tsp", help="greedy tour from the agglomeration")
     p.add_argument("input", help="TSPLIB EUC_2D or PHYLIP distance file")
     p.add_argument("--weighting", choices=["balanced-tsp", "tree", "original"], default="balanced-tsp")
-    p.add_argument("--alpha", type=_alpha, default=0.5)
+    p.add_argument("--alpha", type=_alpha, help="tree weighting only; default 1/2")
     p.add_argument("--round", choices=["none", "tsplib"], default="none")
     p.set_defaults(func=cmd_tsp)
 

@@ -459,7 +459,8 @@ class CircularSplits(WeightedSplitSystem):
     distinct arcs 0 <= s < e <= n-1 (an arc never holds position n-1, so a
     split has one arc, and a repeated arc is refused). Weights are a float64
     array, or, with den given, the integer numerators of exact weights over
-    den; zero weights are dropped.
+    den: an integer array, or Python ints in an object array, over a
+    positive int; zero weights are dropped.
 
     A WeightedSplitSystem whose Splits are made only when a method other
     than len, rows and is_exact asks for them. rows() reads the arcs in
@@ -478,6 +479,9 @@ class CircularSplits(WeightedSplitSystem):
         taken[starts, ends] = True
         if taken.sum() != starts.size:
             raise ValueError("an arc is given twice")
+        whole = weights.dtype.kind in "iu" or weights.dtype == object and all(type(v) is int for v in weights.tolist())
+        if den is not None and not (whole and type(den) is int and den > 0):
+            raise ValueError("exact weights must be integer numerators over a positive int den")
         if not ((den is not None or np.isfinite(weights).all()) and (weights >= 0).all()):
             raise ValueError("split weights must be finite and nonnegative")
         keep = np.asarray(weights > 0, dtype=bool)

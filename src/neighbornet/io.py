@@ -106,12 +106,6 @@ def read_phylip_distances(text: str):
     return DissimilarityMap(rows), labels
 
 
-def format_phylip(d: DissimilarityMap, labels: Sequence[str]) -> str:
-    rows = d.array.astype(float).tolist()
-    lines = [label + " " + " ".join(map(repr, row)) for label, row in zip(labels, rows)]
-    return "\n".join([str(d.n)] + lines) + "\n"
-
-
 # -- Nexus -------------------------------------------------------------------
 
 CHUNK_LINES = 4096
@@ -196,13 +190,15 @@ def read_nexus_splits(text: str):
     Every MATRIX member and CYCLE entry must be a taxon in 1..ntax, named
     once; a split block must be nonempty and not the whole taxon set; a CYCLE
     must list all ntax taxa; no split may be listed twice, from either side;
-    weights must be finite nonnegative numbers. Anything else raises
-    InputError. Lines of weight 0, which older versions wrote, are read and
-    left out of the system.
+    weights must be finite nonnegative numbers; the MATRIX must end with a
+    ";" line and hold as many lines as a declared nsplits. Anything else
+    raises InputError. Lines of weight 0, which older versions wrote, count
+    as lines and are left out of the system.
     """
     labels = []
     cycle = None
     n = None
+    dims = {}
     weights = {}
     mode = None
     for raw in text.splitlines():
@@ -212,11 +208,13 @@ def read_nexus_splits(text: str):
         upper = line.upper()
         if upper.startswith("DIMENSIONS"):
             for piece in line.rstrip(";").split():
-                if piece.lower().startswith("ntax="):
+                name, eq, value = piece.lower().partition("=")
+                if eq and name in ("ntax", "nsplits"):
                     try:
-                        n = int(piece.split("=")[1])
+                        dims[name] = int(value)
                     except ValueError:
-                        raise InputError(f"bad taxon count {piece!r}") from None
+                        raise InputError(f"bad {'taxon' if name == 'ntax' else 'split'} count {piece!r}") from None
+            n = dims.get("ntax")
             continue
         if upper.startswith("TAXLABELS"):
             mode = "taxa"
@@ -261,6 +259,10 @@ def read_nexus_splits(text: str):
             weights[split] = weight
     if n is None:
         raise InputError("missing DIMENSIONS ntax")
+    if mode == "matrix":
+        raise InputError("MATRIX is not closed by a ';' line")
+    if dims.get("nsplits", len(weights)) != len(weights):
+        raise InputError(f"MATRIX holds {len(weights)} lines, DIMENSIONS declares nsplits={dims['nsplits']}")
     if labels and len(labels) != n:
         raise InputError("label count mismatch")
     if cycle is not None:

@@ -20,6 +20,13 @@ from neighbornet.oracle import all_circular_splits
 from neighbornet.weights import DesignMatrix
 
 
+def format_phylip(d: DissimilarityMap, labels) -> str:
+    """The PHYLIP square matrix of d, each entry written by repr."""
+    rows = d.array.astype(float).tolist()
+    lines = [label + " " + " ".join(map(repr, row)) for label, row in zip(labels, rows)]
+    return "\n".join([str(d.n)] + lines) + "\n"
+
+
 def nexus_text(system, labels, cycle=None) -> str:
     """The Nexus document io.write_nexus writes, read back as a string."""
     with io.StringIO() as fh:

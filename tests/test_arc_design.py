@@ -149,6 +149,22 @@ def test_circular_splits_refuse_bad_arcs_and_weights(starts, ends, values, messa
         core.CircularSplits(CircularOrdering(range(5)), starts, ends, values)
 
 
+@pytest.mark.parametrize("values, den", [
+    (np.array([0.5, 1.5]), 3),
+    (np.array([1.0, 3.0]), 3),
+    (np.array([0.5, 1], dtype=object), 3),
+    (np.array([True, False]), 3),
+    (np.array([1, 3]), 0),
+    (np.array([1, 3]), -2),
+    (np.array([1, 3]), 3.0),
+    (np.array([1, 3]), Fraction(3)),
+    (np.array([1, 3]), True),
+])
+def test_exact_circular_splits_refuse_weights_that_are_not_integer_numerators(values, den):
+    with pytest.raises(ValueError, match="integer numerators over a positive int den"):
+        core.CircularSplits(CircularOrdering(range(5)), [0, 1], [2, 3], values, den=den)
+
+
 def test_circular_splits_drop_zero_weights_and_answer_as_a_split_system():
     pi = CircularOrdering([0, 3, 1, 4, 2])
     system = core.CircularSplits(pi, [0, 1, 2], [2, 3, 4], [0.0, 2.5, 1.0])

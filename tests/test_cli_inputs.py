@@ -25,10 +25,10 @@ from neighbornet import cli
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
 from neighbornet.core import CircularOrdering
-from neighbornet.io import format_phylip, read_nexus_splits, read_phylip_distances
+from neighbornet.io import read_nexus_splits, read_phylip_distances
 from neighbornet.tsp import read_tsplib_euc2d
 from neighbornet.weights import lambda_formula
-from conftest import random_dissimilarity
+from conftest import format_phylip, random_dissimilarity
 
 PHYLIP = """5
 A 0 3 4 5 4

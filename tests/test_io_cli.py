@@ -25,7 +25,6 @@ from neighbornet.core import (
 from neighbornet.io import (
     InputError,
     fmt_num,
-    format_phylip,
     read_nexus_splits,
     read_phylip_distances,
     splits_to_newick,
@@ -34,7 +33,7 @@ from neighbornet.io import (
 )
 from neighbornet.oracle import is_circular_split
 from neighbornet.weights import nnls_fit
-from conftest import nexus_text, permute_map, random_circular_instance, random_dissimilarity
+from conftest import format_phylip, nexus_text, permute_map, random_circular_instance, random_dissimilarity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # stdout and Nexus file of float nnet runs, written before the writers
@@ -194,9 +193,10 @@ class TestPositiveSplits:
             labels = [f"x{k}" for k in range(8)]
             text = nexus_text(system, labels, cycle=pi)
             assert nexus_text(padded, labels, cycle=pi) == text
-            # a file that lists the zero splits too, as older versions wrote
+            # a file that lists and counts the zero splits too, as older versions wrote
             members = [" ".join(str(t + 1) for t in sorted(s.other)) for s in splits if s not in positive]
             old = text.replace("MATRIX\n", "MATRIX\n" + "".join(f"[0, size=1] \t 0.0 \t {m},\n" for m in members))
+            old = old.replace(f"nsplits={len(system)};", f"nsplits={len(splits)};")
             _, cycle, reread = read_nexus_splits(old)
             current = read_nexus_splits(text)[2]
             assert cycle == pi and list(reread.items()) == list(current.items())
@@ -459,6 +459,20 @@ class TestCliFlags:
         assert main(["tsp", str(path), "--alpha", "-0.5"]) == 1
         assert main(["nj", str(path), "--alpha", "2"]) == 1
         assert capsys.readouterr().err.count("alpha must be in [0, 1]") == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["nnet", "--alpha", "0.3"],
+        ["nnet", "--weighting", "original", "--alpha", "0.5"],
+        ["nnet", "--weighting", "balanced-tsp", "--alpha", "0.5", "--estimate", "nnls"],
+        ["tsp", "--alpha", "0.5"],
+        ["tsp", "--weighting", "original", "--alpha", "1"],
+    ])
+    def test_alpha_is_refused_under_weightings_that_ignore_it(self, phy_file, capsys, argv):
+        path, _, _ = phy_file
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --alpha applies to --weighting tree only" in err
 
     def test_ols_weights_flag_is_gone(self, phy_file, capsys):
         path, _, _ = phy_file

@@ -18,11 +18,10 @@ from neighbornet.core import (
     metric_from_splits,
     sorted_splits,
 )
-from neighbornet.io import format_phylip
 from neighbornet import weights
 from neighbornet.oracle import DenseDesign, adjacency_counts, all_circular_splits
 from neighbornet.weights import KKT_TOL, DesignMatrix, NonConvergence, kkt_violation, lambda_formula, nnls
-from conftest import random_arc_design, random_circular_instance, random_dissimilarity
+from conftest import format_phylip, random_arc_design, random_circular_instance, random_dissimilarity
 import lstsq_nnls
 
 

@@ -167,6 +167,10 @@ def golden_nexus_with(old, new):
     ("[4] 'D'\n", "", "label count mismatch"),
     ("[4] 'D'\n", "[4] 'D'\n[5] 'E'\n", "label count mismatch"),
     ("#nexus\n", "#nexus\nMATRIX\n[1, size=2] \t 1.0 \t 3 4,\n;\n", "SPLITS matrix before DIMENSIONS"),
+    ("ntax=4 nsplits=1", "ntax=4 nsplits=one", "bad split count 'nsplits=one'"),
+    ("[1, size=2] \t 1.0 \t 3 4,\n", "", "MATRIX holds 0 lines, DIMENSIONS declares nsplits=1"),
+    ("\t 3 4,", "\t 3 4,\n[2, size=1] \t 0.0 \t 4,", "MATRIX holds 2 lines, DIMENSIONS declares nsplits=1"),
+    (",\n;\nEND; [Splits]\n", ",\n", "MATRIX is not closed"),
 ])
 def test_nexus_reader_rejects_malformed_documents(old, new, message):
     with pytest.raises(InputError, match=message):

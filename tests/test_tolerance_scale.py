@@ -8,14 +8,13 @@ import pytest
 from neighbornet.agglomerate import run_neighbor_net
 from neighbornet.cli import main
 from neighbornet.core import CircularOrdering, DissimilarityMap
-from neighbornet.io import format_phylip
 from neighbornet.kalmanson import (
     first_four_point_violation,
     first_kalmanson_violation,
     is_kalmanson,
 )
 from neighbornet.oracle import satisfies_four_point, strict_quartets
-from conftest import random_circular_instance, random_dissimilarity, random_tree_instance
+from conftest import format_phylip, random_circular_instance, random_dissimilarity, random_tree_instance
 
 SCALES = [10.0**k for k in range(-15, 16)]
 
