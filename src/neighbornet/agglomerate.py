@@ -30,8 +30,8 @@ float64 whole numbers on the float kernels. Every value formed is then an
 integer of at most that size, exact in any summation order. A reweight
 that would break the bound first converts the arrays, exactly, to object
 arrays of Python ints, for good. A value leaves the engine through one
-division, which rounds on a float map and makes a Fraction on an exact one:
-the accessors, the winning Q-hat, the step records and mu.
+division helper, which rounds on a float map and makes a Fraction on an
+exact one: the accessors, the winning Q-hat's terms, the records and mu.
 
 bb is the top-left m x m of one buffer, built in one pass and never
 rebuilt. A merge closes the gap at hi by moving the later rows up and the
@@ -448,9 +448,10 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
 
     One formula serves both arithmetics: from _q_hat_scores' key and
     _join_terms' across and total pair sum P in table units, the value is
-    ((m-1)(D key + 2 across) - 2 (m-2) P) / (2 L D^2 (m-1)(m-2)); at m = 2,
+    (D key + 2 across) / (2 L D^2 (m-2)) - P / (L D^2 (m-1)); at m = 2,
     (D^2 key - 2 bb[r, s]) / (2 L D^2). L = D = 1 on a float map, whose
-    division rounds where an exact map's forms a Fraction.
+    division rounds where an exact map's forms a Fraction; dividing before
+    subtracting keeps its terms near m * max|d|, finite at the map's bound.
     """
     state._check_pair(r, s)
     path_r, path_s = state.blocks[r], state.blocks[s]
@@ -459,13 +460,11 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
     key = _q_hat_scores(state, r, s, [(i, j)])[0]
     m = len(state.blocks)
     map_den, den = state._den
+    scale = map_den * den * den
     if m == 2:
-        return state._div(den * den * key - 2 * state._raw(state._bb.item(r, s)), 2 * map_den * den * den)
+        return state._div(den * den * key - 2 * state._raw(state._bb.item(r, s)), 2 * scale)
     across, p_total, _ = state._join_terms(r, s)
-    return state._div(
-        (m - 1) * (den * key + 2 * across) - 2 * (m - 2) * p_total,
-        2 * map_den * den * den * (m - 1) * (m - 2),
-    )
+    return state._div(den * key + 2 * across, 2 * scale * (m - 2)) - state._div(p_total, scale * (m - 1))
 
 
 def _q_hat_scores(state: BlockState, r: int, s: int, joins: list) -> list:

@@ -134,8 +134,9 @@ def _estimated_system(d, ordering, method: str):
 
 
 def cmd_nnet(args) -> int:
+    scheme = _scheme(args)  # refuses a stray --alpha before the input is read
     d, labels = _read_distances(args.input, args.rational)
-    result = run_neighbor_net(d, _scheme(args))
+    result = run_neighbor_net(d, scheme)
     # the estimate before the first print, so a refused one leaves stdout empty
     if args.estimate == "none":
         system = WeightedSplitSystem(d.n, {s: 1.0 for s in result.tree_splits})
@@ -159,8 +160,9 @@ def cmd_nj(args) -> int:
 
 
 def cmd_tsp(args) -> int:
+    scheme = _scheme(args)
     d, labels = _read_distances(args.input, tsplib_rounding=args.round)
-    tour = greedy_tsp(d, _scheme(args))
+    tour = greedy_tsp(d, scheme)
     print("tour:", " ".join(labels[t] for t in tour.ordering.order))
     print("length:", nio.fmt_num(tour.length))
     return 0

@@ -474,6 +474,13 @@ class TestCliFlags:
         assert out == ""
         assert "error: --alpha applies to --weighting tree only" in err
 
+    @pytest.mark.parametrize("command", ["nnet", "tsp"])
+    def test_alpha_is_refused_before_the_input_is_read(self, command, capsys):
+        assert main([command, "/nonexistent/file.phy", "--alpha", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --alpha applies to --weighting tree only" in err
+
     def test_ols_weights_flag_is_gone(self, phy_file, capsys):
         path, _, _ = phy_file
         assert main(["nnet", str(path), "--estimate", "nnls", "--ols-weights", "eta"]) == 1

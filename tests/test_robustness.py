@@ -16,7 +16,7 @@ import pytest
 
 import neighbornet
 from neighbornet import core, weights
-from neighbornet.agglomerate import run_neighbor_net
+from neighbornet.agglomerate import BalancedTSP, OriginalBM, TreeWeighting, run_neighbor_net
 from neighbornet.cli import main
 from neighbornet.core import (
     CircularOrdering,
@@ -49,6 +49,20 @@ def test_nan_is_not_reported_as_asymmetry():
         DissimilarityMap([[0.0, math.nan], [1.0, 0.0]])
     with pytest.raises(ValueError, match="non-finite entry at \\(1,1\\)"):
         DissimilarityMap([[0.0, 1.0], [1.0, math.nan]])
+
+
+@pytest.mark.parametrize("scheme", [BalancedTSP(), TreeWeighting(), OriginalBM()], ids=["balanced-tsp", "tree", "original"])
+@pytest.mark.parametrize("n", [4, 10])
+def test_agglomeration_values_stay_finite_at_the_map_bound(n, scheme):
+    # the map accepts entries up to float max / n^2; every recorded criterion
+    # value must stay finite there, or a trace would hold inf or NaN
+    limit = float(np.finfo(float).max) / (n * n)
+    rng = np.random.default_rng(n)
+    for top in (np.full((n, n), limit), rng.uniform(0.5, 1.0, (n, n)) * limit):
+        top = np.triu(top, 1)
+        result = run_neighbor_net(DissimilarityMap(top + top.T), scheme)
+        values = [(step.q_value, step.q_hat_value) for step in result.trace.steps]
+        assert len(values) == n - 1 and np.isfinite(values).all()
 
 
 def test_is_exact_is_decided_at_construction(monkeypatch):
