@@ -8,9 +8,11 @@ byte-identical. A trace must hold as many records as its twin, and each
 record the same fields with equal values, except q and q_hat, the criterion
 values, whose float sums may associate differently: they must agree within
 1e-12 relative, or 1e-12 absolute near zero. Prints one line per differing
-file (one held by a single tree, or whose contents differ), naming its first
-difference, and exits 1; otherwise prints how many files it compared, how
-many q/q_hat values differ and the largest relative difference. A differing
+file (one held by a single tree, or whose contents differ) to stderr, naming
+its first difference; then, on every run, how many of the files agree, how
+many q/q_hat values differ and the largest relative difference; and exits 1
+if any file differs, so the value drift of an intended difference reads from
+the same run. A differing
 Nexus (.nex) pair that matches line for line apart from its MATRIX weights
 still differs; its line names the largest weight difference relative to the
 largest weight of the pair.
@@ -75,8 +77,8 @@ def nexus_difference(a: bytes, b: bytes) -> str:
 
 
 def compare(a: Path, b: Path) -> tuple:
-    """(one difference per differing file, in name order; files compared;
-    rounded differences)."""
+    """(one difference per differing file, in name order; files in either
+    tree; rounded differences)."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     differences, rounded = [], []
@@ -95,7 +97,7 @@ def compare(a: Path, b: Path) -> tuple:
             what = "bytes differ"
         if what:
             differences.append(f"{name}: {what}")
-    return differences, len(files_a & files_b), rounded
+    return differences, len(files_a | files_b), rounded
 
 
 def main():
@@ -106,9 +108,10 @@ def main():
     differences, count, rounded = compare(args.a, args.b)
     for what in differences:
         print(f"differ: {what}", file=sys.stderr)
+    print(f"{count - len(differences)} of {count} files agree; {len(rounded)} q/q_hat values differ, "
+          f"largest relative difference {max(rounded, default=0.0):.3g}")
     if differences:
         sys.exit(1)
-    print(f"{count} files agree; {len(rounded)} q/q_hat values differ, largest relative difference {max(rounded, default=0.0):.3g}")
 
 
 if __name__ == "__main__":

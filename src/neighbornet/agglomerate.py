@@ -619,13 +619,9 @@ def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:
 
 def _splits(blocks: list, n: int) -> list:
     """The split of each merged block, None for the final one holding all n
-    taxa; each split stores the side that holds taxon 0."""
+    taxa; each split stores the side that holds taxon 0, made unchecked."""
     taxa = frozenset(range(n))
-    out = []
-    for block in blocks:
-        side = frozenset(block)
-        out.append(None if len(side) == n else Split(n, side if 0 in side else taxa - side))
-    return out
+    return [None if len(b) == n else Split._unchecked(n, frozenset(b) if 0 in b else taxa.difference(b)) for b in blocks]
 
 
 def run_neighbor_net(

@@ -6,6 +6,7 @@ invariant failure, 3 the NNLS solver did not converge, 4 out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import os
@@ -23,11 +24,12 @@ from .agglomerate import (
 )
 from .core import (
     CircularOrdering,
+    CircularSplits,
     PartialCircularOrdering,
-    WeightedSplitSystem,
     count_associahedron_vertices,
     count_distinct_orderings,
     count_nnet_outputs,
+    split_arcs,
 )
 from .kalmanson import (
     find_kalmanson_ordering,
@@ -106,19 +108,16 @@ def _parse_taxa(text: str, labels) -> list:
     return out
 
 
-def _print_splits(system, labels, show_weights=True):
-    """One line per split, in the system's row order, written to stdout in
-    chunks of lines; nothing for an empty system."""
-    nio.write_lines(sys.stdout, (
-        (f"  {nio.fmt_num(weight)} \t " if show_weights else "  ") + "{" + ",".join([labels[t] for t in members]) + "}\n"
-        for weight, members in system.rows()
-    ))
-
-
-def _write_nexus(path, system, labels, ordering):
-    with open(path, "w", encoding="utf-8") as fh:
-        nio.write_nexus(system, labels, cycle=ordering, fh=fh)
-    print(f"nexus written to {path}")
+def _write_splits(system, labels, ordering, nexus, show_weights=True):
+    """The split list on stdout, a line per split: its weight unless
+    show_weights is False, then its members' labels in braces; given the
+    open Nexus file, the document too, from the same pass over the rows."""
+    listing = (sys.stdout, nio.row_lines(labels, ",", lambda w, size, members: (
+        f"  {nio.fmt_num(w)} \t {{{members}}}\n" if show_weights else f"  {{{members}}}\n")))
+    if nexus:
+        nio.write_nexus(system, labels, cycle=ordering, fh=nexus, also=(listing,))
+    else:
+        nio.write_rows(system, listing)
 
 
 def _estimated_system(d, ordering, method: str):
@@ -138,17 +137,22 @@ def cmd_nnet(args) -> int:
     d, labels = _read_distances(args.input, args.rational)
     result = run_neighbor_net(d, scheme)
     # the estimate before the first print, so a refused one leaves stdout empty
-    if args.estimate == "none":
-        system = WeightedSplitSystem(d.n, {s: 1.0 for s in result.tree_splits})
+    if args.estimate == "none":  # the tree splits, each once, are arcs of the ordering
+        tree = dict.fromkeys(result.tree_splits)
+        system = CircularSplits(result.ordering, *split_arcs(result.ordering, tree), [1.0] * len(tree))
     else:
         system = _estimated_system(d, result.ordering, args.estimate)
-    print("ordering:", " ".join(labels[t] for t in result.ordering.order))
-    print(f"splits ({len(system)}):")
-    _print_splits(system, labels, show_weights=args.estimate != "none")
+    with contextlib.ExitStack() as files:  # opened before the first print: a bad path leaves stdout empty
+        nexus = args.nexus and files.enter_context(open(args.nexus, "w", encoding="utf-8"))
+        trace = args.trace and files.enter_context(open(args.trace, "w"))
+        print("ordering:", " ".join(labels[t] for t in result.ordering.order))
+        print(f"splits ({len(system)}):")
+        _write_splits(system, labels, result.ordering, nexus, show_weights=args.estimate != "none")
+        if trace:
+            nio.write_trace_jsonl(result.trace, trace)
     if args.nexus:
-        _write_nexus(args.nexus, system, labels, result.ordering)
+        print(f"nexus written to {args.nexus}")
     if args.trace:
-        nio.write_trace_jsonl(result.trace, args.trace)
         print(f"trace written to {args.trace}")
     return 0
 
@@ -205,13 +209,16 @@ def cmd_estimate(args) -> int:
     else:
         ordering = run_neighbor_net(d, BalancedTSP()).ordering
     system = _estimated_system(d, ordering, args.method)  # before the first print, as in cmd_nnet
-    if not args.ordering:
-        print("ordering (from agglomeration):", " ".join(labels[t] for t in ordering.order))
+    with open(args.nexus, "w", encoding="utf-8") if args.nexus else contextlib.nullcontext() as nexus:
+        if not args.ordering:
+            print("ordering (from agglomeration):", " ".join(labels[t] for t in ordering.order))
+        if nexus:
+            nio.write_nexus(system, labels, cycle=ordering, fh=nexus)
+        else:
+            print(f"splits ({len(system)}):")
+            _write_splits(system, labels, ordering, None)
     if args.nexus:
-        _write_nexus(args.nexus, system, labels, ordering)
-    else:
-        print(f"splits ({len(system)}):")
-        _print_splits(system, labels)
+        print(f"nexus written to {args.nexus}")
     return 0
 
 

@@ -210,6 +210,13 @@ class Split:
             block = frozenset(range(n)) - block
         return cls(n, block)
 
+    @classmethod
+    def _unchecked(cls, n: int, block: frozenset) -> "Split":
+        """Split(n, block) without the checks, for a block the library built."""
+        split = object.__new__(cls)
+        split.__dict__.update(n=n, block=block)
+        return split
+
     @property
     def other(self) -> frozenset:
         return frozenset(range(self.n)) - self.block
@@ -259,6 +266,19 @@ def sides_of(splits: Iterable[Split], n: int) -> np.ndarray:
     return sides
 
 
+CHUNK_CELLS = 1 << 20  # rows x taxa of a chunk's member mask
+
+
+def _chunks(order, n: int, part) -> Iterator[tuple]:
+    """(values, bounds, taxa) for the rows of order, max(1, CHUNK_CELLS // n)
+    at a time: part(rows) gives their values and their members' bool mask,
+    a column per taxon; row k's members are taxa[bounds[k]:bounds[k + 1]]."""
+    step = max(1, CHUNK_CELLS // n)
+    for a in range(0, len(order), step):
+        values, mask = part(order[a : a + step])
+        yield values, [0, *np.cumsum(np.count_nonzero(mask, axis=1)).tolist()], np.flatnonzero(mask) % n
+
+
 def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
     """For each split, in input order, the bool mask of the taxon pairs it
     separates: the pair x split incidence delta_S(i, j), one column at a time.
@@ -290,7 +310,8 @@ class WeightedSplitSystem:
     taxa); zero weights are then dropped, so len, iteration, items, splits
     and `in` cover the positive splits only, and weight(s) is 0 for a split
     of n taxa outside the system. Duplicates collapse by canonical form.
-    rows() reads the splits in sorted_splits order, sorted once and kept."""
+    row_chunks() and rows() read the splits in sorted_splits order, sorted
+    once and kept."""
 
     __slots__ = ("n", "_weights", "_exact", "_order")
 
@@ -322,16 +343,20 @@ class WeightedSplitSystem:
     def items(self):
         return self._split_map().items()
 
-    def rows(self) -> Iterator[tuple]:
-        """(weight, members) for each split in sorted_splits order, the members
-        being the sorted taxa off its block, the side without taxon 0. The
-        order is sorted on the first call and kept; each members list is made
-        as its row is read, never stored."""
+    def row_chunks(self) -> Iterator[tuple]:
+        """The rows in sorted_splits order, sorted on the first call and kept,
+        as _chunks of (weights, bounds, taxa): a row's members are the sorted
+        taxa off its block, the side without taxon 0."""
         if self._order is None:
             self._order = sorted_splits(self._weights)
-        everyone, weights = frozenset(range(self.n)), self._weights
-        for s in self._order:
-            yield weights[s], sorted(everyone - s.block)
+        weights, n = self._weights, self.n
+        return _chunks(self._order, n, lambda splits: ([weights[s] for s in splits], ~sides_of(splits, n).T))
+
+    def rows(self) -> Iterator[tuple]:
+        """(weight, members) for each row of row_chunks(), members a list."""
+        for values, bounds, taxa in self.row_chunks():
+            taxa = taxa.tolist()
+            yield from zip(values, (taxa[a:b] for a, b in zip(bounds, bounds[1:])))
 
     def __len__(self):
         return len(self._weights)
@@ -430,15 +455,23 @@ def arc_splits(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray)
     """The Split of each arc order[s:e], for the position pairs s < e of
     starts and ends. No arc holds position n-1, so the pairs of
     upper_pairs(n) give each of the n(n-1)/2 circular splits once. Each is
-    the Split(n, block) of its side holding taxon 0, made without the checks
-    that such a block passes."""
+    the Split of its side holding taxon 0, made unchecked."""
     order, zero, n = ordering.order, ordering.order.index(0), ordering.n
-    splits = []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        split = object.__new__(Split)
-        split.__dict__.update(n=n, block=frozenset(order[s:e] if s <= zero < e else order[:s] + order[e:]))
-        splits.append(split)
-    return splits
+    return [Split._unchecked(n, frozenset(order[s:e] if s <= zero < e else order[:s] + order[e:]))
+            for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def split_arcs(ordering: CircularOrdering, splits: Iterable[Split]) -> tuple:
+    """(starts, ends) of splits circular for the ordering, for arc_splits:
+    each arc order[s:e] is the side without the taxon at position n-1. A
+    split that is not circular for the ordering raises ValueError."""
+    sides = sides_of(splits, ordering.n)[list(ordering.order)]  # a row per position
+    sides ^= sides[-1]
+    starts, positions = sides.argmax(axis=0), np.arange(ordering.n)[:, None]
+    ends = starts + sides.sum(axis=0)
+    if (((starts <= positions) & (positions < ends)) != sides).any():
+        raise ValueError("a split is not circular for the ordering")
+    return starts, ends
 
 
 def arc_positions(n: int, starts, ends) -> tuple:
@@ -463,10 +496,10 @@ class CircularSplits(WeightedSplitSystem):
     positive int; zero weights are dropped.
 
     A WeightedSplitSystem whose Splits are made only when a method other
-    than len, rows and is_exact asks for them. rows() reads the arcs in
-    split_order, computed on the first call and kept, and takes each row's
-    members from the slice of the ordering that is its arc or the
-    complement of one."""
+    than len, row_chunks, rows and is_exact asks for them. row_chunks()
+    reads the arcs in split_order, computed on the first call and kept, and
+    takes a chunk's members from one mask: the taxa in each arc, flipped
+    for the arcs that hold taxon 0."""
 
     __slots__ = ("ordering", "starts", "ends", "_arc_weights", "_den")
 
@@ -501,17 +534,15 @@ class CircularSplits(WeightedSplitSystem):
     def __len__(self):
         return self.starts.size
 
-    def rows(self) -> Iterator[tuple]:
-        order, n = self.ordering.order, self.n
-        zero = order.index(0)
+    def row_chunks(self) -> Iterator[tuple]:
+        position = np.argsort(self.ordering.order)  # of each taxon
+        held = (self.starts <= position[0]) & (position[0] < self.ends)  # the arcs holding taxon 0
         if self._order is None:
-            held = (self.starts <= zero) & (zero < self.ends)
-            sizes = np.where(held, self.ends - self.starts, n - self.ends + self.starts)
+            sizes = np.where(held, self.ends - self.starts, self.n - self.ends + self.starts)
             self._order = split_order(sizes, _arc_sides(self.ordering, self.starts, self.ends))
-        starts, ends, values = self.starts.tolist(), self.ends.tolist(), self._values()
-        for c in self._order.tolist():
-            s, e = starts[c], ends[c]
-            yield values[c], sorted(order[:s] + order[e:] if s <= zero < e else order[s:e])
+        values, s, e, held = self._values(), self.starts[:, None], self.ends[:, None], held[:, None]
+        return _chunks(self._order, self.n, lambda c: (
+            [values[k] for k in c.tolist()], ((s[c] <= position) & (position < e[c])) ^ held[c]))
 
 
 def _arc_sides(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """File formats: PHYLIP square distance matrices, Nexus TAXA/SPLITS documents,
 Newick output for the agglomeration tree, and line-delimited trace records.
+np.loadtxt reads a PHYLIP matrix; write_rows writes split lists, the CLI's
+and the Nexus MATRIX, from one pass over a system's row chunks.
 
 Trace record schema (one JSON object per line, one line per merge step):
 
@@ -22,7 +24,7 @@ Numeric fields are serialized as floats (exact values are rounded).
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import count
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -52,7 +54,9 @@ def read_phylip_distances(text: str):
     """Parse a square PHYLIP distance matrix; returns (map, labels).
 
     Within-tolerance asymmetry (relative 1e-6, with an absolute floor for
-    near-zero entries) is averaged away; anything larger is an error.
+    near-zero entries) is averaged away; anything larger is an error. One
+    np.loadtxt reads the entries; where numpy refuses them, a scan by rows
+    names the bad row or accepts what float does, such as 1_0.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -68,23 +72,24 @@ def read_phylip_distances(text: str):
         raise InputError("taxon count must be positive")
     if len(lines) - 1 != n:
         raise InputError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    labels = []
-    raw = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        label, values = parts[0], parts[1:]
-        if len(values) != n:
-            raise InputError(
-                f"square matrix required: row {label!r} has {len(values)} entries, expected {n}"
-            )
-        try:
-            raw.append(list(map(float, values)))
-        except ValueError:
-            raise InputError(f"non-numeric entry in row {label!r}") from None
-        labels.append(label)
+    labels, bodies = map(list, zip(*[(ln.split(None, 1) + [""])[:2] for ln in lines[1:]]))
+    try:  # loadtxt skips an empty line, and warns when every line is
+        raw = np.loadtxt(bodies, comments=None, ndmin=2) if all(bodies) else None
+    except ValueError:
+        raw = None
+    if raw is None or raw.shape != (n, n):  # the rows one by one, which names a bad one
+        raw = []
+        for label, body in zip(labels, bodies):
+            values = body.split()
+            if len(values) != n:
+                raise InputError(f"square matrix required: row {label!r} has {len(values)} entries, expected {n}")
+            try:
+                raw.append(list(map(float, values)))
+            except ValueError:
+                raise InputError(f"non-numeric entry in row {label!r}") from None
+        raw = np.array(raw)
     if len(set(labels)) != n:
         raise InputError("duplicate taxon labels")
-    raw = np.array(raw)
     negative = np.argwhere(raw < 0)
     if len(negative):
         i, j = negative[0]
@@ -106,17 +111,26 @@ def read_phylip_distances(text: str):
     return DissimilarityMap(rows), labels
 
 
-# -- Nexus -------------------------------------------------------------------
+# -- Nexus and split lists ---------------------------------------------------
 
-CHUNK_LINES = 4096
+def write_rows(system, *sinks) -> None:
+    """Write each chunk of system.row_chunks() to every sink, a (text file,
+    row_lines formatter) pair: one pass makes each row's members once."""
+    for chunk in system.row_chunks():
+        for fh, lines in sinks:
+            fh.write(lines(*chunk))
 
 
-def write_lines(fh: TextIO, lines: Iterable[str]) -> None:
-    """Write the lines, each ending in a newline, to fh in joined chunks of
-    CHUNK_LINES: fewer writes than one per line, and a bounded string."""
-    lines = iter(lines)
-    while chunk := list(islice(lines, CHUNK_LINES)):
-        fh.write("".join(chunk))
+def row_lines(names: Sequence[str], sep: str, line):
+    """A formatter of row chunks for write_rows: line(weight, size, members)
+    for each row, members its members' names, gathered once, joined by sep."""
+    names = np.array(names, dtype=object)
+
+    def lines(values, bounds, taxa):
+        got = names[taxa].tolist()
+        return "".join([line(w, b - a, sep.join(got[a:b])) for w, a, b in zip(values, bounds, bounds[1:])])
+
+    return lines
 
 
 def write_nexus(
@@ -125,6 +139,7 @@ def write_nexus(
     cycle: Optional[CircularOrdering] = None,
     *,
     fh: TextIO,
+    also: tuple = (),
 ) -> None:
     """Write a Nexus document with a TAXA block and a SPLITS block to the
     text file fh.
@@ -132,10 +147,11 @@ def write_nexus(
     system is a WeightedSplitSystem or a CircularSplits. Each MATRIX line
     carries the weight of one split of the system (a positive one) and the
     1-based members of the block not containing taxon 1: one line per row of
-    system.rows(), the order in which the nnet and estimate commands print
-    the splits, written by write_lines. The CYCLE statement is included when
-    an ordering is supplied. A label holding a line break raises ValueError:
-    TAXLABELS are read line by line.
+    system.row_chunks(), the order in which the nnet and estimate commands
+    print the splits, written by write_rows with the sinks of also in the
+    same pass. The CYCLE statement is included when an ordering is supplied.
+    A label holding a line break raises ValueError: TAXLABELS are read line
+    by line.
     """
     n = system.n
     if len(labels) != n:
@@ -162,11 +178,10 @@ def write_nexus(
         out.append("PROPERTIES fit=-1.0;")
     out.append("MATRIX")
     fh.write("\n".join(out) + "\n")
-    numbers = [str(t + 1) for t in range(n)]
-    write_lines(fh, (
-        f"[{k}, size={len(members)}] \t {float(weight)!r} \t {' '.join([numbers[t] for t in members])},\n"
-        for k, (weight, members) in enumerate(system.rows(), start=1)
-    ))
+    index = count(1)
+    matrix = row_lines([str(t + 1) for t in range(n)], " ", lambda w, size, members: (
+        f"[{next(index)}, size={size}] \t {float(w)!r} \t {members},\n"))
+    write_rows(system, (fh, matrix), *also)
     fh.write(";\nEND; [Splits]\n")
 
 
@@ -337,7 +352,7 @@ def trace_records(trace: AgglomerationTrace) -> list:
     return records
 
 
-def write_trace_jsonl(trace: AgglomerationTrace, path) -> None:
-    with open(path, "w") as fh:
-        for record in trace_records(trace):
-            fh.write(json.dumps(record) + "\n")
+def write_trace_jsonl(trace: AgglomerationTrace, fh: TextIO) -> None:
+    """Write the trace records to the text file fh, one JSON line each."""
+    for record in trace_records(trace):
+        fh.write(json.dumps(record) + "\n")

@@ -281,7 +281,8 @@ class TestTrace:
         assert records[0]["blocks"] == 6
         assert records[-1]["split_block"] is None
         path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(result.trace, path)
+        with open(path, "w") as fh:
+            write_trace_jsonl(result.trace, fh)
         lines = path.read_text().splitlines()
         assert len(lines) == 5
         parsed = [json.loads(line) for line in lines]

@@ -81,10 +81,12 @@ def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
     run_script("cli_outputs.py", str(ROOT), str(tmp_path / "a"), "--max-n", "4", "--no-fit-sparse")
     a, b = tmp_path / "a", tmp_path / "b"
 
-    def compare(other=b):
+    def compare(other=b, summary=r"\d+ of \d+ files agree; \d+ q/q_hat values differ, largest relative difference [0-9.e-]+\n"):
+        """The exit code and the differ lines, or the summary when there are none;
+        the summary line is printed on every run."""
         proc = script_process("compare_outputs.py", str(a), str(other))
-        assert "Traceback" not in proc.stderr
-        return proc.returncode, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr and re.fullmatch(summary, proc.stdout)
+        return proc.returncode, proc.stderr or proc.stdout
 
     def edited(name, edit, fresh=True, line=1):
         if fresh:
@@ -103,10 +105,15 @@ def test_compare_outputs_allows_only_rounding_in_trace_criteria(tmp_path):
         return edit
 
     code, out = compare(a)
-    assert code == 0 and re.fullmatch(r"\d+ files agree; 0 q/q_hat values differ, largest relative difference 0\n", out)
+    files = sum(1 for p in a.rglob("*") if p.is_file())
+    assert (code, out) == (0, f"{files} of {files} files agree; 0 q/q_hat values differ, largest relative difference 0\n")
     edited("random-4/nnet-tree.jsonl", record_edit("q", lambda q: q * (1 + 1e-13)))
     code, out = compare()
-    assert code == 0 and re.fullmatch(r"\d+ files agree; 1 q/q_hat values differ, largest relative difference [0-9.e-]+\n", out)
+    assert code == 0 and re.fullmatch(rf"{files} of {files} files agree; 1 q/q_hat values differ, largest relative difference [0-9.e-]+\n", out)
+    edited("random-4/nnet-tree.nex", lambda line: line.rstrip("\n") + " \n", fresh=False)
+    # a differing file still leaves the summary, with the trace's drift in it
+    drift = rf"{files - 1} of {files} files agree; 1 q/q_hat values differ, largest relative difference [0-9.e-]+\n"
+    assert compare(summary=drift) == (1, "differ: random-4/nnet-tree.nex: bytes differ\n")
     edited("random-4/nnet-tree.nex", lambda line: line.rstrip("\n") + " \n")
     assert compare() == (1, "differ: random-4/nnet-tree.nex: bytes differ\n")
     edited("random-4/nnet-tree.jsonl", record_edit("join", lambda join: join[::-1]))
