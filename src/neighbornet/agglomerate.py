@@ -24,12 +24,12 @@ table entry. D only grows: when new weights bring in a denominator D does
 not divide (1/2 and 1/4 under the dyadic schemes, alpha's under
 TreeWeighting), the weights are scaled up by the factor, f, and bb by f^2.
 
-The lane rule: while m * W^2 * sum(N) < 2^53, with N the map's numerators
-and W the largest |weight numerator| (at least 1), these integers are
-float64 whole numbers on the float kernels. Every value formed is then an
-integer of at most that size, exact in any summation order. A reweight
-that would break the bound first converts the arrays, exactly, to object
-arrays of Python ints, for good. A value leaves the engine through one
+The lane rule: while m * W^2 * sum(N) < 2^63, with N the map's numerators
+and W the largest |weight numerator| or growth factor of D (each of W and
+sum(N) taken as at least 1), these integers are int64 on the float
+kernels. Every value formed is then an integer of at most that size, so no
+sum overflows. A reweight that would break the bound first converts the
+arrays to object arrays of Python ints, for good. A value leaves the engine through one
 division helper, which rounds on a float map and makes a Fraction on an
 exact one: the accessors, the winning Q-hat's terms, the records and mu.
 
@@ -146,9 +146,9 @@ class BlockState:
     _bb is the block table, the top-left m x m view of the buffer _buf;
     _w holds each taxon's table weight and _block its block index, and _den
     is (L, D). On an exact map _w holds the weights as ints over D and _bb
-    ints over L*D^2: float64 whole numbers while _size, the sum of the map's
-    numerators, is set, Python ints once it is None (see the module
-    docstring). On a float map they hold mu and the distances, and _den is
+    ints over L*D^2: int64 while _size, the sum of the map's numerators, is
+    set, with _top a bound on every |weight numerator|, Python ints once it
+    is None (see the module docstring). On a float map they hold mu and the distances, and _den is
     (1, 1). mu and every accessor give the state's scalar: Fraction or float.
 
     A state the step API hands out never changes: merge_blocks and with_mu
@@ -163,7 +163,7 @@ class BlockState:
 
     __slots__ = (
         "d", "blocks", "mu", "parts", "last_merge", "scalar",
-        "_unit", "_dm", "_den", "_size", "_w", "_block", "_buf", "_bb", "_in_place",
+        "_unit", "_dm", "_den", "_size", "_top", "_w", "_block", "_buf", "_bb", "_in_place",
         "_scratch", "_rowsum", "_total", "_nonzero", "_terms",
     )
 
@@ -180,11 +180,11 @@ class BlockState:
             self._den = (map_den, 1)
         else:
             self._dm, self._den = d.array, (1, 1)
-        self._size = None
+        self._size = self._top = None
         self._w = np.zeros(d.n, dtype=self._dm.dtype)
         self._take_weights(self.mu)
-        if self.scalar is Fraction and self._fits(size := int(self._dm.sum()), np.abs(self._w).max()):
-            self._size, self._dm, self._w = size, self._dm.astype(float), self._w.astype(float)
+        if self.scalar is Fraction and self._fits(size := int(self._dm.sum()), top := np.abs(self._w).max()):
+            self._size, self._top, self._dm, self._w = size, top, self._dm.astype(np.int64), self._w.astype(np.int64)
         self._block = np.empty(d.n, dtype=np.intp)
         for t, b in enumerate(self.blocks):
             self._block[list(b)] = t
@@ -209,8 +209,10 @@ class BlockState:
     def _take_weights(self, changed: dict) -> int:
         """Make _w the table weights of mu after the taxa in changed took the
         new weights it maps them to; returns the factor by which D grew.
-        Weights that would break the lane rule promote the state first."""
-        taxa, new = list(changed), list(changed.values())
+        Weights that would break the lane rule promote the state first; the
+        largest weight outside changed is scanned for only when _top does
+        not pass the rule."""
+        taxa, new = np.fromiter(changed, np.intp, len(changed)), list(changed.values())
         f = 1
         if self.scalar is Fraction:
             map_den, den = self._den
@@ -219,25 +221,28 @@ class BlockState:
             new = [v.numerator * (grown // v.denominator) for v in new]
             self._den = (map_den, grown)
             if self._size is not None:
-                self._w[taxa] = 0
-                if not self._fits(self._size, max(int(np.abs(self._w).max()) * f, *map(abs, new))):
-                    self._promote()
+                top = max(self._top * f, f, *map(abs, new))
+                if not self._fits(self._size, top):
+                    self._w[taxa] = 0
+                    top = max(int(np.abs(self._w).max()) * f, f, *map(abs, new))
+                    if not self._fits(self._size, top):
+                        self._promote()
+                self._top = top
         if f > 1:
             self._w *= f
         self._w[taxa] = new
         return f
 
     def _fits(self, size: int, top) -> bool:
-        """The lane rule, m * W^2 * sum(N) < 2^53, for a map whose
+        """The lane rule, m * W^2 * sum(N) < 2^63, for a map whose
         numerators sum to size and weight numerators of at most top."""
-        return len(self.blocks) * max(top, 1) ** 2 * size < 2**53
+        return len(self.blocks) * max(top, 1) ** 2 * max(size, 1) < 2**63
 
     def _promote(self):
-        """Leave the float64 lane for object arrays of Python ints, for good.
-        Every value is a whole number below 2^53, so the conversion is exact."""
+        """Leave the int64 lane for object arrays of Python ints, for good."""
         self._dm, self._size = self.d.integer_form[0], None
-        self._w = self._w.astype(np.int64).astype(object)
-        self._buf = self._bb = self._bb.astype(np.int64).astype(object)
+        self._w = self._w.astype(object)
+        self._buf = self._bb = self._bb.astype(object)
 
     def _stale(self):
         """Drop every value cached from the table or the weights."""
@@ -247,7 +252,7 @@ class BlockState:
         """This state on arrays of its own, for one transition to change."""
         new = object.__new__(BlockState)
         new.d, new.scalar, new._unit, new._dm, new._den = self.d, self.scalar, self._unit, self._dm, self._den
-        new._size = self._size
+        new._size, new._top = self._size, self._top
         new.blocks, new.parts, new.last_merge = self.blocks, self.parts, self.last_merge
         new.mu, new._w, new._block = dict(self.mu), self._w.copy(), self._block.copy()
         new._buf = new._bb = self._bb.copy()

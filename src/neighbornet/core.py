@@ -50,6 +50,11 @@ def upper_pairs(n: int) -> tuple:
     return rows, cols
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def int_numerators(values) -> tuple:
     """Exact numbers (ints or Fractions, any iterable) as (numerators, den):
     a list of Python ints over den, the lcm of their denominators."""
@@ -60,18 +65,17 @@ def int_numerators(values) -> tuple:
 
 class DissimilarityMap:
     """Symmetric nonnegative matrix of finite entries with zero diagonal over
-    taxa 0..n-1, held as one read-only array, d.array.
+    taxa 0..n-1, read as one read-only array, d.array.
 
-    The array's dtype is the map's one exactness decision: an object array
-    of Fractions when every input entry is exact (int or Fraction) or when
-    exact=True, float64 otherwise. Entries come back as Python numbers.
+    A map is exact when every input entry is exact (int or Fraction) or when
+    exact=True, float otherwise. A float map holds d.array, float64. An
+    exact map holds d.integer_form, its entries as a read-only object array
+    of Python-int numerators over one common denominator, on which its
+    arithmetic runs. d.array, an object array of Fractions, is made on its
+    first read, or d.rows', and kept; d[i, j] makes one Fraction until then.
+    Entries come back as Python numbers."""
 
-    An exact map's arithmetic runs on d.integer_form, built on first use:
-    the entries as an object array of Python-int numerators over one common
-    denominator. Fractions are made only where values leave the library:
-    d.array, d[i, j] and d.rows."""
-
-    __slots__ = ("array", "n", "_integer_form")
+    __slots__ = ("_array", "n", "_integer_form")
 
     def __init__(self, rows: Union[np.ndarray, Sequence[Sequence[Num]]], *, exact: bool = False):
         n = len(rows)
@@ -93,15 +97,31 @@ class DissimilarityMap:
         elif a.dtype == object:  # first: a numpy integer compares with a Fraction in fixed width
             a = _fractions(a)
         _check_entries(a)  # a numeric array before its Fractions are made, which is exact and cheaper
+        self.n, self._array, self._integer_form = n, None, None
+        if a.dtype.kind in "iu":  # exact, over 1: no Fraction is made
+            self._integer_form = _read_only(a.astype(object)), 1
+            return
         if exact and a.dtype != object:
             a = _fractions(a)
-        a.flags.writeable = False
-        self.array = a
-        self.n = n
-        self._integer_form = None
+        self._array = _read_only(a)
+        if exact:
+            numerators, den = int_numerators(a.flat)
+            self._integer_form = _read_only(np.array(numerators, dtype=object).reshape(n, n)), den
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            numerators, den = self._integer_form
+            rows, cols = upper_pairs(self.n)
+            a = np.full((self.n, self.n), Fraction(0), dtype=object)
+            a[rows, cols] = a[cols, rows] = _over(numerators[rows, cols], den)
+            self._array = _read_only(a)
+        return self._array
 
     def __getitem__(self, ij) -> Num:
-        return self.array.item(ij)
+        if self._array is None:
+            return Fraction(self._integer_form[0].item(ij), self._integer_form[1])
+        return self._array.item(ij)
 
     @property
     def rows(self) -> tuple:
@@ -109,7 +129,7 @@ class DissimilarityMap:
 
     @property
     def is_exact(self) -> bool:
-        return self.array.dtype == object
+        return self._integer_form is not None
 
     @property
     def integer_form(self) -> tuple:
@@ -117,31 +137,22 @@ class DissimilarityMap:
         Python ints with numerators / den == d.array entry by entry, den the
         lcm of the entries' denominators."""
         if self._integer_form is None:
-            if not self.is_exact:
-                raise ValueError("a float map has no integer form")
-            numerators, den = int_numerators(self.array.flat)
-            numerators = np.array(numerators, dtype=object).reshape(self.n, self.n)
-            numerators.flags.writeable = False
-            self._integer_form = (numerators, den)
+            raise ValueError("a float map has no integer form")
         return self._integer_form
 
     @classmethod
     def from_integer_form(cls, numerators: np.ndarray, den: int) -> "DissimilarityMap":
         """The exact map numerators / den (a square integer array, den > 0),
         checked as __init__ checks entries; gcd(den, every numerator) is
-        divided out, leaving den the lcm of the entries' denominators."""
+        divided out, leaving den the lcm of the entries' denominators. No
+        Fraction is made."""
         n = len(numerators)
         if n < 1:
             raise ValueError("dissimilarity map needs at least one taxon")
         _check_entries(numerators, den)
         g = math.gcd(den, int(np.gcd.reduce(numerators.ravel())))
-        numerators, den = (numerators // g).astype(object), den // g
-        rows, cols = upper_pairs(n)
-        a = np.full((n, n), Fraction(0), dtype=object)
-        a[rows, cols] = a[cols, rows] = _over(numerators[rows, cols], den)
-        a.flags.writeable = numerators.flags.writeable = False
         d = object.__new__(cls)
-        d.array, d.n, d._integer_form = a, n, (numerators, den)
+        d._array, d.n, d._integer_form = None, n, (_read_only((numerators // g).astype(object)), den // g)
         return d
 
     def to_exact(self) -> "DissimilarityMap":
@@ -381,28 +392,36 @@ def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
     """d[i][j] = sum of weights of the splits separating i from j; Fractions
     when every weight is exact, floats otherwise.
 
-    A float system adds split by split, as pair_sums does. An exact one sums
-    its weights' numerators N over their common denominator into the map's
-    integer form: with X the side matrix and B = X diag(N) X^T, the pair sum
-    is B[i, i] + B[j, j] - 2 B[i, j]. While 2 sum(N) <= 2^53 each term is an
-    integer that float64 holds, exact in any order, so BLAS forms B; above,
-    the numerators are added over each split's pair mask as Python ints."""
-    n, weights = sys.n, dict(sys.items())
-    rows, cols = upper_pairs(n)
-    if not sys.is_exact:
-        full = np.zeros((n, n))
-        full[rows, cols] = full[cols, rows] = pair_sums(weights, n)
-        return DissimilarityMap(full)
-    numerators, den = int_numerators(map(as_fraction, weights.values()))
-    if 2 * sum(numerators) <= 2 ** 53:  # the weights are positive
-        sides = sides_of(weights, n).astype(float)
-        both = (sides * np.array(numerators, dtype=float)) @ sides.T
-        held = both.diagonal()
-        sums = (held[:, None] + held - 2 * both).astype(np.int64)
+    A CircularSplits makes no Split: arc_pair_sums adds its weights, or its
+    numerators over den, as int64 while they total below 2^62, so that a
+    pair sum's two terms fit, and as Python ints above. Its float sums are
+    within (k + 8n + 8) 2^-53 sum(w) of the split-by-split ones, k splits.
+    A WeightedSplitSystem of floats adds split by split, as pair_sums does;
+    an exact one sums its numerators N into the map's integer form: with X
+    the side matrix and B = X diag(N) X^T, the pair sum is B[i, i] + B[j, j]
+    - 2 B[i, j], formed by BLAS, exact while 2 sum(N) <= 2^53, and above
+    that over each split's pair mask as Python ints."""
+    n, den = sys.n, None
+    if isinstance(sys, CircularSplits):
+        x, den = sys._arc_weights, sys._den
+        if den is not None:
+            x = x.astype(np.int64 if sum(x.tolist()) < 2**62 else object)
+        sums = arc_pair_sums(sys.ordering, sys.starts, sys.ends, x)
+    elif not sys.is_exact:
+        sums = pair_sums(dict(sys.items()), n)
     else:
-        sums = np.zeros((n, n), dtype=object)
-        sums[rows, cols] = sums[cols, rows] = _masked_sums(weights, numerators, n, object)
-    return DissimilarityMap.from_integer_form(sums, den)
+        weights = dict(sys.items())
+        numerators, den = int_numerators(map(as_fraction, weights.values()))
+        if 2 * sum(numerators) <= 2 ** 53:  # the weights are positive
+            sides = sides_of(weights, n).astype(float)
+            both = (sides * np.array(numerators, dtype=float)) @ sides.T
+            held = both.diagonal()
+            return DissimilarityMap.from_integer_form((held[:, None] + held - 2 * both).astype(np.int64), den)
+        sums = _masked_sums(weights, numerators, n, object)
+    rows, cols = upper_pairs(n)
+    full = np.zeros((n, n), dtype=sums.dtype)
+    full[rows, cols] = full[cols, rows] = sums
+    return DissimilarityMap(full) if den is None else DissimilarityMap.from_integer_form(full, den)
 
 
 def canonical_cycle(order: Sequence[int]) -> tuple:
@@ -486,6 +505,29 @@ def arc_positions(n: int, starts, ends) -> tuple:
     return starts.astype(np.intp), ends.astype(np.intp)
 
 
+def pair_positions(ordering: CircularOrdering) -> tuple:
+    """The lower and the higher position of the taxa of each pair i < j, in
+    upper_pairs order."""
+    rows, cols = upper_pairs(ordering.n)
+    position = np.argsort(ordering.order)
+    p, q = position[rows], position[cols]
+    return np.minimum(p, q), np.maximum(p, q)
+
+
+def arc_pair_sums(ordering: CircularOrdering, starts: np.ndarray, ends: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For each pair i < j, in upper_pairs order, the sum of x over the arcs
+    order[s:e] that hold exactly one of i and j, in x's dtype. Q[a, b], the
+    weight of the arcs s <= a, e >= b, is a cumsum each way over an n x
+    (n+1) grid of the arcs; positions p < q are held each by Q[p, p+1] and
+    Q[q, q+1], both by Q[p, q+1], and the pair sums the arcs holding one."""
+    n = ordering.n
+    grid = np.zeros(n * (n + 1), dtype=x.dtype)
+    np.add.at(grid, starts * (n + 1) + ends, x)
+    held = grid.reshape(n, n + 1)[:, ::-1].cumsum(axis=1)[:, ::-1].cumsum(axis=0)  # Q
+    lo, hi = pair_positions(ordering)
+    return held.diagonal(1)[lo] + held.diagonal(1)[hi] - 2 * held[lo, hi + 1]
+
+
 class CircularSplits(WeightedSplitSystem):
     """The circular splits of an ordering that carry positive weight, held as
     its arcs: split c is the one of the taxa order[starts[c]:ends[c]], for
@@ -496,7 +538,8 @@ class CircularSplits(WeightedSplitSystem):
     positive int; zero weights are dropped.
 
     A WeightedSplitSystem whose Splits are made only when a method other
-    than len, row_chunks, rows and is_exact asks for them. row_chunks()
+    than len, row_chunks, rows and is_exact, or a function other than
+    metric_from_splits, asks for them. row_chunks()
     reads the arcs in split_order, computed on the first call and kept, and
     takes a chunk's members from one mask: the taxa in each arc, flipped
     for the arcs that hold taxon 0."""

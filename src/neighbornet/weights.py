@@ -12,9 +12,11 @@ from .core import (
     CircularOrdering,
     CircularSplits,
     DissimilarityMap,
+    arc_pair_sums,
     arc_positions,
     arc_splits,
     corner_numerators,
+    pair_positions,
     upper_pairs,
 )
 
@@ -37,9 +39,7 @@ class DesignMatrix:
       complementing either split keeps, so for two arcs every term is an
       interval overlap, max(0, min(e, e_j) - max(s, s_j)). Whole numbers: the
       bits of the dense product.
-    - matvec(x) is A x. Q[a, b], the weight of the arcs s <= a, e >= b, is a
-      cumsum each way; positions p < q are held each by Q[p, p+1] and
-      Q[q, q+1], both by Q[p, q+1], and the pair sums the arcs holding one.
+    - matvec(x) is A x, the prefix sums of core.arc_pair_sums.
     - rmatvec(r) is A^T r. With R the pair matrix of r in position order, an
       arc sums R's rows at its positions less its block R[s:e, s:e], both
       read from R's 2-D prefix sums.
@@ -65,13 +65,6 @@ class DesignMatrix:
     def shape(self) -> tuple:
         return self.n * (self.n - 1) // 2, self.starts.size
 
-    def _pair_positions(self) -> tuple:
-        """The lower and the higher position of each row's two taxa."""
-        rows, cols = upper_pairs(self.n)
-        position = np.argsort(self.ordering.order)
-        p, q = position[rows], position[cols]
-        return np.minimum(p, q), np.maximum(p, q)
-
     def gram_column(self, j: int) -> np.ndarray:
         s, e = self.starts, self.ends
         both = np.maximum(np.minimum(e, e[j]) - np.maximum(s, s[j]), 0)
@@ -79,15 +72,11 @@ class DesignMatrix:
         return (both * (self.n - size - size_j + both) + (size - both) * (size_j - both)).astype(float)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        n = self.n
-        arcs = np.bincount(self.starts * (n + 1) + self.ends, weights=x, minlength=n * (n + 1))
-        held = arcs.reshape(n, n + 1)[:, ::-1].cumsum(axis=1, dtype=float)[:, ::-1].cumsum(axis=0)  # Q
-        lo, hi = self._pair_positions()
-        return held.diagonal(1)[lo] + held.diagonal(1)[hi] - 2 * held[lo, hi + 1]
+        return arc_pair_sums(self.ordering, self.starts, self.ends, np.asarray(x, dtype=float))
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         n = self.n
-        lo, hi = self._pair_positions()
+        lo, hi = pair_positions(self.ordering)
         pairs = np.zeros((n, n))
         pairs[lo, hi] = pairs[hi, lo] = r
         block = np.pad(pairs.cumsum(axis=0).cumsum(axis=1), (1, 0))  # block[a, b] sums R[:a, :b]
@@ -99,7 +88,7 @@ class DesignMatrix:
         return DesignMatrix(self.ordering, self.starts[mask], self.ends[mask]).as_array()
 
     def as_array(self) -> np.ndarray:
-        lo, hi = (p[:, None] for p in self._pair_positions())
+        lo, hi = (p[:, None] for p in pair_positions(self.ordering))
         s, e = self.starts, self.ends
         return (((s <= lo) & (lo < e)) != ((s <= hi) & (hi < e))).astype(float)
 

@@ -85,6 +85,18 @@ def test_a_fit_makes_no_split(split_count, estimate):
     assert len(fit.splits) == len(split_count) == len(fit)
 
 
+@pytest.mark.parametrize("den", [None, 100])
+def test_the_arc_metric_makes_no_split(split_count, den):
+    """metric_from_splits of a CircularSplits reads its arcs, float or exact."""
+    starts, ends = core.upper_pairs(12)
+    weights = np.arange(1, starts.size + 1)
+    system = core.CircularSplits(random_ordering(random.Random(9), 12), starts, ends,
+                                 weights if den else weights / 10, den)
+    d = core.metric_from_splits(system)
+    assert d.is_exact == (den is not None) and d.n == 12
+    assert split_count == []
+
+
 # n=5, ordering (0 1 2 3 4): six of the ten circular splits, each of weight 1.
 # sup|noise| = 2/5 < 1/2, yet the run's ordering breaks {0,1,4}|{2,3}: on the
 # true ordering the two missing splits have lambda -1/2 and -3/20.

@@ -2,7 +2,7 @@
 and makes Fractions only where values leave the library. These tests pin
 what that must not change: the map's integer form and the shared pair
 indices, the exact metric of a split system, exact runs against the scalar
-engine (tests/scalar_engine.py) on every scheme, the float64 lane of the
+engine (tests/scalar_engine.py) on every scheme, the int64 lane of the
 agglomeration (its bound, promotion, the integer Q-hat), float against exact
 runs on generic rational maps, and the exact CLI outputs
 (tests/golden/exact_cli.json, written before the integer rewrite)."""
@@ -150,12 +150,12 @@ def test_a_non_dyadic_alpha_matches_the_scalar_engine_on_the_differential_seeds(
         assert_same_run(d, "tree-1/3")
 
 
-@pytest.mark.parametrize("kind", ["mixed", "ties"])  # a 2^52 denominator: Python ints; 1..3: float64
+@pytest.mark.parametrize("kind", ["mixed", "ties"])  # a 2^52 denominator: Python ints; 1..3: int64
 def test_rescaled_states_match_a_fresh_build(kind):
     d = rational_map(random.Random(36), 8, kind)
     scheme = engine.TreeWeighting(Fraction(1, 3))
     state = engine.BlockState.initial(d)
-    assert state._bb.dtype == (object if kind == "mixed" else float)
+    assert state._bb.dtype == (object if kind == "mixed" else np.int64)
     while state.m > 1:
         pair = (0, 1) if state.m == 2 else engine._select_pair(state)[0]
         (i, j), _ = engine._select_endpoints(state, *pair)
@@ -256,7 +256,7 @@ def test_exact_cli_outputs_are_unchanged(name, tmp_path, monkeypatch):
 
 
 def lane(state) -> str:
-    return "float64" if state._bb.dtype == float else "object"
+    return "int64" if state._bb.dtype == np.int64 else "object"
 
 
 def assert_state_matches_the_scalar_engine(state):
@@ -310,9 +310,9 @@ def exact_step_run(d, scheme):
     return tuple(records), lanes
 
 
-class TestFloat64Lane:
-    """An exact map's tables are float64 whole numbers while
-    m * W^2 * sum(N) < 2^53 and Python ints once a reweight breaks that."""
+class TestInt64Lane:
+    """An exact map's tables are int64 while m * W^2 * sum(N) < 2^63 and
+    Python ints once a reweight breaks that."""
 
     @staticmethod
     def map_with_sum(n: int, total: int) -> DissimilarityMap:
@@ -330,10 +330,10 @@ class TestFloat64Lane:
     def test_the_bound_decides_the_lane(self, weight, offset):
         # n = 4 singletons of weight numerator W: m W^2 sum(N) = 16 W^2 (sum(N) / 4)
         n, top = 4, Fraction(weight).numerator
-        d = self.map_with_sum(n, 2**53 // (n * top * top) + offset)
-        assert n * top * top * int(d.integer_form[0].sum()) - 2**53 == n * top * top * offset
+        d = self.map_with_sum(n, 2**63 // (n * top * top) + offset)
+        assert n * top * top * int(d.integer_form[0].sum()) - 2**63 == n * top * top * offset
         state = engine.BlockState(d, [(t,) for t in range(n)], dict.fromkeys(range(n), weight), [None] * n)
-        assert lane(state) == ("float64" if offset < 0 else "object")
+        assert lane(state) == ("int64" if offset < 0 else "object")
         assert_state_matches_the_scalar_engine(state)
         if weight == 1:
             for name in SCHEMES:
@@ -341,11 +341,12 @@ class TestFloat64Lane:
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_circular_hundredths_runs_match_the_scalar_engine_through_both_lanes(self, name):
-        # weights k/100 at n = 32: every run starts in float64, and the
+        # weights k/100 at n = 40: every run starts in int64, and the
         # non-dyadic alpha and the quartering scheme grow D past the bound
-        _, _, d = random_circular_instance(random.Random(f"lane/{name}"), 32, exact=True, lo=0.01, hi=1.0)
+        # (at n = 32 the quartering scheme stays below 2^63)
+        _, _, d = random_circular_instance(random.Random(f"lane/{name}"), 40, exact=True, lo=0.01, hi=1.0)
         records, lanes = exact_step_run(d, SCHEMES[name][0])
-        assert lanes[0] == "float64"
+        assert lanes[0] == "int64"
         promoted = "object" in lanes
         if name in ("tree-1/3", "original"):
             assert promoted
@@ -355,21 +356,65 @@ class TestFloat64Lane:
         assert run.trace.steps == records
         assert_same_run(d, name)
 
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_a_run_leaves_the_lane_at_the_first_step_that_breaks_the_rule(self, name):
+        # the rule from the definition: W the largest |weight numerator| over
+        # the new D, or D's growth factor, after each step's reweight
+        _, _, d = random_circular_instance(random.Random(f"lane/{name}"), 40, exact=True, lo=0.01, hi=1.0)
+        size, scheme = int(d.integer_form[0].sum()), SCHEMES[name][0]
+        state, fits = engine.BlockState.initial(d), True
+        while state.m > 1:
+            den = state._den[1]
+            pair = (0, 1) if state.m == 2 else engine._select_pair(state)[0]
+            merged = engine.merge_blocks(state, *pair, *engine._select_endpoints(state, *pair)[0])
+            state = merged.with_mu(engine.adjust_weights(merged, scheme))
+            grown = state._den[1]
+            top = max(*(abs(v) * grown for v in state.mu.values()), grown // den, 1)
+            fits = fits and state.m * top**2 * size < 2**63
+            assert lane(state) == ("int64" if fits else "object")
+
     def test_promotion_keeps_every_value(self):
         _, _, d = random_circular_instance(random.Random(37), 30, exact=True, lo=0.01, hi=1.0)
         scheme = engine.TreeWeighting(Fraction(1, 3))
         state = engine.BlockState.initial(d)
-        while lane(state) == "float64" and state.m > 2:
+        while lane(state) == "int64" and state.m > 2:
             previous = state
             pair = engine._select_pair(state)[0]
             (i, j), _ = engine._select_endpoints(state, *pair)
             merged = engine.merge_blocks(state, *pair, i, j)
             state = merged.with_mu(engine.adjust_weights(merged, scheme))
         assert lane(state) == "object"
-        assert lane(previous) == lane(merged) == "float64"  # snapshots keep their lane
+        assert lane(previous) == lane(merged) == "int64"  # snapshots keep their lane
         assert_state_matches_the_scalar_engine(state)
         assert all(type(x) is int for x in (*state._bb.flat, *state._w))
         assert_state_matches_the_scalar_engine(previous)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_maps_between_2_53_and_2_63_run_on_int64_and_match_the_scalar_engine(self, n, name):
+        # numerators near 2^50 put m * W^2 * sum(N) between 2^53 and 2^63
+        # at the start, and under the TSP weights (W = 2) for the whole run
+        rng = random.Random(f"int64/{n}/{name}")
+        den = rng.choice((1, 7))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(2**49, 2**50), den)
+        d = DissimilarityMap(rows)
+        assert 2**53 < n * int(d.integer_form[0].sum()) < 2**63
+        records, lanes = exact_step_run(d, SCHEMES[name][0])
+        assert lanes[0] == "int64"
+        if name == "balanced-tsp":
+            assert set(lanes) == {"int64"}
+        assert engine.run_neighbor_net(d, SCHEMES[name][0]).trace.steps == records
+        assert_same_run(d, name)
+
+    def test_an_all_zero_map_leaves_the_lane_before_its_weights_overflow(self):
+        # sum(N) = 0 counts as 1: alpha = 1/3 makes D = 3^41 > 2^63 at n = 42
+        d = DissimilarityMap(np.zeros((42, 42), dtype=np.int64))
+        records, lanes = exact_step_run(d, SCHEMES["tree-1/3"][0])
+        assert lanes[0] == "int64" and lanes[-1] == "object"
+        assert_same_run(d, "tree-1/3")
 
     def test_a_state_built_past_the_bound_stays_on_python_ints(self):
         d = rational_map(random.Random(38), 9, "ties")
@@ -386,12 +431,12 @@ class TestFloat64Lane:
     def test_with_mu_takes_a_weight_above_one(self, weight):
         d = rational_map(random.Random(39), 7, "ties")
         merged = engine.merge_blocks(engine.BlockState.initial(d), 2, 5, 2, 5)
-        assert lane(merged) == "float64"
+        assert lane(merged) == "int64"
         state = merged.with_mu({2: weight, 5: Fraction(1, 2)})
         assert state.mu[2] == weight and type(state.mu[2]) is Fraction
-        assert lane(state) == ("object" if weight == 2**45 else "float64")
+        assert lane(state) == ("object" if weight == 2**45 else "int64")
         assert_state_matches_the_scalar_engine(state)
-        assert lane(merged) == "float64" and merged.mu[2] == 1  # the snapshot is unchanged
+        assert lane(merged) == "int64" and merged.mu[2] == 1  # the snapshot is unchanged
 
     def test_q_hat_is_evaluated_once_per_step(self, monkeypatch):
         calls = []

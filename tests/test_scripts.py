@@ -41,6 +41,14 @@ def test_recover_circular_metric():
     assert re.search(r"^nj tree: \(.*\);$", out, re.M)
 
 
+def test_exact_scale_at_n_12():
+    out = run_script("exact_scale.py", "--n", "12", "--seed", "3")
+    for phase in ("metric_from_splits", "run_neighbor_net", "is_kalmanson", "clamped_lambda", "total"):
+        assert re.search(rf"^{phase}: [0-9.]+ s$", out, re.M), phase
+    assert re.search(r"^peak RSS: [0-9.]+ MB$", out, re.M)
+    assert out.endswith("ordering recovered: True; Kalmanson: True; lambda exact: True\n")
+
+
 @pytest.mark.parametrize("rounding", ["none", "tsplib"])
 def test_st70_experiment_on_nine_cities(tmp_path, rounding):
     rng = random.Random(4)
