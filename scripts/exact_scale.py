@@ -2,13 +2,16 @@
 """Exact consistency at scale: a full circular split system with weights
 k/100 (k drawn from 1..100), held as arcs (CircularSplits), through the exact
 pipeline: metric_from_splits, run_neighbor_net, is_kalmanson and
-clamped_lambda.
+clamped_lambda. Then run_neighbor_net once more on the float image of the
+same map, its numerators over its denominator as float64, to time the float
+engine at the same size.
 
 Usage: python scripts/exact_scale.py [--n 300] [--seed 0]
 
-Prints each phase's seconds, their total and the process's peak RSS. Exits 1
-unless the hidden ordering is recovered, the map is Kalmanson for it, and
-the lambda formula gives back every hidden weight exactly.
+Prints each exact phase's seconds, their total, the float run's seconds and
+the process's peak RSS. Exits 1 unless both runs recover the hidden
+ordering, the map is Kalmanson for it, and the lambda formula gives back
+every hidden weight exactly.
 """
 import argparse
 import random
@@ -19,7 +22,7 @@ import time
 import numpy as np
 
 from neighbornet.agglomerate import run_neighbor_net
-from neighbornet.core import CircularOrdering, CircularSplits, metric_from_splits, upper_pairs
+from neighbornet.core import CircularOrdering, CircularSplits, DissimilarityMap, metric_from_splits, upper_pairs
 from neighbornet.kalmanson import is_kalmanson
 from neighbornet.weights import clamped_lambda
 
@@ -51,17 +54,24 @@ def main() -> int:
     for name, value in seconds.items():
         print(f"{name}: {value:.3f} s")
     print(f"total: {sum(seconds.values()):.3f} s")
+    entries, den = d.integer_form
+    floats = DissimilarityMap((entries / den).astype(np.float64))
+    start = time.perf_counter()
+    float_ordering = run_neighbor_net(floats).ordering
+    print(f"run_neighbor_net (float): {time.perf_counter() - start:.3f} s")
     print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
     # Both orderings are canonical, so a recovered one has the hidden arcs in
     # the same positions. The weights are compared as integer numerators, as
     # CircularSplits holds them: its public readers make a Fraction per arc.
     recovered = ordering.order == hidden.order
+    float_recovered = float_ordering.order == hidden.order
     exact = (recovered and negatives == 0 and np.array_equal(weights.starts, starts)
              and np.array_equal(weights.ends, ends)
              and bool((weights._arc_weights * 100 == numerators * weights._den).all()))
-    print(f"ordering recovered: {recovered}; Kalmanson: {kalmanson}; lambda exact: {exact}")
-    return 0 if recovered and kalmanson and exact else 1
+    print(f"ordering recovered: {recovered}; float ordering recovered: {float_recovered}; "
+          f"Kalmanson: {kalmanson}; lambda exact: {exact}")
+    return 0 if recovered and float_recovered and kalmanson and exact else 1
 
 
 if __name__ == "__main__":

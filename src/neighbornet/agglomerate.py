@@ -36,28 +36,31 @@ exact one: the accessors, the winning Q-hat's terms, the records and mu.
 bb is the top-left m x m of one buffer, built in one pass and never
 rebuilt. A merge closes the gap at hi by moving the later rows up and the
 later columns left, which keeps the block order the tie rule reads. Every
-scheme changes weights inside the merged block alone, so its new weights
-are the one value a step passes on: adjust_weights returns them, the
-_reweight kernel applies them and sums the merged block's row, the one row
-a step changes, from the original matrix in O(n |block|); the step record
-keeps them. A step costs O(n^2), a run O(n^3), and float runs cannot
-accumulate drift.
+scheme changes weights inside the merged block alone: adjust_weights
+returns them, _reweight applies them and sums that block's row, the one
+row a step changes, from the original matrix in O(n |block|), and the step
+record keeps them. A step costs O(n^2), a run O(n^3), and float runs
+cannot accumulate drift.
 
-Ownership: the step API (merge_blocks, with_mu) copies a state once and
-changes the copy, so every state it hands out is a snapshot, its merged
-row summed at once; with_mu checks the weights first. run_neighbor_net
-owns the one state it drives and changes it in place with the same
-kernels, so its steps copy nothing and sum the merged row once. Q reads the
-table through flat indices kept per buffer size; the joins are ranked from
-their shared terms, read once per step, and q_hat_criterion runs for the
-winner alone; the splits are built after the loop.
+The step API (merge_blocks, with_mu) copies a state once and changes the
+copy, so every state it hands out is a snapshot; it and the criteria check
+their arguments, the kernels nothing. run_neighbor_net owns its one state
+and changes it in place with the same kernels. A step computes each shared
+term once and keeps it on the state until the next transition: the Q scan
+sums bb's rows and P; the endpoint choice turns them into across, sums
+delta(x, far) for the up to four endpoints in one product and keys every
+join; q_hat_criterion reads the winner's key and terms; the reweight finds
+the taxa of nonzero weight that the next step's far sums read. No step
+loops in Python over a block's taxa but adjust_weights, and a float step
+makes 89-99 calls (cProfile, n = 24 to 120, each scheme). The splits are
+built after the loop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -69,8 +72,6 @@ from .core import (
     Split,
     as_fraction,
     is_exact_number,
-    join_paths,
-    merged_at,
     path_ends,
 )
 
@@ -128,10 +129,9 @@ WeightingScheme = Union[BalancedTSP, TreeWeighting, OriginalBM]
 _TSP_WEIGHTS = {float: (0.0, 0.5), Fraction: (Fraction(0), Fraction(1, 2))}  # interior, ends
 
 
-@dataclass(frozen=True)
-class MergeInfo:
+class MergeInfo(NamedTuple):
     """What the last merge did; consumed by adjust_weights. The joined
-    blocks' taxa, r's then s's, are the merged state's parts[merged_index]."""
+    blocks' paths, r's then s's, are the merged state's parts[merged_index]."""
 
     merged_index: int
     parts_r: Optional[tuple]
@@ -148,17 +148,17 @@ class BlockState:
     is (L, D). On an exact map _w holds the weights as ints over D and _bb
     ints over L*D^2: int64 while _size, the sum of the map's numerators, is
     set, with _top a bound on every |weight numerator|, Python ints once it
-    is None (see the module docstring). On a float map they hold mu and the distances, and _den is
-    (1, 1). mu and every accessor give the state's scalar: Fraction or float.
+    is None (see the module docstring). On a float map they hold mu and the
+    distances, and _den is (1, 1). mu and every accessor give the state's
+    scalar: Fraction or float.
 
     A state the step API hands out never changes: merge_blocks and with_mu
     copy its arrays once and run their kernel, _merge or _reweight, on the
     copy. The one state run_neighbor_net drives is its own (_in_place), and
     the same kernels change that state's arrays in place. A merge on a
     snapshot, and every reweight, refreshes the one row a step changes, at
-    last_merge.merged_index. The values read off the table (row sums, the
-    taxa of nonzero weight, the shared Q-hat terms of one join) are cached
-    until the next transition.
+    last_merge.merged_index. What is read off the table (row sums and P, the
+    taxa of nonzero weight, one join's terms) is kept until the next change.
     """
 
     __slots__ = (
@@ -170,7 +170,7 @@ class BlockState:
     def __init__(self, d, blocks, mu, parts, last_merge=None):
         self.d = d
         self.scalar, self._unit = _arithmetic(d)
-        self.blocks = tuple(tuple(b) for b in blocks)
+        self.blocks = tuple(map(tuple, blocks))
         self.mu = dict(mu)
         self.parts = tuple(parts)
         self.last_merge = last_merge
@@ -185,23 +185,24 @@ class BlockState:
         self._take_weights(self.mu)
         if self.scalar is Fraction and self._fits(size := int(self._dm.sum()), top := np.abs(self._w).max()):
             self._size, self._top, self._dm, self._w = size, top, self._dm.astype(np.int64), self._w.astype(np.int64)
+        taxa, sizes = [k for b in self.blocks for k in b], [len(b) for b in self.blocks]
         self._block = np.empty(d.n, dtype=np.intp)
-        for t, b in enumerate(self.blocks):
-            self._block[list(b)] = t
-        self._buf = self._bb = self._table()
+        self._block[taxa] = np.repeat(np.arange(len(sizes)), sizes)
+        self._buf = self._bb = self._table(taxa, sizes)
         self._in_place, self._scratch = False, None
         self._stale()
 
-    def _table(self) -> np.ndarray:
+    def _table(self, taxa: list, sizes: list) -> np.ndarray:
         """The block table in one pass over the original matrix: the entries
-        mu(i) d(i, j) mu(j), summed per block over rows, then over columns."""
-        taxa = [k for b in self.blocks for k in b]
+        mu(i) d(i, j) mu(j) of the taxa in block order, summed per block over
+        rows, then over columns; a table of one-taxon blocks has no sum."""
         w = self._w[taxa]
         bb = self._dm[np.ix_(taxa, taxa)]
         bb *= w[:, None]
         bb *= w
-        starts = np.cumsum([0, *(len(b) for b in self.blocks[:-1])])
-        bb = np.add.reduceat(np.add.reduceat(bb, starts, axis=0), starts, axis=1)
+        if len(sizes) < len(taxa):
+            starts = np.cumsum([0, *sizes[:-1]])
+            bb = np.add.reduceat(np.add.reduceat(bb, starts, axis=0), starts, axis=1)
         np.copyto(bb, bb.T.copy(), where=np.tri(len(bb), k=-1, dtype=bool))  # Q reads (s, r) as (r, s)
         np.fill_diagonal(bb, 0)
         return bb
@@ -212,7 +213,7 @@ class BlockState:
         Weights that would break the lane rule promote the state first; the
         largest weight outside changed is scanned for only when _top does
         not pass the rule."""
-        taxa, new = np.fromiter(changed, np.intp, len(changed)), list(changed.values())
+        taxa, new = np.fromiter(changed, np.intp, len(changed)), changed.values()
         f = 1
         if self.scalar is Fraction:
             map_den, den = self._den
@@ -230,7 +231,7 @@ class BlockState:
                 self._top = top
         if f > 1:
             self._w *= f
-        self._w[taxa] = new
+        self._w[taxa] = np.fromiter(new, self._w.dtype, len(taxa))
         return f
 
     def _fits(self, size: int, top) -> bool:
@@ -254,7 +255,7 @@ class BlockState:
         new.d, new.scalar, new._unit, new._dm, new._den = self.d, self.scalar, self._unit, self._dm, self._den
         new._size, new._top = self._size, self._top
         new.blocks, new.parts, new.last_merge = self.blocks, self.parts, self.last_merge
-        new.mu, new._w, new._block = dict(self.mu), self._w.copy(), self._block.copy()
+        new.mu, new._w, new._block = dict(self.mu), self._w.copy(), self._block  # a merge replaces _block
         new._buf = new._bb = self._bb.copy()
         new._in_place, new._scratch = False, None
         new._stale()
@@ -265,31 +266,41 @@ class BlockState:
         otherwise a copy."""
         return self if self._in_place else self._copy()
 
-    def _check_pair(self, r: int, s: int):
+    def _check_pair(self, r: int, s: int, i: Optional[int] = None, j: Optional[int] = None) -> int:
+        """The number of blocks, m, once r and s are two blocks of it and,
+        if given, i ends block r's path and j block s's."""
         m = len(self.blocks)
         if not (0 <= r < m and 0 <= s < m):
             raise ValueError(f"block indices must lie in 0..{m - 1}")
         if r == s:
             raise ValueError("r and s must differ")
+        path_r, path_s = self.blocks[r], self.blocks[s]
+        if i is not None and (i not in (path_r[0], path_r[-1]) or j not in (path_s[0], path_s[-1])):
+            raise ValueError("i and j must be endpoints of the selected blocks")
+        return m
 
     def _merge(self, r: int, s: int, i: int, j: int) -> "BlockState":
         """Join block r's path at endpoint i to block s's at j, in place. The
         later rows and columns move up and left over row and column hi, which
         keeps the block order; row lo, the union's, is summed by _refresh:
         here on a snapshot, in the run by the _reweight that follows."""
-        blocks, m = self.blocks, len(self.blocks)
-        lo, hi = min(r, s), max(r, s)
-        joined = join_paths(blocks[r], blocks[s], i, j)
+        m = len(self.blocks)
+        lo, hi = (r, s) if r < s else (s, r)
+        path_r, path_s = self.blocks[r], self.blocks[s]
         self.last_merge = MergeInfo(lo, self.parts[r], self.parts[s], i, j)
-        self.parts = merged_at(self.parts, r, s, (frozenset(blocks[r]), frozenset(blocks[s])))
-        self.blocks = merged_at(blocks, r, s, joined)
+        blocks, parts = list(self.blocks), list(self.parts)
+        blocks[lo] = (path_r if path_r[-1] == i else path_r[::-1]) + (path_s if path_s[0] == j else path_s[::-1])
+        parts[lo] = (path_r, path_s)
+        del blocks[hi], parts[hi]
+        self.blocks, self.parts = tuple(blocks), tuple(parts)
         bb = self._bb
         bb[hi:m - 1] = bb[hi + 1:]
         bb[:, hi:m - 1] = bb[:, hi + 1:]
         self._bb = self._buf[:m - 1, :m - 1]
-        block = self._block
-        block[list(blocks[hi])] = lo
-        block -= block > hi
+        label = np.arange(m)  # block hi becomes lo, and the later blocks move down one
+        label[hi] = lo
+        label[hi + 1:] -= 1
+        self._block = label.take(self._block)
         self._stale()
         if not self._in_place:
             self._refresh(lo)
@@ -310,8 +321,8 @@ class BlockState:
         """Recompute delta(C_t, .) from the original matrix: v = delta(., C_t)
         over every taxon, then the weighted sum of v per block; zero weights
         are skipped."""
-        w = self._w
-        idx = [k for k in self.blocks[t] if w.item(k)]
+        w, path = self._w, np.array(self.blocks[t])
+        idx = path[w[path] != 0]
         v = w.take(idx) @ self._dm.take(idx, 0)
         taxa, weights, owner = self._weighted()
         row = self._bb[t]
@@ -324,39 +335,43 @@ class BlockState:
         """The taxa of nonzero weight, in increasing order, with their table
         weights and their blocks."""
         if self._nonzero is None:
-            taxa = np.flatnonzero(self._w)
+            taxa = self._w.nonzero()[0]
             self._nonzero = (taxa, self._w[taxa], self._block[taxa])
         return self._nonzero
 
     def _join_terms(self, r: int, s: int) -> tuple:
         """What every Q-hat of joining blocks r and s shares, in table units
-        (Python ints over L*D^2, and L*D for delta, on an exact map): the
-        distance across the join, the total pair sum P, and delta(x, far)
-        for each endpoint x of the two blocks, where far holds the taxa of
-        nonzero weight outside blocks r and s."""
-        if self._terms is None or self._terms[0] != (r, s):
-            raw, rowsum, p_total = self._raw, self._row_sums(), self._total  # _row_sums sets _total
-            across = p_total - raw(rowsum.item(r)) - raw(rowsum.item(s)) + raw(self._bb.item(r, s))
+        (Python ints over L*D^2 on an exact map): the distance across the
+        join, the total pair sum P (both None at m = 2), and the key of each
+        endpoint join (i, j), in sorted join order. The key ranks the joins
+        as their Q-hat values do: 2 (m-2) L D times the part of Q-hat that
+        differs between joins, (m-2) D N[i, j] + F[i2] + F[j2], with N the
+        map's numerators, i2, j2 the far ends and F their sums delta(x, far)
+        over L*D, far the taxa of nonzero weight outside blocks r and s; at
+        m = 2, closing the cycle with the edges (i, j) and (i2, j2), 2 L times
+        it, N[i, j] + N[i2, j2]. On a float map N is d and L = D = 1."""
+        terms = self._terms
+        if terms is not None and terms[0] == (r, s):
+            return terms[1:]
+        m, dm, path_r, path_s = len(self.blocks), self._dm, self.blocks[r], self.blocks[s]
+        ends_r, ends_s = path_ends(path_r), path_ends(path_s)  # ends[::-1] pairs each end with its far end
+        joins = sorted([(i, i2, j, j2) for i, i2 in zip(ends_r, ends_r[::-1]) for j, j2 in zip(ends_s, ends_s[::-1])])
+        if m == 2:
+            across = p_total = None
+            keys = {(i, j): dm.item(i, j) + dm.item(i2, j2) for i, i2, j, j2 in joins}
+        else:
+            rowsum, p_total = self._row_sums(), self._total  # _row_sums sets _total
+            across = p_total - rowsum.item(r) - rowsum.item(s) + self._bb.item(r, s)
             taxa, weights, owner = self._weighted()
-            far = (owner != r) & (owner != s)
-            ends = [*self.endpoints(r), *self.endpoints(s)]
-            sums = (self._dm.take(ends, 0).take(taxa[far], 1) @ weights[far]).tolist()
-            self._terms = ((r, s), across, p_total, dict(zip(ends, map(raw, sums))))
-        return self._terms[1:]
-
-    def _pairs(self) -> tuple:
-        """The block pairs r < s of an m-block table, read as the entries
-        (s, r) of its lower triangle in row-major order, so that the pairs
-        of every smaller table come first: each pair's flat index into _buf,
-        its r and its s. Built once per buffer size, since a promotion
-        replaces _buf by the m x m table."""
-        size = len(self._buf)
-        if self._scratch is None or self._scratch[0] != size:
-            s, r = np.tril_indices(size, -1)
-            self._scratch = (size, s * size + r, r, s)
-        _, flat, r, s = self._scratch
-        k = len(self.blocks) * (len(self.blocks) - 1) // 2
-        return flat[:k], r[:k], s[:k]
+            outside = np.ones(m, dtype=bool)
+            outside[r] = outside[s] = False
+            far = outside[owner]
+            ends = [*ends_r, *ends_s]
+            sums = dict(zip(ends, (dm.take(ends, 0).take(taxa[far], 1) @ weights[far]).tolist()))
+            c = (m - 2) * self._den[1]
+            keys = {(i, j): c * dm.item(i, j) + sums[i2] + sums[j2] for i, i2, j, j2 in joins}
+        self._terms = ((r, s), across, p_total, keys)
+        return across, p_total, keys
 
     def _raw(self, x) -> Num:
         """A table value in table units as a Python number: an int on an
@@ -367,15 +382,14 @@ class BlockState:
         """num / den as the state's scalar: a Fraction on an exact map."""
         return Fraction(num, den) if self.scalar is Fraction else num / den
 
-    def _number(self, x, power: int) -> Num:
-        """A table value as the Python number it stands for, x over
-        L*D**power."""
+    def _number(self, x: Num, power: int) -> Num:
+        """The number a table value x (a Python number) stands for, x / (L D^power)."""
         map_den, den = self._den
-        return self._div(self._raw(x), map_den * den**power)
+        return self._div(x, map_den * den**power)
 
     @classmethod
     def initial(cls, d: DissimilarityMap) -> "BlockState":
-        one = _arithmetic(d)[0](1)
+        one = Fraction(1) if d.is_exact else 1.0
         return cls(d, [(t,) for t in range(d.n)], dict.fromkeys(range(d.n), one), [None] * d.n)
 
     @property
@@ -398,8 +412,8 @@ class BlockState:
         """The row sums of bb, in its units; _total becomes P in the same
         units."""
         if self._rowsum is None:
-            self._rowsum = self._bb.sum(axis=1)
-            total = self._raw(self._rowsum.sum())
+            self._rowsum = rowsum = np.add.reduce(self._bb, axis=1)
+            total = self._raw(np.add.reduce(rowsum))
             self._total = total // 2 if self.scalar is Fraction else total / 2  # even: bb is symmetric
         return self._rowsum
 
@@ -409,7 +423,7 @@ class BlockState:
 
     def taxon_block_distance(self, x: int, t: int) -> Num:
         """delta(x, C_t) per the weighted single sum, summed on demand."""
-        return self._number((self._w * (self._block == t)) @ self._dm[x], 1)
+        return self._number(self._raw((self._w * (self._block == t)) @ self._dm[x]), 1)
 
     def row_sum(self, r: int) -> Num:
         return self._number(self._row_sums().item(r), 2)
@@ -437,8 +451,7 @@ class BlockState:
 
 def q_criterion(state: BlockState, r: int, s: int) -> Num:
     """(m-2) delta(C_r,C_s) - sum_t delta(C_r,C_t) - sum_t delta(C_t,C_s)."""
-    state._check_pair(r, s)
-    m = state.m
+    m = state._check_pair(r, s)
     return (m - 2) * state.block_distance(r, s) - state.row_sum(r) - state.row_sum(s)
 
 
@@ -451,41 +464,20 @@ def q_hat_criterion(state: BlockState, r: int, s: int, i: int, j: int) -> Num:
     the enumerated quantity l(d, C') - l(d, C) exactly, so minimizing it picks
     the join of minimal balanced length among the endpoint candidates.
 
-    One formula serves both arithmetics: from _q_hat_scores' key and
-    _join_terms' across and total pair sum P in table units, the value is
-    (D key + 2 across) / (2 L D^2 (m-2)) - P / (L D^2 (m-1)); at m = 2,
-    (D^2 key - 2 bb[r, s]) / (2 L D^2). L = D = 1 on a float map, whose
-    division rounds where an exact map's forms a Fraction; dividing before
-    subtracting keeps its terms near m * max|d|, finite at the map's bound.
+    One formula serves both arithmetics: from _join_terms' key, across and
+    total pair sum P in table units, the value is (D key + 2 across) /
+    (2 L D^2 (m-2)) - P / (L D^2 (m-1)); at m = 2, (D^2 key - 2 bb[r, s]) /
+    (2 L D^2). L = D = 1 on a float map, whose division rounds where an
+    exact map's forms a Fraction; dividing before subtracting keeps its
+    terms near m * max|d|, finite at the map's bound.
     """
-    state._check_pair(r, s)
-    path_r, path_s = state.blocks[r], state.blocks[s]
-    if i not in (path_r[0], path_r[-1]) or j not in (path_s[0], path_s[-1]):
-        raise ValueError("i and j must be endpoints of the selected blocks")
-    key = _q_hat_scores(state, r, s, [(i, j)])[0]
-    m = len(state.blocks)
+    m = state._check_pair(r, s, i, j)
+    across, p_total, keys = state._join_terms(r, s)
     map_den, den = state._den
     scale = map_den * den * den
     if m == 2:
-        return state._div(den * den * key - 2 * state._raw(state._bb.item(r, s)), 2 * scale)
-    across, p_total, _ = state._join_terms(r, s)
-    return state._div(den * key + 2 * across, 2 * scale * (m - 2)) - state._div(p_total, scale * (m - 1))
-
-
-def _q_hat_scores(state: BlockState, r: int, s: int, joins: list) -> list:
-    """The key of each join (i, j) of blocks r and s, which ranks them as
-    their Q-hat values do: 2 (m-2) L D times the part of Q-hat that differs
-    between joins, (m-2) D N[i, j] + F[i2] + F[j2], with N the map's
-    numerators, F the far sums over L*D and i2, j2 the far ends; at m = 2,
-    closing the cycle with the edges (i, j) and (i2, j2), 2 L times it,
-    N[i, j] + N[i2, j2]. On a float map N is d and L = D = 1."""
-    m, path_r, path_s = len(state.blocks), state.blocks[r], state.blocks[s]
-    ends = [(i, j, _other_end(path_r, i), _other_end(path_s, j)) for i, j in joins]
-    raw, dm = state._raw, state._dm
-    if m == 2:
-        return [raw(dm.item(i, j)) + raw(dm.item(i2, j2)) for i, j, i2, j2 in ends]
-    far, c = state._join_terms(r, s)[2], (m - 2) * state._den[1]
-    return [c * raw(dm.item(i, j)) + far[i2] + far[j2] for i, j, i2, j2 in ends]
+        return state._div(den * den * keys[i, j] - 2 * state._bb.item(r, s), 2 * scale)
+    return state._div(den * keys[i, j] + 2 * across, 2 * scale * (m - 2)) - state._div(p_total, scale * (m - 1))
 
 
 def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockState:
@@ -494,7 +486,7 @@ def merge_blocks(state: BlockState, r: int, s: int, i: int, j: int) -> BlockStat
     The merged path sits at index min(r, s); node weights are carried over
     unchanged (adjust_weights produces the new ones).
     """
-    state._check_pair(r, s)
+    state._check_pair(r, s, i, j)
     return state._target()._merge(r, s, i, j)
 
 
@@ -525,9 +517,11 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
         # first (arbitrary but fixed): the sub-block holding the junction
         # endpoint is halved, its sibling and the whole other block quartered
         quarter, h = one / 4, one / 2
-        sides = [(block_r, info.parts_r, info.i, block_s), (block_s, info.parts_s, info.j, block_r)]
-        compound = [side for side in sorted(sides, key=lambda side: min(side[0])) if side[1] is not None]
-        for _, (part_a, part_b), junction, other in compound:
+        sides = [(info.parts_r, info.i, block_s), (info.parts_s, info.j, block_r)]
+        if min(block_s) < min(block_r):
+            sides.reverse()
+        compound = [side for side in sides if side[0] is not None]
+        for (part_a, part_b), junction, other in compound:
             near, far = (part_a, part_b) if junction in part_a else (part_b, part_a)
             for t in (*far, *other):
                 mu[t] = mu[t] * quarter
@@ -542,8 +536,7 @@ def adjust_weights(state: BlockState, scheme: WeightingScheme) -> dict:
     return mu
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One merge. mu is what adjust_weights returned, the merged path's new
     weights, so the records replayed over all-ones weights rebuild every
     state's weights."""
@@ -576,11 +569,6 @@ class NeighborNetResult:
     trace: AgglomerationTrace
 
 
-def _near_min(values: np.ndarray, tol: Num) -> np.ndarray:
-    """Indices, in increasing order, of the values within tol of the minimum."""
-    return (values <= values.min() + tol).nonzero()[0]
-
-
 def _select_pair(state: BlockState) -> tuple:
     """Argmin of Q over the block pairs r < s, as ((r, s), Q value).
 
@@ -592,34 +580,43 @@ def _select_pair(state: BlockState) -> tuple:
          the smallest, a label-independent criterion;
       4. take the lexicographically first (r, s) of what remains.
     Ties always occur at three blocks, where Q is the same for every pair.
+    The pairs are the entries (s, r) = delta(C_r, C_s) of the table's lower
+    triangle in row-major order, so every smaller table's come first; their
+    flat indices, r and s are kept per buffer size (a promotion replaces it).
     """
-    m, tol, row_sums = state.m, state.tie_tol, state._row_sums()
-    flat, rows, cols = state._pairs()
-    q = state._buf.take(flat)  # the table is symmetric: entry (s, r) is delta(C_r, C_s)
+    m, buf, row_sums = len(state.blocks), state._buf, state._row_sums()
+    tol, size = state._unit * m, buf.shape[0]
+    if state._scratch is None or state._scratch[0] != size:
+        s, r = np.tril_indices(size, -1)
+        state._scratch = (size, s * size + r, r, s)
+    k = m * (m - 1) // 2
+    _, flat, rows, cols = state._scratch
+    flat, rows, cols = flat[:k], rows[:k], cols[:k]
+    q = buf.take(flat)
     q *= m - 2
     q -= row_sums.take(rows)
     q -= row_sums.take(cols)
-    near = _near_min(q, tol)
-    k = int(near[0])
-    if len(near) > 1:
-        near = near[_near_min(state._buf.take(flat[near]), tol)]
-        k = int(near[np.argmin(rows[near] * len(q) + near)])  # the first (r, s)
+    k = q.argmin()
+    near = (q <= q.item(k) + tol).nonzero()[0]
+    if near.size > 1:
+        dist = buf.take(flat[near])
+        near = near[dist <= np.minimum.reduce(dist) + tol]
+        k = near[np.argmin(rows[near] * len(q) + near)]  # the first (r, s)
     return (int(rows[k]), int(cols[k])), state._number(q.item(k), 2)
 
 
 def _select_endpoints(state: BlockState, r: int, s: int) -> tuple:
     """Argmin of Q-hat over the endpoint joins (i, j), as ((i, j), Q-hat
     value): values within state.tie_tol of the minimum tie, and ties go to
-    the lexicographically first (i, j). The joins are ranked by
-    _q_hat_scores' keys, 2 (m-2) L D times the values, or 2 L at m = 2, so
-    the keys tie within the tolerance times 2 (m-2), or 2 (L = D = 1 where
-    it is not 0); q_hat_criterion is evaluated for the winner alone."""
-    state._check_pair(r, s)
-    joins = sorted((i, j) for i in state.endpoints(r) for j in state.endpoints(s))
-    scores = _q_hat_scores(state, r, s, joins)
-    bound = min(scores) + state.tie_tol * 2 * max(state.m - 2, 1)
-    i, j = joins[next(k for k, v in enumerate(scores) if v <= bound)]
-    return (i, j), q_hat_criterion(state, r, s, i, j)
+    the lexicographically first (i, j). The keys of _join_terms, 2 (m-2) L D
+    times the values (2 L at m = 2), tie within the tolerance times 2 (m-2),
+    or 2; q_hat_criterion is evaluated for the winner alone."""
+    m = state._check_pair(r, s)
+    keys = state._join_terms(r, s)[2]
+    bound = min(keys.values()) + state._unit * m * 2 * (m - 2 if m > 2 else 1)
+    for (i, j), key in keys.items():
+        if key <= bound:
+            return (i, j), q_hat_criterion(state, r, s, i, j)
 
 
 def _splits(blocks: list, n: int) -> list:
@@ -636,9 +633,7 @@ def run_neighbor_net(
 
     Returns the canonical circular ordering, the n-2 recorded splits with a
     nonempty complement (the final degenerate one is dropped), and the
-    per-step trace. The run owns its state, so every merge and reweight
-    changes that state's arrays in place; the splits are built after the
-    loop.
+    per-step trace. The run changes its own state in place.
     """
     n = d.n
     if n < 3:
@@ -646,23 +641,21 @@ def run_neighbor_net(
     state = BlockState.initial(d)
     state._in_place = True
     steps = []
-    while state.m > 1:
-        m = state.m
+    for m in range(n, 1, -1):
         pair, q_val = ((0, 1), q_criterion(state, 0, 1)) if m == 2 else _select_pair(state)
-        r, s = pair
+        r, s = pair  # r < s, so the union lands at r
         (i, j), qh_val = _select_endpoints(state, r, s)
         state = merge_blocks(state, r, s, i, j)
         mu = adjust_weights(state, scheme)
         state._reweight(mu)
-        steps.append((m, pair, q_val, (i, j), qh_val, state.blocks[min(r, s)], mu))
+        steps.append((m, pair, q_val, (i, j), qh_val, state.blocks[r], mu))
     ordering = CircularOrdering(state.blocks[0]).canonical()
     del state  # its table goes before the splits are built
-    merged = [step[5] for step in steps]
-    records = tuple(
+    records = tuple([
         StepRecord(m, pair, q_val, ends, qh_val, split, block, mu)
-        for (m, pair, q_val, ends, qh_val, block, mu), split in zip(steps, _splits(merged, n))
-    )
-    tree_splits = tuple(rec.split for rec in records if rec.split is not None)
+        for (m, pair, q_val, ends, qh_val, block, mu), split in zip(steps, _splits([st[5] for st in steps], n))
+    ])
+    tree_splits = tuple([rec.split for rec in records if rec.split is not None])
     return NeighborNetResult(ordering, tree_splits, AgglomerationTrace(records))
 
 

@@ -159,10 +159,13 @@ class DissimilarityMap:
         return self if self.is_exact else DissimilarityMap(self.array, exact=True)
 
     def __eq__(self, other):
+        if self.is_exact and isinstance(other, DissimilarityMap) and other.is_exact:
+            (a, p), (b, q) = self._integer_form, other._integer_form  # canonical: p, q are lcms of denominators
+            return p == q and np.array_equal(a, b)
         return isinstance(other, DissimilarityMap) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.n, self[0, self.n - 1]))  # equal exact and float maps hash alike
 
     def __repr__(self):
         return f"DissimilarityMap(n={self.n})"

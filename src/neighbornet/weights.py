@@ -94,8 +94,10 @@ class DesignMatrix:
 
     @staticmethod
     def rhs(d: DissimilarityMap) -> np.ndarray:
-        """The map's distances as floats, in the order of the rows."""
-        return d.array[upper_pairs(d.n)].astype(float)
+        """The map's distances as floats, in the order of the rows; an exact map's
+        numerators are divided by den as Python ints, which round as float(Fraction)."""
+        values, den = d.integer_form if d.is_exact else (d.array, 1)
+        return (values[upper_pairs(d.n)] / den).astype(float)
 
 
 def lambda_formula(d: DissimilarityMap, ordering: CircularOrdering) -> dict:

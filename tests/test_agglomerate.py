@@ -1,6 +1,8 @@
 """Engine behavior: selection criteria, merges, weight adjustment, full runs,
 and neighbor-joining as the tree-weighted run, checked against the independent
 recursion in scalar_engine."""
+import cProfile
+import pstats
 import random
 from fractions import Fraction
 
@@ -427,3 +429,20 @@ class TestWithMu:
         with pytest.raises(ValueError, match="last merged block"):
             state.with_mu({**mu, 0: Fraction(1, 2)})
         assert state.with_mu(mu).mu == {0: 1, 1: Fraction(1, 2), 2: 1, 3: Fraction(1, 2), 4: 1}
+
+
+@pytest.mark.parametrize("scheme", [BalancedTSP(), TreeWeighting(), OriginalBM()], ids=lambda s: type(s).__name__)
+def test_a_float_step_makes_a_bounded_number_of_calls(scheme):
+    # every Python and numpy call a run makes, over its n - 1 steps: a loop
+    # over a block's taxa, or a term computed twice, would show here and
+    # grow with n. Exact runs are left out: under the tree weightings their
+    # weights are Fraction work per taxon.
+    per_step = {}
+    for n in (30, 90):
+        d = random_dissimilarity(random.Random(f"calls/{n}"), n)
+        profile = cProfile.Profile()
+        profile.runcall(run_neighbor_net, d, scheme)
+        per_step[n] = pstats.Stats(profile).total_calls / (n - 1)
+    assert max(per_step.values()) <= 120, per_step
+    assert per_step[90] <= per_step[30] + 3, per_step
+

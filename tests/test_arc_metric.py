@@ -1,6 +1,7 @@
 """The metric of a CircularSplits, summed over its arcs by prefix sums,
 against the split-by-split metric of the same splits; and exact maps that
-make Fractions only when their entries are read."""
+make Fractions only when their entries are read, not when a fit reads them
+as floats or two of them are compared."""
 import random
 from fractions import Fraction
 from unittest import mock
@@ -19,6 +20,7 @@ from neighbornet.core import (
     metric_from_splits,
     upper_pairs,
 )
+from neighbornet.weights import DesignMatrix
 
 
 def random_arcs(rng: random.Random, n: int) -> tuple:
@@ -115,7 +117,7 @@ def exact_maps():
     }
 
 
-@pytest.mark.parametrize("read", ["array", "rows", "item"])
+@pytest.mark.parametrize("read", ["array", "rows", "item", "rhs"])
 @pytest.mark.parametrize("build", sorted(exact_maps()))
 def test_an_exact_map_makes_fractions_only_when_read(fraction_count, build, read):
     make, made = exact_maps()[build], fraction_count
@@ -128,8 +130,55 @@ def test_an_exact_map_makes_fractions_only_when_read(fraction_count, build, read
     if read == "item":
         assert d[2, 0] is not d[2, 0] and len(made) == 2  # one per read until d.array is made
         return
+    if read == "rhs":
+        rhs = DesignMatrix.rhs(d)
+        assert made == []
+        expected = d.array[upper_pairs(N)].astype(float)
+        assert rhs.dtype == np.float64 and rhs.tobytes() == expected.tobytes()  # bit for bit
+        return
     getattr(d, read)
     entries = N * (N - 1) // 2 + 1  # each entry above the diagonal, and the zero
     assert len(made) == entries
     assert d.array is d.array and d[1, 4] is d.array[1, 4] and len(made) == entries  # kept, and read from
     assert not d.array.flags.writeable
+
+
+def test_the_float_rhs_of_large_numerators_rounds_as_fractions_do(fraction_count):
+    # numerators far above 2^53 over a den that is no power of two: one
+    # rounding per entry, the one float(Fraction) makes
+    rng = random.Random(88)
+    entries = np.zeros((N, N), dtype=object)
+    for i, j in zip(*upper_pairs(N)):
+        entries[i, j] = entries[j, i] = rng.randrange(1, 10**40)
+    d = DissimilarityMap.from_integer_form(entries, 3 * 10**21 + 7)
+    fraction_count.clear()
+    rhs = DesignMatrix.rhs(d)
+    assert fraction_count == []
+    assert rhs.tobytes() == d.array[upper_pairs(N)].astype(float).tobytes()
+
+
+def test_exact_maps_compare_by_their_integer_forms(fraction_count):
+    entries = np.triu(np.arange(N * N).reshape(N, N) % 7 + 1, 1)
+    entries += entries.T
+    fraction_count.clear()
+    a = DissimilarityMap.from_integer_form(entries, 4)
+    b = DissimilarityMap.from_integer_form(entries * 3, 12)  # the same map: gcd 3 is divided out
+    assert a == b and b == a and fraction_count == []
+    other = entries.copy()
+    other[0, 1] = other[1, 0] = other[0, 1] + 1
+    assert a != DissimilarityMap.from_integer_form(other, 4)
+    assert a != DissimilarityMap.from_integer_form(entries, 8)
+    assert a != DissimilarityMap.from_integer_form(entries[:-1, :-1], 4)
+    assert fraction_count == []
+
+
+def test_an_exact_map_equals_and_hashes_as_the_float_map_of_its_values():
+    entries = np.triu(np.arange(N * N).reshape(N, N) % 7 + 1, 1)
+    entries += entries.T
+    exact = DissimilarityMap.from_integer_form(entries, 4)  # quarters: every value a float
+    floats = DissimilarityMap(entries / 4)
+    assert exact == floats and floats == exact and hash(exact) == hash(floats)
+    assert len({exact, floats}) == 1
+    thirds = DissimilarityMap.from_integer_form(entries, 3)
+    assert thirds != DissimilarityMap(entries / 3) and DissimilarityMap(entries / 3) != thirds
+    assert thirds != floats and floats != entries.tolist()

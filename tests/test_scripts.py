@@ -43,10 +43,11 @@ def test_recover_circular_metric():
 
 def test_exact_scale_at_n_12():
     out = run_script("exact_scale.py", "--n", "12", "--seed", "3")
-    for phase in ("metric_from_splits", "run_neighbor_net", "is_kalmanson", "clamped_lambda", "total"):
+    for phase in ("metric_from_splits", "run_neighbor_net", "is_kalmanson", "clamped_lambda", "total",
+                  r"run_neighbor_net \(float\)"):
         assert re.search(rf"^{phase}: [0-9.]+ s$", out, re.M), phase
     assert re.search(r"^peak RSS: [0-9.]+ MB$", out, re.M)
-    assert out.endswith("ordering recovered: True; Kalmanson: True; lambda exact: True\n")
+    assert out.endswith("ordering recovered: True; float ordering recovered: True; Kalmanson: True; lambda exact: True\n")
 
 
 @pytest.mark.parametrize("rounding", ["none", "tsplib"])
