@@ -93,11 +93,6 @@ def _exact_weights(mu: dict) -> dict:
     return {t: as_fraction(v) for t, v in mu.items()}
 
 
-def _other_end(path: tuple, x: int) -> int:
-    """The end of path that is not x; x itself on a one-taxon path."""
-    return path[0] if path[-1] == x else path[-1]
-
-
 @dataclass(frozen=True)
 class BalancedTSP:
     """Endpoints of every merged path get weight 1/2, interior nodes 0."""

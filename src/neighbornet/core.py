@@ -30,6 +30,11 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(int(x) if isinstance(x, np.integer) else x)
 
 
+def _real_kind(x) -> Optional[bool]:
+    """True for an exact number, False for a float or a bool, None for what is not a real number."""
+    return True if is_exact_number(x) else False if isinstance(x, (float, bool, np.floating, np.bool_)) else None
+
+
 def _check_taxa(taxa: Sequence, n: int, message: str) -> None:
     """Raise ValueError(message) unless taxa are distinct ints or numpy integers in 0..n-1: no bool, no float."""
     whole = all(issubclass(k, (int, np.integer)) and k is not bool for k in set(map(type, taxa)))
@@ -85,7 +90,10 @@ class DissimilarityMap:
             raise ValueError("square matrix required")
         a = np.array(rows)
         # an object array holds Fractions, ints beyond int64, or a mix with floats
-        all_exact = all(map(is_exact_number, a.flat)) if a.dtype == object else a.dtype.kind in "iu"
+        kinds = list(map(_real_kind, a.flat)) if a.dtype == object else [_real_kind(a.flat[0])]  # the dtype's kind
+        if None in kinds:
+            raise ValueError("entry at ({},{}) is not a real number".format(*divmod(kinds.index(None), n)))
+        all_exact = all(kinds)
         if not all_exact:
             floats = a.astype(float)
             bad = np.argwhere(~np.isfinite(floats))
@@ -303,13 +311,6 @@ def split_masks(splits: Iterable[Split], n: int) -> Iterator[np.ndarray]:
         yield side[rows] != side[cols]
 
 
-def pair_sums(weights: Mapping[Split, Num], n: int) -> np.ndarray:
-    """sum_S w_S delta_S(i, j) for every pair, in split_masks order, each
-    weight added as a float over its mask in the mapping's order: the sums a
-    loop over the pairs would give, bit for bit. Weights may be negative."""
-    return _masked_sums(weights, map(float, weights.values()), n, float)
-
-
 def _masked_sums(splits: Iterable[Split], addends: Iterable, n: int, dtype: type) -> np.ndarray:
     out = np.zeros(n * (n - 1) // 2, dtype=dtype)
     for mask, w in zip(split_masks(splits, n), addends):
@@ -333,6 +334,8 @@ class WeightedSplitSystem:
         for s, w in weights.items():
             if s.n != n:
                 raise ValueError("split taxon count mismatch")
+            if _real_kind(w) is None:
+                raise ValueError(f"weight for {s} is not a real number: {w!r}")
             if not (is_exact_number(w) or math.isfinite(w)):
                 raise ValueError(f"non-finite weight for {s}")
             if w < 0:
@@ -399,11 +402,13 @@ def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
     numerators over den, as int64 while they total below 2^62, so that a
     pair sum's two terms fit, and as Python ints above. Its float sums are
     within (k + 8n + 8) 2^-53 sum(w) of the split-by-split ones, k splits.
-    A WeightedSplitSystem of floats adds split by split, as pair_sums does;
-    an exact one sums its numerators N into the map's integer form: with X
-    the side matrix and B = X diag(N) X^T, the pair sum is B[i, i] + B[j, j]
-    - 2 B[i, j], formed by BLAS, exact while 2 sum(N) <= 2^53, and above
-    that over each split's pair mask as Python ints."""
+    A WeightedSplitSystem of floats adds each weight as a float over its
+    split's pair mask, in the mapping's order: the sums a loop over the
+    pairs would give, bit for bit. An exact one sums its numerators N into
+    the map's integer form: with X the side matrix and B = X diag(N) X^T,
+    the pair sum is B[i, i] + B[j, j] - 2 B[i, j], formed by BLAS, exact
+    while 2 sum(N) <= 2^53, and above that over each split's pair mask as
+    Python ints."""
     n, den = sys.n, None
     if isinstance(sys, CircularSplits):
         x, den = sys._arc_weights, sys._den
@@ -411,7 +416,7 @@ def metric_from_splits(sys: WeightedSplitSystem) -> DissimilarityMap:
             x = x.astype(np.int64 if sum(x.tolist()) < 2**62 else object)
         sums = arc_pair_sums(sys.ordering, sys.starts, sys.ends, x)
     elif not sys.is_exact:
-        sums = pair_sums(dict(sys.items()), n)
+        sums = _masked_sums(sys, [float(w) for _, w in sys.items()], n, float)
     else:
         weights = dict(sys.items())
         numerators, den = int_numerators(map(as_fraction, weights.values()))
@@ -535,10 +540,10 @@ class CircularSplits(WeightedSplitSystem):
     """The circular splits of an ordering that carry positive weight, held as
     its arcs: split c is the one of the taxa order[starts[c]:ends[c]], for
     distinct arcs 0 <= s < e <= n-1 (an arc never holds position n-1, so a
-    split has one arc, and a repeated arc is refused). Weights are a float64
-    array, or, with den given, the integer numerators of exact weights over
-    den: an integer array, or Python ints in an object array, over a
-    positive int; zero weights are dropped.
+    split has one arc, and a repeated arc is refused). Weights are float or
+    integer, held as float64, or, with den given, the integer numerators of
+    exact weights over den: an integer array, or Python ints in an object
+    array, over a positive int; zero weights are dropped.
 
     A WeightedSplitSystem whose Splits are made only when a method other
     than len, row_chunks, rows and is_exact, or a function other than
@@ -559,8 +564,10 @@ class CircularSplits(WeightedSplitSystem):
         if taken.sum() != starts.size:
             raise ValueError("an arc is given twice")
         whole = weights.dtype.kind in "iu" or weights.dtype == object and all(type(v) is int for v in weights.tolist())
-        if den is not None and not (whole and type(den) is int and den > 0):
-            raise ValueError("exact weights must be integer numerators over a positive int den")
+        if den is None and weights.dtype.kind in "fiu":
+            weights = weights.astype(float, copy=False)
+        elif not (whole and type(den) is int and den > 0):  # bool, object and str weights too
+            raise ValueError("weights need a float or int dtype; exact ones integer numerators over a positive int den")
         if not ((den is not None or np.isfinite(weights).all()) and (weights >= 0).all()):
             raise ValueError("split weights must be finite and nonnegative")
         keep = np.asarray(weights > 0, dtype=bool)
@@ -662,33 +669,6 @@ class PartialCircularOrdering:
 def path_ends(path: Sequence[int]) -> tuple:
     """The one or two endpoints of a path."""
     return (path[0],) if len(path) == 1 else (path[0], path[-1])
-
-
-def merged_at(items: Sequence, r: int, s: int, value) -> tuple:
-    """items after blocks r and s merge: value replaces item min(r, s) and
-    item max(r, s) is deleted."""
-    if r == s:
-        raise ValueError("r and s must differ")
-    out = list(items)
-    out[min(r, s)] = value
-    del out[max(r, s)]
-    return tuple(out)
-
-
-def join_paths(path_r: Sequence[int], path_s: Sequence[int], i: int, j: int) -> tuple:
-    """Concatenate two paths with an edge (i, j), reversing either path as
-    needed so that i ends the first and j starts the second."""
-    path_r = list(path_r)
-    path_s = list(path_s)
-    if path_r[-1] != i:
-        if path_r[0] != i:
-            raise ValueError(f"{i} is not an endpoint of the first path")
-        path_r.reverse()
-    if path_s[0] != j:
-        if path_s[-1] != j:
-            raise ValueError(f"{j} is not an endpoint of the second path")
-        path_s.reverse()
-    return tuple(path_r + path_s)
 
 
 # -- counting identities ----------------------------------------------------

@@ -6,11 +6,13 @@ quartet sets and an exhaustive Kalmanson search; the node-weighting
 axioms, which the tests check along agglomeration steps; and the readings
 of the paper's identities that only the tests use: the split metric
 delta_S, split compatibility and circularity, the canonical orderings, Z as
-the balanced-length drop over the join family, the four-point condition
-and the residual of a split weighting; the test rigs all_circular_splits,
-clamp_nonnegative and radius_perturbation_check, the paper's radius-1/2
-recovery run on a perturbed circular metric; and DenseDesign, an explicit
-array that weights.nnls and kkt_violation read as they read a DesignMatrix.
+the balanced-length drop over the join family, path joining (join_paths
+and merged_at, which build that family), the split-by-split pair sums
+(pair_sums), the four-point condition and the residual of a split
+weighting; the test rigs all_circular_splits, clamp_nonnegative and
+radius_perturbation_check, the paper's radius-1/2 recovery run on a
+perturbed circular metric; and DenseDesign, an explicit array that
+weights.nnls and kkt_violation read as they read a DesignMatrix.
 
 A quartet (ab;cd) is stored as frozenset({frozenset({a,b}), frozenset({c,d})})
 over taxa, so quartet sets from different orderings compare directly.
@@ -36,16 +38,14 @@ from .core import (
     PartialCircularOrdering,
     Split,
     WeightedSplitSystem,
+    _masked_sums,
     arc_splits,
     as_fraction,
     canonical_cycle,
     count_distinct_orderings,
     int_numerators,
     is_exact_number,
-    join_paths,
-    merged_at,
     metric_from_splits,
-    pair_sums,
     sides_of,
     sorted_splits,
     split_masks,
@@ -105,6 +105,33 @@ def adjacency_counts(orderings: Iterable[CircularOrdering]) -> dict:
 def _mean_half_tour(d: DissimilarityMap, orderings: list) -> Num:
     """Average half tour length over the orderings (sequences or orderings)."""
     return sum(tour_length(d, o) for o in orderings) / Fraction(2 * len(orderings))
+
+
+def merged_at(items: Sequence, r: int, s: int, value) -> tuple:
+    """items after blocks r and s merge: value replaces item min(r, s) and
+    item max(r, s) is deleted."""
+    if r == s:
+        raise ValueError("r and s must differ")
+    out = list(items)
+    out[min(r, s)] = value
+    del out[max(r, s)]
+    return tuple(out)
+
+
+def join_paths(path_r: Sequence[int], path_s: Sequence[int], i: int, j: int) -> tuple:
+    """Concatenate two paths with an edge (i, j), reversing either path as
+    needed so that i ends the first and j starts the second."""
+    path_r = list(path_r)
+    path_s = list(path_s)
+    if path_r[-1] != i:
+        if path_r[0] != i:
+            raise ValueError(f"{i} is not an endpoint of the first path")
+        path_r.reverse()
+    if path_s[0] != j:
+        if path_s[-1] != j:
+            raise ValueError(f"{j} is not an endpoint of the second path")
+        path_s.reverse()
+    return tuple(path_r + path_s)
 
 
 def join_extensions(pco: PartialCircularOrdering, r: int, s: int):
@@ -397,6 +424,13 @@ def clamp_nonnegative(lam: Mapping[Split, Num]) -> dict:
     """The entries with a positive value; the rest clamp to weight 0, which
     a split system leaves out."""
     return {s: v for s, v in lam.items() if v > 0}
+
+
+def pair_sums(weights: Mapping[Split, Num], n: int) -> np.ndarray:
+    """sum_S w_S delta_S(i, j) for every pair, in split_masks order, each
+    weight added as a float over its mask in the mapping's order: the sums a
+    loop over the pairs would give, bit for bit. Weights may be negative."""
+    return _masked_sums(weights, map(float, weights.values()), n, float)
 
 
 def reconstruction_residual(d: DissimilarityMap, lam: Mapping[Split, Num]) -> float:

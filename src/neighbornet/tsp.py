@@ -69,11 +69,8 @@ def read_tsplib_euc2d(text: str, rounding: str = "none") -> DissimilarityMap:
         if line.upper().startswith("NODE_COORD_SECTION"):
             in_coords = True
             continue
-        if ":" in line:
-            key, _, value = line.partition(":")
-            header[key.strip().upper()] = value.strip()
-        else:
-            header[line.upper()] = ""
+        key, _, value = line.partition(":")  # a line without ":" is a key with the value ""
+        header[key.strip().upper()] = value.strip()
     if "DIMENSION" not in header:
         raise ValueError("malformed header: missing DIMENSION")
     if not in_coords:
@@ -87,23 +84,25 @@ def read_tsplib_euc2d(text: str, rounding: str = "none") -> DissimilarityMap:
         raise ValueError(f"bad DIMENSION {header['DIMENSION']!r}") from None
     if len(coord_lines) != n:
         raise ValueError(f"coordinate count mismatch: expected {n}, got {len(coord_lines)}")
-    coords = []
+    xy, placed = np.zeros((n, 2)), [None] * n  # node k's coordinates and line at index k - 1
     for line in coord_lines:
-        parts = line.split()
+        node, *parts = line.split()
+        k = int(node) - 1 if node.isdecimal() else -1
+        if not 0 <= k < n or placed[k] is not None:
+            raise ValueError(f"bad node id in line {line!r}: the ids must be a permutation of 1..{n}")
         try:
-            coords.append((float(parts[1]), float(parts[2])))
+            placed[k], xy[k] = line, (float(parts[0]), float(parts[1]))
         except (IndexError, ValueError):  # a short line or a non-numeric coordinate
             raise ValueError(f"bad coordinate line: {line!r}") from None
-        if not all(map(math.isfinite, coords[-1])):
+        if not all(map(math.isfinite, xy[k])):
             raise ValueError(f"non-finite coordinate in line {line!r}")
-    xy = np.array(coords).reshape(n, 2)
     rows, cols = upper_pairs(n)
     with np.errstate(over="ignore"):  # an overflow is reported below
         upper = _hypot(*(xy[rows] - xy[cols]).T).astype(float)
     bad = np.flatnonzero(~np.isfinite(upper))
     if bad.size:
         i, j = rows[bad[0]], cols[bad[0]]
-        raise ValueError(f"non-finite distance between {coord_lines[i]!r} and {coord_lines[j]!r}")
+        raise ValueError(f"non-finite distance between {placed[i]!r} and {placed[j]!r}")
     dist = np.zeros((n, n))
     dist[rows, cols] = dist[cols, rows] = upper
     return DissimilarityMap(_int(dist + 0.5) if rounding == "tsplib" else dist)

@@ -17,8 +17,8 @@ from neighbornet.core import (
     Num,
     Split,
     is_exact_number,
-    join_paths,
 )
+from neighbornet.oracle import join_paths
 
 
 def half(exact: bool) -> Num:

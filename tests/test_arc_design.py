@@ -155,6 +155,11 @@ def test_every_system_the_radius_accepts_is_recovered(n, system_seed, dropped, s
     ([0], [5], [1.0], "arcs need integer positions"),
     ([0, 1], [2, 3], [1.0, -0.5], "finite and nonnegative"),
     ([0, 1], [2, 3], [1.0, float("nan")], "finite and nonnegative"),
+    ([0, 1], [2, 3], [True, False], "weights need a float or int dtype"),
+    ([0], [2], [Fraction(1, 2)], "weights need a float or int dtype"),
+    ([0], [2], ["1"], "weights need a float or int dtype"),
+    ([0], [2], [None], "weights need a float or int dtype"),
+    ([0], [2], [2**70], "weights need a float or int dtype"),
 ])
 def test_circular_splits_refuse_bad_arcs_and_weights(starts, ends, values, message):
     with pytest.raises(ValueError, match=message):

@@ -82,6 +82,37 @@ def test_the_arc_metric_equals_the_split_metric(n, arc_seed, size):
         assert arc.rows == by_split.rows
 
 
+@seed(35)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(3, 12),
+    arc_seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(["floats", "ints", "fractions"]),
+    big=st.booleans(),
+)
+@example(n=5, arc_seed=1, form="ints", big=True)
+@example(n=5, arc_seed=1, form="ints", big=False)
+def test_the_metric_is_exact_exactly_when_the_system_is(n, arc_seed, form, big):
+    """Arcs take floats or ints without den as float weights, ints from 2^62
+    too, and exact weights only as numerators over den; Splits take any of
+    them, and are exact when every weight is an int or a Fraction."""
+    rng = random.Random(arc_seed)
+    ordering, starts, ends = random_arcs(rng, n)
+    ints = [(2**62 if big else 0) + rng.randint(1, 200) for _ in starts]
+    den = rng.choice((1, 7, 100))
+    weights = {"floats": [v / 7 for v in ints], "ints": ints, "fractions": [Fraction(v, den) for v in ints]}[form]
+    if form == "fractions":
+        with pytest.raises(ValueError, match="float or int dtype"):
+            CircularSplits(ordering, starts, ends, weights)
+        arcs = CircularSplits(ordering, starts, ends, np.array(ints, dtype=object), den)
+    else:
+        arcs = CircularSplits(ordering, starts, ends, weights)
+    splits = WeightedSplitSystem(n, dict(zip(core.arc_splits(ordering, starts, ends), weights)))
+    assert (arcs.is_exact, splits.is_exact) == (form == "fractions", form != "floats")
+    for system in (arcs, splits):
+        assert metric_from_splits(system).is_exact == system.is_exact
+
+
 @pytest.fixture
 def fraction_count(monkeypatch):
     """A list whose length counts the Fractions constructed while it lives."""

@@ -19,7 +19,6 @@ from neighbornet.core import (
     count_associahedron_vertices,
     count_distinct_orderings,
     count_nnet_outputs,
-    join_paths,
     metric_from_splits,
     sorted_splits,
 )
@@ -30,6 +29,7 @@ from neighbornet.oracle import (
     canonical_orderings,
     is_circular_split,
     is_pairwise_compatible,
+    join_paths,
     split_metric,
 )
 from conftest import random_circular_instance, random_dissimilarity, random_tree_instance

@@ -273,13 +273,18 @@ def assert_state_matches_the_scalar_engine(state):
                     assert engine.q_hat_criterion(state, r, s, i, j) == reference.q_hat_criterion(ref, r, s, i, j)
 
 
+def other_end(path: tuple, x: int) -> int:
+    """The end of path that is not x; x itself on a one-taxon path."""
+    return path[0] if path[-1] == x else path[-1]
+
+
 def q_hat_from_the_accessors(state, r, s, i, j) -> Fraction:
     """Q-hat of joining blocks r and s at i and j, in Fractions read from the
     accessors: d(i, j)/2 + (across + (delta(i2, far) + delta(j2, far))/2)/(m-2)
     - P/(m-1), or (d(i, j) + d(i2, j2))/2 - delta(C_r, C_s) at m = 2."""
     d, m = state.d, state.m
-    i2 = engine._other_end(state.blocks[r], i)
-    j2 = engine._other_end(state.blocks[s], j)
+    i2 = other_end(state.blocks[r], i)
+    j2 = other_end(state.blocks[s], j)
     if m == 2:
         return (d[i, j] + d[i2, j2]) / 2 - state.block_distance(r, s)
     p_total = state.total_pair_sum()

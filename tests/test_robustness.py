@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,15 +25,29 @@ from neighbornet.core import (
     PartialCircularOrdering,
     Split,
     WeightedSplitSystem,
-    join_paths,
-    merged_at,
 )
 from neighbornet.io import InputError, read_nexus_splits, write_nexus
 from neighbornet.length import balanced_length
-from neighbornet.oracle import radius_perturbation_check
+from neighbornet.oracle import join_paths, merged_at, radius_perturbation_check
 from neighbornet.tsp import read_tsplib_euc2d, tour_length
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("rows, at", [
+    ([[0, 1 + 5j], [1 + 5j, 0]], (0, 0)),
+    ([[Fraction(0), Fraction(1), 2 + 0j], [Fraction(1), 0, "3"], [2 + 0j, "3", 0]], (0, 2)),
+    ([[Fraction(0), Fraction(1), 2], [Fraction(1), 0, "3"], [2, "3", 0]], (1, 2)),
+    ([["0", "2.5"], ["2.5", "0"]], (0, 0)),
+    ([[0, None], [None, 0]], (0, 1)),
+    ([[0.0, math.inf, None], [math.inf, 0.0, 1.0], [None, 1.0, 0.0]], (0, 2)),
+], ids=["complex-dtype", "complex-among-fractions", "str-among-fractions", "str-dtype", "none", "before-non-finite"])
+def test_map_rejects_entries_that_are_not_real_numbers(rows, at):
+    for exact in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning: nothing is cast
+            with pytest.raises(ValueError, match=r"^entry at \({},{}\) is not a real number$".format(*at)):
+                DissimilarityMap(rows, exact=exact)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -145,6 +160,13 @@ def test_cli_reports_solver_non_convergence(tmp_path, capsys, monkeypatch):
 def test_split_system_rejects_non_finite_weights(bad):
     s = core.Split.of({2, 3}, 4)
     with pytest.raises(ValueError, match=r"non-finite weight for Split\(0,1\|2,3\)"):
+        core.WeightedSplitSystem(4, {core.Split.of({1}, 4): 1.0, s: bad})
+
+
+@pytest.mark.parametrize("bad", ["1", 1 + 2j, None])
+def test_split_system_rejects_weights_that_are_not_real_numbers(bad):
+    s = core.Split.of({2, 3}, 4)
+    with pytest.raises(ValueError, match=r"^weight for Split\(0,1\|2,3\) is not a real number: "):
         core.WeightedSplitSystem(4, {core.Split.of({1}, 4): 1.0, s: bad})
 
 

@@ -2,11 +2,13 @@
 TSPLIB reader."""
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from neighbornet.agglomerate import BalancedTSP, TreeWeighting
+from neighbornet.cli import main
 from neighbornet.core import CircularOrdering, DissimilarityMap
 from neighbornet.oracle import brute_force_tsp
 from neighbornet.tsp import greedy_tsp, read_tsplib_euc2d, tour_length
@@ -187,6 +189,42 @@ class TestTsplibReader:
     def test_bad_rounding_mode_rejected(self):
         with pytest.raises(ValueError):
             read_tsplib_euc2d(TOY_TSPLIB, rounding="up")
+
+    def test_node_ids_decide_each_nodes_place(self, tmp_path, capsys):
+        # listed 3, 1, 4, 2: the file reads as its sorted image, and the CLI
+        # label k names node k
+        nodes = {1: "0 0", 2: "4 0", 3: "4 3", 4: "1 7"}
+        tsplib = "DIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n{}EOF\n".format
+        listed = tsplib("".join(f"{k} {nodes[k]}\n" for k in (3, 1, 4, 2)))
+        in_order = tsplib("".join(f"{k} {nodes[k]}\n" for k in (1, 2, 3, 4)))
+        d = read_tsplib_euc2d(listed)
+        assert d == read_tsplib_euc2d(in_order)
+        assert (d[0, 1], d[1, 2], d[0, 2], d[2, 3]) == (4.0, 3.0, 5.0, 5.0)
+        outputs = []
+        for name, text in (("listed.tsp", listed), ("in_order.tsp", in_order)):
+            (tmp_path / name).write_text(text)
+            assert main(["tsp", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("ids, line", [
+        ("1 1 3", "1 4 0"),
+        ("1 2 x", "x 4 3"),
+        ("0 1 2", "0 0 0"),
+        ("1 2 4", "4 4 3"),
+        ("1 2 -3", "-3 4 3"),
+        ("1 2 3.0", "3.0 4 3"),
+    ], ids=["repeated", "not-a-number", "zero", "past-dimension", "negative", "float"])
+    def test_node_ids_that_are_not_a_permutation_are_refused(self, tmp_path, capsys, ids, line):
+        coords = ("0 0", "4 0", "4 3")
+        text = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n{}EOF\n".format(
+            "".join(f"{k} {xy}\n" for k, xy in zip(ids.split(), coords)))
+        message = f"bad node id in line {line!r}: the ids must be a permutation of 1..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_tsplib_euc2d(text)
+        (tmp_path / "bad.tsp").write_text(text)
+        assert main(["tsp", str(tmp_path / "bad.tsp")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.skipif(st70_text() is None, reason="st70.tsp not available (see decisions ledger)")
